@@ -22,6 +22,7 @@ from .metric_core import (
     MetricError,
     PointedSpace,
     PreconditionFailed,
+    _trusted_space,
     pointed_from_json,
     space_from_json,
     space_to_json,
@@ -49,10 +50,6 @@ class Correspondence:
     pairs: tuple  # sorted (i, j) pairs
     nx: int
     ny: int
-
-    @property
-    def encoding(self) -> tuple:
-        return self.pairs
 
 
 def correspondence(pairs: Iterable[tuple], nx: int, ny: int) -> Correspondence:
@@ -115,14 +112,6 @@ class GluedSpace:
     @property
     def y0_host(self) -> int:
         return self.embed_y[self.origin_y.base]
-
-    @property
-    def x_image(self) -> tuple:
-        return self.embed_x
-
-    @property
-    def y_image(self) -> tuple:
-        return self.embed_y
 
 
 def validate_gluing(
@@ -204,7 +193,7 @@ def glue_from_correspondence(
             cross = min(x.space.d(a, i) + eta + y.space.d(j, b) for i, j in rel.pairs)
             rows[a][nx + b] = cross
             rows[nx + b][a] = cross
-    host = validate_metric(labels, rows)
+    host = _trusted_space(labels, rows)
     return GluedSpace(
         host=host,
         embed_x=tuple(range(nx)),
@@ -271,7 +260,7 @@ def glue_triple_w(
         for b in range(ny):
             v = z.d(ix[a], iy[b]) + 2 * eps
             rows[a][nx + nz + b] = rows[nx + nz + b][a] = v
-    host = validate_metric(labels, rows)
+    host = _trusted_space(labels, rows)
     return GluedSpace(
         host=host,
         embed_x=tuple(range(nx)),

@@ -185,7 +185,7 @@ def delta_r_equivalents(
     )
 
 
-def refine_gluing_cross(glued: GluedSpace, steps: int = 2) -> GluedSpace:
+def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> GluedSpace:
     """Lower cross distances toward their triangle lower bounds.
 
     delta_r is nonincreasing in every cross entry, so each sweep can only
@@ -208,7 +208,7 @@ def refine_gluing_cross(glued: GluedSpace, steps: int = 2) -> GluedSpace:
                     changed = True
         if not changed:
             break
-    new_host = validate_metric(host.points, rows)
+    new_host = validate_metric(host.points, rows, tol=tol)
     return GluedSpace(
         host=new_host,
         embed_x=glued.embed_x,
@@ -248,7 +248,7 @@ def Delta_r(
     if best is None:
         raise MetricError("no gluing was generated")
     value, glued, _ = best
-    refined = refine_gluing_cross(glued, steps=refine_steps)
+    refined = refine_gluing_cross(glued, steps=refine_steps, tol=tol)
     refined_value = delta_r(refined, r, tol=tol)
     if refined_value < value:
         return refined_value, refined

@@ -1,9 +1,22 @@
 """Finite (pointed) metric spaces and the set-level primitives built on them.
 
-A space is a frozen label tuple plus a full distance matrix.  Validation is
-the only sanctioned constructor path; code that builds ``FiniteMetricSpace``
-directly is bypassing the axioms on purpose (some negative tests do exactly
-that) and gets no guarantees.
+A space is a frozen label tuple plus a full distance matrix.  Input from
+outside is validated once, at the boundary (JSON/CSV ingestion,
+``line_space``, ``validate_gluing``), by the O(n^3) ``validate_metric``.
+Internal builders whose rows are a metric by construction freeze them with
+``_trusted_space``, which skips the triangle scan:
+
+- ``subspace``: a restriction of a metric;
+- ``gluing.glue_from_correspondence``: the gluing lemma at eta >= dis(R)/2,
+  which ``EtaTooSmall`` enforces;
+- ``gluing.glue_triple_w``: X and Y sit isometrically in Z, and each bridge
+  crossed adds eps, which keeps the triangle inequality;
+- the ``tunnels.compose`` and ``tunnels.existence_tunnel`` carriers: a
+  ``min_plus_closure`` is a shortest-path metric.
+
+Code that builds ``FiniteMetricSpace`` directly from unchecked rows bypasses
+the axioms on purpose (some negative tests do exactly that) and gets no
+guarantees.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .numerics import INF, RATIONAL, Scalar, as_backend, format_scalar, is_inf, leq, parse_scalar
+from .numerics import INF, RATIONAL, Scalar, format_scalar, is_inf, leq, parse_scalar
 
 
 class MetricError(ValueError):
@@ -126,6 +139,19 @@ def validate_metric(
     return FiniteMetricSpace(points=pts, dist=rows, strict=strict)
 
 
+def _trusted_space(points: Sequence, dist: Sequence[Sequence[Scalar]]) -> FiniteMetricSpace:
+    """Freeze rows that are a metric by construction, as ``validate_metric``
+    would, without the triangle scan (see the module docstring).  Labels are
+    still checked: distinct points can format to the same host label."""
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise AxiomViolation("labels", (), "point labels must be distinct")
+    rows = tuple(tuple(row) for row in dist)
+    n = len(rows)
+    strict = all(rows[i][j] != 0 for i in range(n) for j in range(i + 1, n))
+    return FiniteMetricSpace(points=pts, dist=rows, strict=strict)
+
+
 def pointed(space: FiniteMetricSpace, base) -> PointedSpace:
     """Wrap a space with a basepoint given by label or index."""
     idx = base if isinstance(base, int) and not isinstance(base, bool) else space.index(base)
@@ -201,9 +227,7 @@ def min_plus_closure(rows: Sequence[Sequence[Scalar]]) -> list:
 def subspace(space: FiniteMetricSpace, indices: Sequence[int], labels: Sequence | None = None) -> FiniteMetricSpace:
     idx = tuple(indices)
     pts = tuple(labels) if labels is not None else tuple(space.points[i] for i in idx)
-    rows = tuple(tuple(space.d(i, j) for j in idx) for i in idx)
-    strict = all(rows[a][b] > 0 for a in range(len(idx)) for b in range(a + 1, len(idx)))
-    return FiniteMetricSpace(points=pts, dist=rows, strict=strict)
+    return _trusted_space(pts, [[space.d(i, j) for j in idx] for i in idx])
 
 
 def line_space(values: Sequence[Scalar], labels: Sequence | None = None) -> FiniteMetricSpace:
@@ -258,8 +282,3 @@ def space_from_csv(text: str, backend: str = RATIONAL) -> FiniteMetricSpace:
     labels = [cell.strip() for cell in table[0]]
     rows = [[parse_scalar(cell.strip(), backend) for cell in row] for row in table[1:]]
     return validate_metric(labels, rows)
-
-
-def as_backend_space(space: FiniteMetricSpace, backend: str) -> FiniteMetricSpace:
-    rows = tuple(tuple(as_backend(v, backend) for v in row) for row in space.dist)
-    return FiniteMetricSpace(points=space.points, dist=rows, strict=space.strict)

@@ -99,13 +99,3 @@ def format_scalar(v: Scalar):
             return int(v)
         return f"{v.numerator}/{v.denominator}"
     return float(v)
-
-
-def as_backend(v: Scalar, backend: str) -> Scalar:
-    if is_inf(v):
-        return INF
-    if backend == FLOAT:
-        return float(v)
-    if backend == RATIONAL:
-        return v if isinstance(v, (int, Fraction)) else Fraction(v)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -41,6 +41,7 @@ from .metric_core import (
     MetricError,
     PointedSpace,
     PreconditionFailed,
+    _trusted_space,
     diameter,
     dist_to_set,
     min_plus_closure,
@@ -84,7 +85,7 @@ class ClassicalPPQMS:
 
     Every finite metric space satisfies the proper-quantum-metric clauses
     (properness, approximate unit, seminorm domain, ...) automatically, so
-    the validator checks only that the space really is a pointed metric.
+    the validator adds only separation to the boundary's metric check.
     """
 
     pointed: PointedSpace
@@ -103,7 +104,9 @@ class ClassicalPPQMS:
 
 
 def classical_ppqms(p: PointedSpace) -> ClassicalPPQMS:
-    validate_metric(p.space.points, p.space.dist, require_strict=True)
+    # The boundary set `strict`; re-validating only words the separation error.
+    if not p.space.strict:
+        validate_metric(p.space.points, p.space.dist, require_strict=True)
     if not 0 <= p.base < p.space.n:
         raise MetricError(f"basepoint index {p.base} out of range")
     return ClassicalPPQMS(pointed=p)
@@ -785,8 +788,7 @@ def compose(
             big[i1][i2] = alpha
             big[i2][i1] = alpha
         bridges.append((i1, i2))
-    closed = min_plus_closure(big)
-    carrier = validate_metric(labels, closed)
+    carrier = _trusted_space(labels, min_plus_closure(big))
 
     sem1 = _lift_seminorm(p1)
     sem2 = _lift_seminorm(p2)
@@ -885,7 +887,7 @@ def existence_tunnel(a, b, r: Scalar, tol: Scalar = 0) -> Passage:
         for j in range(n2):
             big[i][n1 + j] = d_cap
             big[n1 + j][i] = d_cap
-    carrier = validate_metric(labels, min_plus_closure(big))
+    carrier = _trusted_space(labels, min_plus_closure(big))
     functionals = [tuple(c) + (0,) * n2 for c in lipschitz_seminorm_of(X).functionals]
     functionals += [(0,) * n1 + tuple(c) for c in lipschitz_seminorm_of(Y).functionals]
     inv_d = _inv(d_cap)
@@ -967,7 +969,7 @@ def local_propinquity(
         if val < best_val:
             best_val, best = val, p_ex
     if best is not None and best.glued is not None:
-        refined = refine_gluing_cross(best.glued)
+        refined = refine_gluing_cross(best.glued, tol=tol)
         if refined.host != best.glued.host:
             p_ref = passage_from_gluing(refined)
             val, _ = _extent_scan(p_ref, r, best_val, tol)
@@ -1062,7 +1064,7 @@ def propinquity_bracket(
         lows.append(lo_ex)
 
     if best.glued is not None:
-        refined = refine_gluing_cross(best.glued)
+        refined = refine_gluing_cross(best.glued, tol=tol)
         if refined.host != best.glued.host:
             pred_r = _passage_pred(passage_from_gluing(refined), tol)
             if pred_r(hi):

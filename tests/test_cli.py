@@ -119,6 +119,28 @@ def test_axiom_violation_exits_2(tmp_path, capsys):
     assert report["error"]["kind"] == "AxiomViolation"
 
 
+def test_float_Delta_r_answers_where_rounding_grazes_the_triangle(tmp_path, capsys):
+    # Float cross distances of the glued and refined hosts meet the triangle
+    # inequality only up to rounding; float mode must still give the exact
+    # answer.
+    x = write_json(
+        tmp_path, "x.json", {"points": ["0", "1"], "dist": [[0, 8], [8, 0]], "basepoint": 1}
+    )
+    y_doc = {
+        "points": ["0", "1", "2"],
+        "dist": [[0, "2/3", 4], ["2/3", 0, "14/3"], [4, "14/3", 0]],
+        "basepoint": 1,
+    }
+    y = write_json(tmp_path, "y.json", y_doc)
+    argv = ["Delta-r", "--x", x, "--y", y, "-r", "2"]
+    rc, report, _ = run(capsys, argv)
+    assert rc == EXIT_OK
+    assert report["value"] == 2.0 and isinstance(report["value"], float)
+    rc, exact, _ = run(capsys, argv + ["--backend", "rational"])
+    assert rc == EXIT_OK
+    assert exact["value"] == 2
+
+
 def test_missing_file_exits_3(capsys):
     rc, report, _ = run(capsys, ["w1", "--in", "/nonexistent/w1.json"])
     assert rc == EXIT_IO

@@ -11,27 +11,34 @@ import pytest
 import oracles
 from conftest import ball_only_embedding, random_correspondence_pairs
 from ghlab import (
+    AxiomViolation,
     BudgetExceeded,
     EtaTooSmall,
     MetricError,
+    compose,
     correspondence,
     correspondence_distortion,
     delta_r,
     enumerate_correspondences,
+    existence_tunnel,
     glue_from_correspondence,
     glue_triple_w,
     glued_from_json,
     glued_to_json,
     hausdorff,
     identity_gluing,
+    inverse,
     line_space,
+    passage_from_gluing,
     pointed,
     restrict_to_images,
+    subspace,
     validate_gluing,
     validate_metric,
 )
 from ghlab.gluing import NotDistancePreserving, correspondence_stream
-from ghlab.verify import random_pointed_space
+from ghlab.numerics import DEFAULT_FLOAT_TOL
+from ghlab.verify import random_correspondence, random_pointed_space
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 4), (2, 2), (2, 3), (3, 3)])
@@ -73,21 +80,93 @@ def test_distortion_matches_brute_force():
         assert correspondence_distortion(rel, x.space, y.space) == expected
 
 
+def _assert_metric_as_built(space, tol=0):
+    """Hosts built by construction skip validate_metric; it must still
+    accept them and agree with the frozen rows and the strict flag."""
+    checked = validate_metric(space.points, space.dist, tol=tol)
+    assert checked.dist == space.dist
+    assert checked.strict == space.strict
+
+
+def _float_copy(p):
+    rows = [[float(v) for v in row] for row in p.space.dist]
+    return pointed(validate_metric(p.space.points, rows, tol=DEFAULT_FLOAT_TOL), p.base)
+
+
+def _passage_pair(rng, x, y, fx, fy):
+    """The same random correspondence passage on the rational spaces and on
+    their float copies."""
+    rel = random_correspondence(rng, x.n, y.n)
+    dis = correspondence_distortion(rel, x.space, y.space)
+    eta = F(dis) / 2 if dis > 0 else F(1, rng.randint(1, 4))
+    return (
+        passage_from_gluing(glue_from_correspondence(x, y, rel, eta)),
+        passage_from_gluing(glue_from_correspondence(fx, fy, rel, float(eta))),
+    )
+
+
 def test_glue_validates_at_half_distortion_and_rejects_below():
+    # Every host built without validate_metric, over exhaustive small
+    # families, passes it exactly and on the float backend.
     rng = random.Random(4)
     checked = 0
     for _ in range(25):
-        x = random_pointed_space(rng, 2, 3)
-        y = random_pointed_space(rng, 2, 3)
+        x = random_pointed_space(rng, 1, 3)
+        y = random_pointed_space(rng, 1, 3)
+        fx, fy = _float_copy(x), _float_copy(y)
         for rel in enumerate_correspondences(x.n, y.n):
             dis = correspondence_distortion(rel, x.space, y.space)
-            g = glue_from_correspondence(x, y, rel)
-            validate_gluing(g.host, x, g.embed_x, y, g.embed_y)
+            for eta in (None, F(dis) / 2 + 1):
+                g = glue_from_correspondence(x, y, rel, eta)
+                validate_gluing(g.host, x, g.embed_x, y, g.embed_y)
+                _assert_metric_as_built(g.host)
+                fg = glue_from_correspondence(fx, fy, rel, None if eta is None else float(eta))
+                _assert_metric_as_built(fg.host, DEFAULT_FLOAT_TOL)
             if dis > 0:
                 with pytest.raises(EtaTooSmall):
                     glue_from_correspondence(x, y, rel, eta=dis / 2 - F(1, 1000))
                 checked += 1
     assert checked > 0
+
+    # triple gluings along every pair of sub-spaces of a small middle space
+    for _ in range(4):
+        z = random_pointed_space(rng, 1, 3).space
+        fz = _float_copy(pointed(z, 0)).space
+        subsets = [
+            idx for k in range(1, z.n + 1) for idx in itertools.combinations(range(z.n), k)
+        ]
+        for ix, iy in itertools.product(subsets, repeat=2):
+            for mid, eps, tol in ((z, F(0), 0), (z, F(1, 2), 0), (fz, 0.5, DEFAULT_FLOAT_TOL)):
+                x, y = pointed(subspace(mid, ix), 0), pointed(subspace(mid, iy), 0)
+                _assert_metric_as_built(glue_triple_w(x, mid, y, ix, iy, eps).host, tol)
+
+    # min-plus carriers of composed passages and of the direct existence tunnel
+    rng = random.Random(37)
+    for _ in range(8):
+        x, y, z = (random_pointed_space(rng, 1, 3) for _ in range(3))
+        fx, fy, fz = (_float_copy(p) for p in (x, y, z))
+        p1, f1 = _passage_pair(rng, x, y, fx, fy)
+        p2, f2 = _passage_pair(rng, y, z, fy, fz)
+        alpha = F(1, rng.randint(2, 5))
+        comp = compose(p1, p2, alpha, F(1), r=F(3), eps1=F(1, 4), eps2=F(1, 4))
+        _assert_metric_as_built(comp.carrier)
+        back = compose(comp, inverse(p2), alpha, F(1), r=F(3), eps1=F(1, 4), eps2=F(1, 4))
+        _assert_metric_as_built(back.carrier)
+        fcomp = compose(f1, f2, float(alpha), 1.0, r=3.0, eps1=0.25, eps2=0.25)
+        _assert_metric_as_built(fcomp.carrier, DEFAULT_FLOAT_TOL)
+    x2 = pointed(line_space([F(0), F(1), F(6)]), 0)
+    y2 = pointed(line_space([F(0), F(2), F(7)]), 0)
+    fx2, fy2 = _float_copy(x2), _float_copy(y2)
+    for a, b, r, tol in ((x2, y2, F(3), 0), (fx2, fy2, 3.0, DEFAULT_FLOAT_TOL)):
+        p = existence_tunnel(a, b, r)
+        assert p.kind == "composed"  # the band case, built by min-plus closure
+        _assert_metric_as_built(p.carrier, tol)
+
+    # labels stay checked: distinct points 1 and "1" both become host label "X:1"
+    twins = pointed(validate_metric((1, "1"), [[0, 2], [2, 0]]), 0)
+    one = pointed(validate_metric(("a",), [[0]]), 0)
+    with pytest.raises(AxiomViolation):
+        glue_from_correspondence(twins, one, correspondence([(0, 0), (1, 0)], 2, 1))
 
 
 def test_identity_gluing_is_a_zero_distance_witness():
