@@ -12,8 +12,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .metric_core import (
     AxiomViolation,
@@ -23,13 +22,14 @@ from .metric_core import (
     PointedSpace,
     PreconditionFailed,
     _trusted_space,
+    _unique_labels,
     pointed_from_json,
     space_from_json,
     space_to_json,
     subspace,
     validate_metric,
 )
-from .numerics import RATIONAL, Scalar
+from .numerics import RATIONAL, Scalar, half
 
 
 class NotDistancePreserving(MetricError):
@@ -68,22 +68,46 @@ def correspondence(pairs: Iterable[tuple], nx: int, ny: int) -> Correspondence:
 
 def enumerate_correspondences(nx: int, ny: int) -> Iterator[Correspondence]:
     """All correspondences, deterministic order (rows scanned ascending)."""
-    row_choices = [mask for mask in range(1, 1 << ny)]
+    return _row_search(nx, ny)
 
-    def rec(row: int, covered: int, chosen: list):
+
+def _row_search(nx: int, ny: int, x=None, y=None, prune=None) -> Iterator[Correspondence]:
+    """Row-by-row enumeration, each row a nonempty column mask scanned
+    ascending.  With spaces and a ``prune`` callback the distortion of the
+    chosen rows is carried along; a row prefix is cut once
+    ``prune(partial_dis / 2)`` holds, a leaf once ``prune(base gap)`` holds."""
+    full = (1 << ny) - 1
+    rows = [(mask, [j for j in range(ny) if mask >> j & 1]) for mask in range(1, full + 1)]
+
+    def rec(row: int, covered: int, pairs: list, dis: Scalar):
         if row == nx:
-            if covered == (1 << ny) - 1:
-                pairs = tuple(
-                    (i, j) for i, mask in enumerate(chosen) for j in range(ny) if mask >> j & 1
-                )
-                yield Correspondence(pairs=pairs, nx=nx, ny=ny)
+            if covered == full and (prune is None or not prune(_base_gap(x, y, pairs, dis))):
+                yield Correspondence(pairs=tuple(pairs), nx=nx, ny=ny)
             return
-        for mask in row_choices:
-            chosen.append(mask)
-            yield from rec(row + 1, covered | mask, chosen)
-            chosen.pop()
+        for mask, cols in rows:
+            if row + 1 == nx and covered | mask != full:
+                continue
+            grown = pairs + [(row, j) for j in cols]
+            grown_dis = dis
+            if prune is not None:
+                x_row = x.space.dist[row]
+                for b in cols:
+                    y_row = y.space.dist[b]
+                    for i, j in grown:
+                        gap = abs(x_row[i] - y_row[j])
+                        if gap > grown_dis:
+                            grown_dis = gap
+                if prune(half(grown_dis)):
+                    continue
+            yield from rec(row + 1, covered | mask, grown, grown_dis)
 
-    yield from rec(0, 0, [])
+    yield from rec(0, 0, [], 0)
+
+
+def _base_gap(x: PointedSpace, y: PointedSpace, pairs, dis: Scalar) -> Scalar:
+    """d(x0, y0) in the correspondence gluing at eta = dis / 2."""
+    eta = half(dis)
+    return min(x.space.d(x.base, i) + eta + y.space.d(j, y.base) for i, j in pairs)
 
 
 def correspondence_distortion(
@@ -172,14 +196,14 @@ def glue_from_correspondence(
 ) -> GluedSpace:
     if rel.nx != x.n or rel.ny != y.n:
         raise MetricError(f"correspondence shape {rel.nx}x{rel.ny} does not match spaces")
-    dis = correspondence_distortion(rel, x.space, y.space)
-    half = Fraction(dis, 2) if isinstance(dis, int) else dis / 2
+    least = half(correspondence_distortion(rel, x.space, y.space))
     if eta is None:
-        eta = half
-    elif eta < half:
-        raise EtaTooSmall(f"eta = {eta} but distortion/2 = {half}")
+        eta = least
+    elif eta < least:
+        raise EtaTooSmall(f"eta = {eta} but distortion/2 = {least}")
     nx, ny = x.n, y.n
-    labels = tuple(f"X:{p}" for p in x.space.points) + tuple(f"Y:{q}" for q in y.space.points)
+    taken: set = set()
+    labels = _unique_labels("X:", x.space.points, taken) + _unique_labels("Y:", y.space.points, taken)
     n = nx + ny
     rows = [[0] * n for _ in range(n)]
     for a in range(nx):
@@ -232,10 +256,11 @@ def glue_triple_w(
                     )
     ix, iy = tuple(iota_x), tuple(iota_y)
     nx, nz, ny = x.n, z.n, y.n
+    taken: set = set()
     labels = (
-        tuple(f"X:{p}" for p in x.space.points)
-        + tuple(f"Z:{q}" for q in z.points)
-        + tuple(f"Y:{q}" for q in y.space.points)
+        _unique_labels("X:", x.space.points, taken)
+        + _unique_labels("Z:", z.points, taken)
+        + _unique_labels("Y:", y.space.points, taken)
     )
     n = nx + nz + ny
     rows = [[0] * n for _ in range(n)]
@@ -292,29 +317,16 @@ def enumerate_gluings(
     seed: int = 0,
     samples: int = 64,
 ) -> Iterator[GluedSpace]:
-    """Correspondence gluings at eta = distortion/2.
-
-    Exact mode walks every correspondence; it needs nx*ny <= budget.  The
-    heuristic stream is deterministic under a fixed seed.
-    """
-    if mode not in ("auto", "exact", "heuristic"):
-        raise MetricError(f"unknown mode {mode!r}")
-    exact_ok = x.n * y.n <= budget
-    if mode == "exact" and not exact_ok:
-        raise MetricError(f"exact enumeration needs nx*ny <= {budget}, got {x.n * y.n}")
+    """Correspondence gluings at eta = distortion/2 over the unbounded
+    ``correspondence_stream``; "auto" picks exact search where it fits."""
     if mode == "auto":
-        mode = "exact" if exact_ok else "heuristic"
-    if mode == "exact":
-        for rel in enumerate_correspondences(x.n, y.n):
-            yield glue_from_correspondence(x, y, rel)
-        return
-    rng = random.Random(seed)
-    seen = set()
-    for rel in _heuristic_correspondences(x, y, rng, samples):
-        if rel.pairs in seen:
-            continue
-        seen.add(rel.pairs)
+        mode = "exact" if _exact_fits(x, y, budget) else "heuristic"
+    for rel in correspondence_stream(x, y, mode, budget, seed, samples):
         yield glue_from_correspondence(x, y, rel)
+
+
+def _exact_fits(x: PointedSpace, y: PointedSpace, budget: int) -> bool:
+    return x.n <= 7 and y.n <= 7 and x.n * y.n <= budget
 
 
 def correspondence_stream(
@@ -324,24 +336,41 @@ def correspondence_stream(
     budget: int = 12,
     seed: int = 0,
     samples: int = 64,
+    prune: Callable[[Scalar], bool] | None = None,
 ) -> Iterator[Correspondence]:
     """Deterministic correspondence source shared by the search routines.
 
-    Exact mode enumerates everything and is capped at 7 points per side and
-    nx*ny <= budget; heuristic mode streams deduplicated seeded candidates.
+    Exact mode enumerates in ``enumerate_correspondences`` order and is
+    capped at 7 points per side and nx*ny <= budget; heuristic mode streams
+    deduplicated seeded candidates.
+
+    ``prune(lower) -> bool`` makes the stream a branch and bound.  ``lower``
+    bounds from below the basepoint gap d(x0, y0) of a correspondence's
+    gluing at eta = dis(R)/2, hence its delta_r; where prune holds, the
+    stream drops what the bound covers.  prune must stay true for larger
+    bounds; it is called lazily, so it sees the consumer's current best.
+    The bounds are the partial dis/2 of a row prefix in exact mode (the gap
+    is at least dis(R)/2, and distortion only grows as rows are added, so
+    the whole subtree goes) and, on each correspondence, the gap itself:
+    min over (i, j) in R of d(x0, i) + dis(R)/2 + d(j, y0).  Heuristic mode
+    tests only the gap, after deduplication, so its seeded draws stay put.
     """
     if search == "exact":
-        if x.n > 7 or y.n > 7 or x.n * y.n > budget:
+        if not _exact_fits(x, y, budget):
             raise BudgetExceeded(
                 f"exact search needs both sides <= 7 points and a product <= {budget}, "
                 f"got {x.n}x{y.n}"
             )
-        yield from enumerate_correspondences(x.n, y.n)
+        yield from _row_search(x.n, y.n, x, y, prune)
     elif search == "heuristic":
         seen = set()
         for rel in _heuristic_correspondences(x, y, random.Random(seed), samples):
-            if rel.pairs not in seen:
-                seen.add(rel.pairs)
+            if rel.pairs in seen:
+                continue
+            seen.add(rel.pairs)
+            if prune is None or not prune(
+                _base_gap(x, y, rel.pairs, correspondence_distortion(rel, x.space, y.space))
+            ):
                 yield rel
     else:
         raise MetricError(f"unknown search mode {search!r}")

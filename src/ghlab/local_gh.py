@@ -4,6 +4,11 @@ delta_r is computed by three intentionally independent routes: the direct
 sup formula, a candidate-breakpoint scan of the definition predicate, and
 a candidate scan of the inflated-ball predicate.  They must agree; strict
 mode asserts it, and the test suite compares them wholesale.
+
+The searches (``Delta_r``, ``gh_inframetric``) are branch and bound: the
+correspondence stream skips every correspondence whose basepoint-gap lower
+bound cannot beat the best value so far, so an exact search still returns
+the family minimum, with the witness a full enumeration would pick.
 """
 
 from __future__ import annotations
@@ -12,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gluing import (
-    Correspondence,
     GluedSpace,
-    correspondence_distortion,
     correspondence_stream,
     glue_from_correspondence,
 )
@@ -27,15 +30,11 @@ from .metric_core import (
     eps_contained,
     validate_metric,
 )
-from .numerics import INF, Scalar, is_inf, leq
+from .numerics import INF, Scalar, half as _half, is_inf, leq
 
 
 class NonPositiveRadius(MetricError):
     pass
-
-
-def _half(v: Scalar) -> Scalar:
-    return v / 2 if isinstance(v, float) else Fraction(v, 2)
 
 
 def _inv(v: Scalar) -> Scalar:
@@ -234,12 +233,20 @@ def Delta_r(
 
     The unrestricted infimum ranges over all isometric embeddings, so the
     result is a certified upper bound; ties break by the lexicographically
-    smallest correspondence encoding.
+    smallest correspondence encoding.  The search prunes correspondences
+    whose basepoint gap exceeds the best value (delta_r is at least that
+    gap), and still returns the family minimum with the same witness.
     """
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     best = None
-    for rel in correspondence_stream(x, y, search, budget, seed, samples):
+
+    def prune(lower: Scalar) -> bool:
+        # strict, so a tie can still win on the smaller encoding; a feasible
+        # eps has d(x0, y0) <= eps + tol, so tol keeps float mode sound
+        return best is not None and lower > best[0] + tol
+
+    for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
         glued = glue_from_correspondence(x, y, rel)
         value = delta_r(glued, r, tol=tol)
         key = (value, rel.pairs)
@@ -317,8 +324,8 @@ def gh_inframetric(
 
     The raw threshold is computed exactly from the per-gluing step profiles
     (the limit the textbook bisection converges to); `truncated` applies
-    the 1/2 floor.  Candidate gluings whose basepoint separation already
-    exceeds the current best are skipped without being built.
+    the 1/2 floor.  The stream drops correspondences whose basepoint gap
+    already reaches the current best, without building their gluings.
     """
     best_raw: Scalar = INF
     witness = None
@@ -327,14 +334,8 @@ def gh_inframetric(
         raw_g = 0 if is_inf(t_star) else _inv(t_star)
         if raw_g < best_raw:
             best_raw, witness = raw_g, extra
-    for rel in correspondence_stream(x, y, search, budget, seed, samples):
-        dis = correspondence_distortion(rel, x.space, y.space)
-        eta = _half(dis)
-        base_gap = min(
-            x.space.d(x.base, i) + eta + y.space.d(j, y.base) for i, j in rel.pairs
-        )
-        if base_gap >= best_raw:
-            continue
+    prune = lambda lower: lower >= best_raw  # first found wins ties
+    for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
         glued = glue_from_correspondence(x, y, rel)
         t_star = _threshold_sup(glued, slack)
         raw_g = 0 if is_inf(t_star) else _inv(t_star)

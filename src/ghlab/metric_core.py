@@ -142,7 +142,7 @@ def validate_metric(
 def _trusted_space(points: Sequence, dist: Sequence[Sequence[Scalar]]) -> FiniteMetricSpace:
     """Freeze rows that are a metric by construction, as ``validate_metric``
     would, without the triangle scan (see the module docstring).  Labels are
-    still checked: distinct points can format to the same host label."""
+    still checked: ``subspace`` takes caller-supplied labels."""
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise AxiomViolation("labels", (), "point labels must be distinct")
@@ -150,6 +150,20 @@ def _trusted_space(points: Sequence, dist: Sequence[Sequence[Scalar]]) -> Finite
     n = len(rows)
     strict = all(rows[i][j] != 0 for i in range(n) for j in range(i + 1, n))
     return FiniteMetricSpace(points=pts, dist=rows, strict=strict)
+
+
+def _unique_labels(prefix: str, points: Sequence, taken: set) -> list:
+    """Host labels ``prefix + str(point)``; a point whose label is already
+    taken (1 and "1" print alike) also gets its index, so builders never
+    hand ``_trusted_space`` a repeated label."""
+    labels = []
+    for i, pt in enumerate(points):
+        lbl = f"{prefix}{pt}"
+        while lbl in taken:
+            lbl = f"{prefix}#{i}:{lbl[len(prefix):]}"
+        taken.add(lbl)
+        labels.append(lbl)
+    return labels
 
 
 def pointed(space: FiniteMetricSpace, base) -> PointedSpace:

@@ -31,6 +31,11 @@ def is_inf(v: Scalar) -> bool:
     return isinstance(v, float) and math.isinf(v)
 
 
+def half(v: Scalar) -> Scalar:
+    """v / 2, exact on rationals."""
+    return v / 2 if isinstance(v, float) else Fraction(v, 2)
+
+
 def leq(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
     """a <= b up to an additive tolerance."""
     if is_inf(b):

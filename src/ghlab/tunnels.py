@@ -42,12 +42,13 @@ from .metric_core import (
     PointedSpace,
     PreconditionFailed,
     _trusted_space,
+    _unique_labels,
     diameter,
     dist_to_set,
     min_plus_closure,
     validate_metric,
 )
-from .numerics import INF, SQRT2_OVER_4, Scalar, above_floor, leq
+from .numerics import INF, SQRT2_OVER_4, Scalar, above_floor, half as _half, leq
 from .simplex import LPInfeasible, solve_lp_general
 
 
@@ -65,10 +66,6 @@ class DomainMismatch(MetricError):
 
 class RadiusGap(MetricError):
     """The direct construction covers r >= both diameters or r < both only."""
-
-
-def _half(v: Scalar) -> Scalar:
-    return v / 2 if isinstance(v, float) else Fraction(v, 2)
 
 
 def _quarter(v: Scalar) -> Scalar:
@@ -716,17 +713,6 @@ def verify_fundamental(
     )
 
 
-def _unique_labels(prefix: str, points: tuple, taken: set) -> list:
-    labels = []
-    for i, pt in enumerate(points):
-        lbl = f"{prefix}{pt}"
-        if lbl in taken:
-            lbl = f"{prefix}#{i}:{pt}"
-        taken.add(lbl)
-        labels.append(lbl)
-    return labels
-
-
 def _lift_seminorm(p: Passage) -> PolyhedralSeminorm:
     return p.seminorm if p.seminorm is not None else lipschitz_seminorm_of(p.carrier)
 
@@ -950,9 +936,10 @@ def local_propinquity(
         return 0, passage_from_isometry(A, B, iso)
     best_val: Scalar = INF
     best: Passage | None = None
-    for rel in correspondence_stream(A.pointed, B.pointed, search, budget, seed, samples):
-        for base_gap, eta in _gluing_variants(A, B, rel):
-            if base_gap >= best_val:
+    prune = lambda lower: lower >= best_val  # first found wins ties
+    for rel in correspondence_stream(A.pointed, B.pointed, search, budget, seed, samples, prune):
+        for k, (base_gap, eta) in enumerate(_gluing_variants(A, B, rel)):
+            if k and base_gap >= best_val:  # the stream tested the narrowest width
                 continue
             p = passage_from_gluing(
                 glue_from_correspondence(A.pointed, B.pointed, rel, eta)

@@ -141,6 +141,21 @@ def test_float_Delta_r_answers_where_rounding_grazes_the_triangle(tmp_path, caps
     assert exact["value"] == 2
 
 
+def test_points_that_print_alike_get_distinct_host_labels(tmp_path, capsys):
+    # JSON points 1 and "1" are distinct but both print as 1
+    x = write_json(
+        tmp_path, "x.json", {"points": [1, "1"], "dist": [[0, 2], [2, 0]], "basepoint": 0}
+    )
+    y = write_json(tmp_path, "y.json", {"points": ["a"], "dist": [[0]], "basepoint": 0})
+    for backend in ("rational", "float"):
+        for argv in (["Delta-r", "-r", "1"], ["inframetric"]):
+            rc, report, _ = run(capsys, argv + ["--x", x, "--y", y, "--backend", backend])
+            assert rc == EXIT_OK, report
+    rc, report, _ = run(capsys, ["Delta-r", "-r", "1", "--x", x, "--y", y, "--backend", "rational"])
+    assert report["value"] == 1
+    assert report["witness"]["host"]["points"] == ["X:1", "X:#1:1", "Y:a"]
+
+
 def test_missing_file_exits_3(capsys):
     rc, report, _ = run(capsys, ["w1", "--in", "/nonexistent/w1.json"])
     assert rc == EXIT_IO

@@ -20,6 +20,7 @@ from ghlab import (
     correspondence_distortion,
     delta_r,
     enumerate_correspondences,
+    enumerate_gluings,
     existence_tunnel,
     glue_from_correspondence,
     glue_triple_w,
@@ -162,11 +163,22 @@ def test_glue_validates_at_half_distortion_and_rejects_below():
         assert p.kind == "composed"  # the band case, built by min-plus closure
         _assert_metric_as_built(p.carrier, tol)
 
-    # labels stay checked: distinct points 1 and "1" both become host label "X:1"
+    # distinct points 1 and "1" print alike but get distinct host labels;
+    # the trusted constructor still rejects a repeated label
     twins = pointed(validate_metric((1, "1"), [[0, 2], [2, 0]]), 0)
     one = pointed(validate_metric(("a",), [[0]]), 0)
+    g = glue_from_correspondence(twins, one, correspondence([(0, 0), (1, 0)], 2, 1))
+    assert g.host.points == ("X:1", "X:#1:1", "Y:a")
+    assert glue_triple_w(twins, twins.space, twins, (0, 1), (0, 1), F(0)).host.points == (
+        "X:1", "X:#1:1", "Z:1", "Z:#1:1", "Y:1", "Y:#1:1"
+    )
+    # the indexed label of 1 is itself taken by the point "#2:1"
+    rows = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    triplet = pointed(validate_metric(("#2:1", "1", 1), rows), 0)
+    g = glue_from_correspondence(triplet, one, correspondence([(0, 0), (1, 0), (2, 0)], 3, 1))
+    assert g.host.points == ("X:#2:1", "X:1", "X:#2:#2:1", "Y:a")
     with pytest.raises(AxiomViolation):
-        glue_from_correspondence(twins, one, correspondence([(0, 0), (1, 0)], 2, 1))
+        subspace(twins.space, (0, 1), labels=("a", "a"))
 
 
 def test_identity_gluing_is_a_zero_distance_witness():
@@ -268,6 +280,9 @@ def test_exact_stream_budget_limits():
     small = pointed(line_space([F(0), F(1)]), 0)
     with pytest.raises(BudgetExceeded):
         list(correspondence_stream(big, small, "exact", budget=100))
+    with pytest.raises(BudgetExceeded):
+        next(enumerate_gluings(big, small, "exact", budget=100))
+    assert next(enumerate_gluings(big, small, budget=100))  # "auto" falls back to heuristic
     x = pointed(line_space([F(0), F(1), F(2), F(3)]), 0)
     with pytest.raises(BudgetExceeded):
         list(correspondence_stream(x, x, "exact", budget=12))  # 4*4 > 12
