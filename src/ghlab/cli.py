@@ -35,18 +35,17 @@ from .numerics import (
     DEFAULT_FLOAT_TOL,
     FLOAT,
     RATIONAL,
-    SQRT2_OVER_4,
-    above_floor,
     format_scalar,
     is_inf,
     parse_scalar,
+    truncate_floor,
 )
 from .tunnels import (
+    ScanContext,
+    _checked_scan,
     check_admissible,
-    extent,
     passage_from_json,
     propinquity_bracket,
-    smallest_admissible,
 )
 from .verify import SUITES, run_suite
 
@@ -289,17 +288,17 @@ def cmd_dist(subcommand: str, inputs: dict, config: RunConfig) -> dict:
             tol=config.tolerance,
         )
         r = _radius(inputs, config)
-        value = extent(p, r, tol=config.tolerance)
+        context = ScanContext(p, config.tolerance)
+        value, attained = _checked_scan(p, r, config.tolerance, context)
         report = {
             "command": "extent",
             "r": format_scalar(r),
             "value": format_scalar(value),
         }
-        attained = smallest_admissible(p, r, tol=config.tolerance)
         if attained is None:
             report["certificate"] = None
         else:
-            ok, cert = check_admissible(p, r, attained, tol=config.tolerance)
+            ok, cert = check_admissible(p, r, attained, tol=config.tolerance, context=context)
             report["certificate"] = _jsonable({"eps": attained, "admissible": ok, **cert})
         return report
 
@@ -314,7 +313,7 @@ def cmd_dist(subcommand: str, inputs: dict, config: RunConfig) -> dict:
             seed=config.seed,
             tol=config.tolerance,
         )
-        truncated = hi if above_floor(hi) else SQRT2_OVER_4
+        truncated = truncate_floor(hi)
         return {
             "command": "propinquity",
             "bracket": [format_scalar(lo), format_scalar(hi)],

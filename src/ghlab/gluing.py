@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .metric_core import (
@@ -50,6 +50,8 @@ class Correspondence:
     pairs: tuple  # sorted (i, j) pairs
     nx: int
     ny: int
+    # (x space, y space, dis(R) on them), set by the stream that measured it
+    measured: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def correspondence(pairs: Iterable[tuple], nx: int, ny: int) -> Correspondence:
@@ -73,23 +75,25 @@ def enumerate_correspondences(nx: int, ny: int) -> Iterator[Correspondence]:
 
 def _row_search(nx: int, ny: int, x=None, y=None, prune=None) -> Iterator[Correspondence]:
     """Row-by-row enumeration, each row a nonempty column mask scanned
-    ascending.  With spaces and a ``prune`` callback the distortion of the
-    chosen rows is carried along; a row prefix is cut once
-    ``prune(partial_dis / 2)`` holds, a leaf once ``prune(base gap)`` holds."""
+    ascending.  With spaces the distortion of the chosen rows is carried
+    along and each leaf is measured; with a ``prune`` callback too, a row
+    prefix is cut once ``prune(partial_dis / 2)`` holds, a leaf once
+    ``prune(base gap)`` holds."""
     full = (1 << ny) - 1
     rows = [(mask, [j for j in range(ny) if mask >> j & 1]) for mask in range(1, full + 1)]
 
     def rec(row: int, covered: int, pairs: list, dis: Scalar):
         if row == nx:
             if covered == full and (prune is None or not prune(_base_gap(x, y, pairs, dis))):
-                yield Correspondence(pairs=tuple(pairs), nx=nx, ny=ny)
+                measured = None if x is None else (x.space, y.space, dis)
+                yield Correspondence(tuple(pairs), nx, ny, measured)
             return
         for mask, cols in rows:
             if row + 1 == nx and covered | mask != full:
                 continue
             grown = pairs + [(row, j) for j in cols]
             grown_dis = dis
-            if prune is not None:
+            if x is not None:
                 x_row = x.space.dist[row]
                 for b in cols:
                     y_row = y.space.dist[b]
@@ -97,7 +101,7 @@ def _row_search(nx: int, ny: int, x=None, y=None, prune=None) -> Iterator[Corres
                         gap = abs(x_row[i] - y_row[j])
                         if gap > grown_dis:
                             grown_dis = gap
-                if prune(half(grown_dis)):
+                if prune is not None and prune(half(grown_dis)):
                     continue
             yield from rec(row + 1, covered | mask, grown, grown_dis)
 
@@ -119,6 +123,14 @@ def correspondence_distortion(
         if gap > dis:
             dis = gap
     return dis
+
+
+def _distortion(rel: Correspondence, x: PointedSpace, y: PointedSpace) -> Scalar:
+    """dis(R) on x and y, as measured by the stream on these very spaces."""
+    m = rel.measured
+    if m is not None and m[0] is x.space and m[1] is y.space:
+        return m[2]
+    return correspondence_distortion(rel, x.space, y.space)
 
 
 @dataclass(frozen=True)
@@ -196,7 +208,7 @@ def glue_from_correspondence(
 ) -> GluedSpace:
     if rel.nx != x.n or rel.ny != y.n:
         raise MetricError(f"correspondence shape {rel.nx}x{rel.ny} does not match spaces")
-    least = half(correspondence_distortion(rel, x.space, y.space))
+    least = half(_distortion(rel, x, y))
     if eta is None:
         eta = least
     elif eta < least:
@@ -354,6 +366,7 @@ def correspondence_stream(
     the whole subtree goes) and, on each correspondence, the gap itself:
     min over (i, j) in R of d(x0, i) + dis(R)/2 + d(j, y0).  Heuristic mode
     tests only the gap, after deduplication, so its seeded draws stay put.
+    Yielded correspondences carry dis(R), so gluings need not recompute it.
     """
     if search == "exact":
         if not _exact_fits(x, y, budget):
@@ -368,10 +381,9 @@ def correspondence_stream(
             if rel.pairs in seen:
                 continue
             seen.add(rel.pairs)
-            if prune is None or not prune(
-                _base_gap(x, y, rel.pairs, correspondence_distortion(rel, x.space, y.space))
-            ):
-                yield rel
+            dis = correspondence_distortion(rel, x.space, y.space)
+            if prune is None or not prune(_base_gap(x, y, rel.pairs, dis)):
+                yield Correspondence(rel.pairs, rel.nx, rel.ny, (x.space, y.space, dis))
     else:
         raise MetricError(f"unknown search mode {search!r}")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .metric_core import FiniteMetricSpace, MetricError
-from .numerics import INF, Scalar, close, leq
+from .numerics import INF, Scalar, close, inv, leq
 from .simplex import LPInfeasible, solve_lp, transportation_simplex
 
 
@@ -103,18 +103,12 @@ def lipschitz_seminorm_of(space: FiniteMetricSpace) -> PolyhedralSeminorm:
                 zero_pairs.append((i, j))
                 continue
             c = [0] * space.n
-            c[i] = 1 / dij if isinstance(dij, float) else _frac(1, dij)
+            c[i] = inv(dij)
             c[j] = -c[i]
             functionals.append(tuple(c))
     return PolyhedralSeminorm(
         host=space, functionals=tuple(functionals), zero_pairs=tuple(zero_pairs), metric=space
     )
-
-
-def _frac(num, den):
-    from fractions import Fraction
-
-    return Fraction(num) / Fraction(den)
 
 
 def w1(

@@ -30,17 +30,11 @@ from .metric_core import (
     eps_contained,
     validate_metric,
 )
-from .numerics import INF, Scalar, half as _half, is_inf, leq
+from .numerics import INF, Scalar, half as _half, inv, is_inf, leq
 
 
 class NonPositiveRadius(MetricError):
     pass
-
-
-def _inv(v: Scalar) -> Scalar:
-    if is_inf(v):
-        return 0
-    return 1 / v if isinstance(v, float) else Fraction(1) / Fraction(v)
 
 
 def _ball_x(glued: GluedSpace, r: Scalar, tol: Scalar = 0) -> list:
@@ -292,7 +286,7 @@ def _threshold_sup(glued: GluedSpace, slack: Scalar) -> Scalar:
     for k, (a, v) in enumerate(steps):
         b = steps[k + 1][0] if k + 1 < len(steps) else INF
         lim = v + slack
-        bound = INF if lim <= 0 else _inv(lim)
+        bound = INF if lim <= 0 else inv(lim)
         if bound > a:
             cand = min(b, bound)
             if cand > t_best:
@@ -331,14 +325,14 @@ def gh_inframetric(
     witness = None
     for extra in extra_gluings:
         t_star = _threshold_sup(extra, slack)
-        raw_g = 0 if is_inf(t_star) else _inv(t_star)
+        raw_g = inv(t_star)
         if raw_g < best_raw:
             best_raw, witness = raw_g, extra
     prune = lambda lower: lower >= best_raw  # first found wins ties
     for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
         glued = glue_from_correspondence(x, y, rel)
         t_star = _threshold_sup(glued, slack)
-        raw_g = 0 if is_inf(t_star) else _inv(t_star)
+        raw_g = inv(t_star)
         if raw_g < best_raw:
             best_raw, witness = raw_g, glued
     if is_inf(best_raw):

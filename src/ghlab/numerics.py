@@ -36,6 +36,18 @@ def half(v: Scalar) -> Scalar:
     return v / 2 if isinstance(v, float) else Fraction(v, 2)
 
 
+def quarter(v: Scalar) -> Scalar:
+    """v / 4, exact on rationals."""
+    return v / 4 if isinstance(v, float) else Fraction(v, 4)
+
+
+def inv(v: Scalar) -> Scalar:
+    """1 / v, exact on rationals; 1 / inf is 0."""
+    if is_inf(v):
+        return 0
+    return 1 / v if isinstance(v, float) else Fraction(1) / Fraction(v)
+
+
 def leq(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
     """a <= b up to an additive tolerance."""
     if is_inf(b):

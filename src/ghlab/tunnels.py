@@ -10,16 +10,16 @@ shortest-path metric and McShane arguments apply to it verbatim.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .gluing import (
     GluedSpace,
     NotDistancePreserving,
+    _distortion,
     correspondence,
-    correspondence_distortion,
     correspondence_stream,
     glue_from_correspondence,
     glued_from_json,
@@ -48,7 +48,7 @@ from .metric_core import (
     min_plus_closure,
     validate_metric,
 )
-from .numerics import INF, SQRT2_OVER_4, Scalar, above_floor, half as _half, leq
+from .numerics import INF, Scalar, half as _half, inv, leq, quarter, truncate_floor
 from .simplex import LPInfeasible, solve_lp_general
 
 
@@ -66,14 +66,6 @@ class DomainMismatch(MetricError):
 
 class RadiusGap(MetricError):
     """The direct construction covers r >= both diameters or r < both only."""
-
-
-def _quarter(v: Scalar) -> Scalar:
-    return v / 4 if isinstance(v, float) else Fraction(v, 4)
-
-
-def _inv(v: Scalar) -> Scalar:
-    return 1 / v if isinstance(v, float) else Fraction(1) / Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -388,12 +380,65 @@ def _family_shifts(p: Passage, eps: Scalar) -> set:
     return out
 
 
+def _halves(values: Iterable) -> set:
+    """Halves and quarters of the positive values."""
+    return {f(v) for v in values if v > 0 for f in (_half, quarter)}
+
+
+class ScanContext:
+    """What the checks and scans of one passage at one ``tol`` share across
+    radii: the inverse passage, basepoint gap and rows, radius-free tolerance
+    candidates, and per eps the probe cells, witness family and probe memo."""
+
+    def __init__(self, p: Passage, tol: Scalar = 0):
+        self.p, self.tol, self.base = p, tol, _base_rows(p)
+        self.rows = sorted(self.base)
+        self.gap = p.carrier.d(p.x0_host, p.y0_host)
+        self._per_eps: dict = {}
+
+    @cached_property
+    def inverse(self) -> Passage:
+        return inverse(self.p)
+
+    @cached_property
+    def _fixed(self) -> tuple:
+        c, base = self.p.carrier, self.base
+        values = base | {c.d(i, j) for i in range(c.n) for j in range(i + 1, c.n)}
+        cands = {v for v in values if v > 0} | _halves(values)
+        cands |= _halves(v - w for v in base for w in base)
+        return sorted(cands), cands
+
+    def candidates(self, r: Scalar) -> list:
+        """Tolerances where the admissibility predicate can flip: distance
+        values, their halves and quarters, and half/quarter gaps between
+        basepoint distances and r (0 is a basepoint distance); only the r
+        terms are built per call."""
+        fixed, fixed_set = self._fixed
+        extra = ({r} if r > 0 else set()) | _halves(d for w in self.base for d in (r - w, w - r))
+        cands = list(fixed)
+        for v in extra - fixed_set:
+            insort(cands, v)
+        return cands
+
+    def at_eps(self, eps: Scalar) -> tuple:
+        """(sorted positive probe cells, witness family, its name, memo) at eps."""
+        got = self._per_eps.get(eps)
+        if got is None:
+            p = self.p
+            shifts = {0, 2 * eps, 4 * eps} | _family_shifts(p, eps)
+            cells = sorted({d - s for d in self.base for s in shifts if d - s > 0})
+            family = "canonical" if p.info is None else "composed-union"
+            got = self._per_eps[eps] = (cells, _witness_family(p, eps, self.tol), family, {})
+        return got
+
+
 def check_admissible(
     p: Passage,
     r: Scalar,
     eps: Scalar,
     k_of_t: Callable[[Scalar], Iterable[int]] | None = None,
     tol: Scalar = 0,
+    context: ScanContext | None = None,
 ) -> tuple:
     """Full admissibility of eps at radius r: basepoint proximity plus left
     and right admissibility of (eps, K_t) at every radius cell in (0, r].
@@ -401,128 +446,132 @@ def check_admissible(
     All clause quantities depend on t only through closed-ball memberships,
     so probing each breakpoint (cells are [b_k, b_{k+1})), one sub-minimal
     point, and r itself decides the whole continuum.
+
+    So both sides' clauses at probe t read only eps, K_t, and which
+    basepoint-row values d satisfy leq(d, t, tol) and leq(d, t + 4 eps, tol);
+    each is a prefix of the sorted rows (``_base_rows``), fixed by its length.  Results are
+    memoised on eps, both lengths and K_t in ``context`` (a ``ScanContext``
+    of p at this tol; a fresh one when omitted).  The canonical K_t is the
+    leq(d, t + 2 eps, tol) prefix, so its length stands in for it; a supplied
+    or composed K_t enters as computed.  The key is exact on both backends:
+    each length comes from the very comparison the clauses make.
     """
     if r <= 0 or eps <= 0:
         return False, {"reason": "nonpositive radius or tolerance"}
-    gap = p.carrier.d(p.x0_host, p.y0_host)
-    if not leq(gap, eps, tol):
-        return False, {"reason": "basepoint", "gap": gap}
-    base_values = _base_rows(p)
-    shifts = {0, 2 * eps, 4 * eps} | _family_shifts(p, eps)
-    bps = set()
-    for d in base_values:
-        for s in shifts:
-            v = d - s
-            if 0 < v <= r:
-                bps.add(v)
-    probes = sorted(bps)
-    first = probes[0] if probes else r
-    probes = [_half(first)] + probes
+    ctx = context if context is not None else ScanContext(p, tol)
+    if not leq(ctx.gap, eps, tol):
+        return False, {"reason": "basepoint", "gap": ctx.gap}
+    cells, kf, family, memo = ctx.at_eps(eps)
+    probes = cells[: bisect_right(cells, r)]
+    probes = [_half(probes[0] if probes else r)] + probes
     if r not in probes:
         probes.append(r)
     if k_of_t is not None:
         kf, family = k_of_t, "supplied"
-    elif p.info is not None:
-        # canonical balls never cover the middle copies of a bridged carrier,
-        # so composed passages default to the union family of their parts
-        kf, family = composed_k_family(p, tol), "composed-union"
-    else:
-        kf, family = k_family(p, eps, tol), "canonical"
-    inv = inverse(p)
+    rows, two, four = ctx.rows, 2 * eps, 4 * eps
+    canonical = family == "canonical"
     for t in probes:
-        K = frozenset(kf(t))
-        ok, cert = check_left_admissible(p, t, eps, K, tol)
-        if not ok:
-            return False, {"t": t, "side": "left", **cert}
-        ok, cert = check_left_admissible(inv, t, eps, K, tol)
-        if not ok:
-            return False, {"t": t, "side": "right", **cert}
+        K = None if canonical else frozenset(kf(t))
+        key = (
+            bisect_right(rows, t + tol),
+            bisect_right(rows, t + four + tol),
+            bisect_right(rows, t + two + tol) if canonical else K,
+        )
+        hit = memo.get(key)
+        if hit is None:
+            K = frozenset(kf(t)) if canonical else K
+            ok, cert = check_left_admissible(p, t, eps, K, tol)
+            side = "left"
+            if ok:
+                ok, cert = check_left_admissible(ctx.inverse, t, eps, K, tol)
+                side = "right"
+            hit = memo[key] = (ok, side, cert)
+        if not hit[0]:
+            return False, {"t": t, "side": hit[1], **hit[2]}
     return True, {"probes": len(probes), "family": family}
 
 
-def _eps_candidates(p: Passage, r: Scalar) -> list:
-    """Tolerances where the admissibility predicate can flip: distance
-    values, their halves and quarters, and half/quarter gaps between
-    basepoint distances and r."""
-    carrier = p.carrier
-    base_values = _base_rows(p)
-    cmp_values = {
-        carrier.d(i, j) for i in range(carrier.n) for j in range(i + 1, carrier.n)
-    }
-    cands = set()
-    for v in base_values | cmp_values | {r}:
-        if v > 0:
-            cands.add(v)
-            cands.add(_half(v))
-            cands.add(_quarter(v))
-    shifted = base_values | {r}
-    for v in shifted:
-        for w in shifted | {0}:
-            diff = v - w
-            if diff > 0:
-                cands.add(_half(diff))
-                cands.add(_quarter(diff))
-    return sorted(cands)
-
-
-def _extent_scan(p: Passage, r: Scalar, cutoff: Scalar = INF, tol: Scalar = 0) -> tuple:
+def _extent_scan(
+    p: Passage,
+    r: Scalar,
+    cutoff: Scalar = INF,
+    tol: Scalar = 0,
+    context: ScanContext | None = None,
+) -> tuple:
     """(infimum of admissible tolerances below cutoff, an attained admissible
     probe or None).  Scans candidates ascending with one interior probe per
     gap; the infimum is the largest candidate at or below the first
-    admissible probe."""
-    cands = _eps_candidates(p, r)
-    if not cands:
-        ok, _ = check_admissible(p, r, 1, tol=tol)
-        return (0, 1) if ok else (INF, None)
-    gap = p.carrier.d(p.x0_host, p.y0_host)
-    if tol == 0 and gap > 0:
-        # basepoint proximity forces eps >= gap, and gap is itself a candidate
+    admissible probe.
+
+    Every probe lies below cutoff and must reach the basepoint gap, so a gap
+    beyond cutoff answers at once.  Scans sharing ``context`` evaluate the
+    clauses once per eps and ball-membership signature of the probe, which
+    is exact since the clauses read the radius through those memberships
+    alone (the memo key of ``check_admissible``)."""
+    ctx = context if context is not None else ScanContext(p, tol)
+    gap = ctx.gap
+    if not leq(gap, cutoff, tol):
+        return INF, None
+    tried = tol == 0 and gap > 0
+    if tried:
+        # basepoint proximity forces eps >= gap, and gap (a carrier distance)
+        # is a candidate: the first probe, tried before the list is built
+        if gap >= cutoff:
+            return INF, None
+        ok, _ = check_admissible(p, r, gap, tol=tol, context=ctx)
+        if ok:
+            return gap, gap
+    cands = ctx.candidates(r)
+    if not cands:  # only when r <= 0
+        return INF, None
+    if tried:
         start = bisect_left(cands, gap)
     else:
         start = 0
         probe0 = _half(cands[0])
         if probe0 < cutoff:
-            ok, _ = check_admissible(p, r, probe0, tol=tol)
+            ok, _ = check_admissible(p, r, probe0, tol=tol, context=ctx)
             if ok:
                 return 0, probe0
     for i in range(start, len(cands)):
         c = cands[i]
         if c >= cutoff:
-            prev = cands[i - 1] if i > start else None
-            if prev is not None:
+            if i > start:
+                prev = cands[i - 1]
                 probe = _half(prev + cutoff)
                 if probe > prev:
-                    ok, _ = check_admissible(p, r, probe, tol=tol)
+                    ok, _ = check_admissible(p, r, probe, tol=tol, context=ctx)
                     if ok:
                         return prev, probe
             return INF, None
-        ok, _ = check_admissible(p, r, c, tol=tol)
-        if ok:
-            return c, c
+        if i > start or not tried:
+            ok, _ = check_admissible(p, r, c, tol=tol, context=ctx)
+            if ok:
+                return c, c
         nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c + 1
-        mid = _half(c + min(nxt, cutoff)) if nxt >= cutoff else _half(c + nxt)
+        mid = _half(c + min(nxt, cutoff))
         if mid > c:
-            ok, _ = check_admissible(p, r, mid, tol=tol)
+            ok, _ = check_admissible(p, r, mid, tol=tol, context=ctx)
             if ok:
                 return c, mid
     return INF, None
 
 
-def extent(p: Passage, r: Scalar, tol: Scalar = 0) -> Scalar:
-    """Infimum of admissible tolerances at radius r; +inf when none exists."""
+def _checked_scan(p: Passage, r: Scalar, tol: Scalar, context: ScanContext | None = None) -> tuple:
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
-    value, _ = _extent_scan(p, r, INF, tol)
-    return value
+    return _extent_scan(p, r, INF, tol, context)
+
+
+def extent(p: Passage, r: Scalar, tol: Scalar = 0) -> Scalar:
+    """Infimum of admissible tolerances at radius r; +inf when none exists."""
+    return _checked_scan(p, r, tol)[0]
 
 
 def smallest_admissible(p: Passage, r: Scalar, tol: Scalar = 0) -> Scalar | None:
     """An actually admissible tolerance near the extent (the first admissible
     scan probe), or None; the extent itself need not be attained."""
-    if r <= 0:
-        raise NonPositiveRadius(f"radius must be positive, got {r}")
-    _, attained = _extent_scan(p, r, INF, tol)
-    return attained
+    return _checked_scan(p, r, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -628,19 +677,12 @@ class FundamentalReport:
     linearity_ok: bool
     diameter_ok: bool
     jordan_ok: bool
-    lie_ok: bool
     diameter_value: Scalar
     norm_bound: Scalar
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.norm_ok
-            and self.linearity_ok
-            and self.diameter_ok
-            and self.jordan_ok
-            and self.lie_ok
-        )
+        return self.norm_ok and self.linearity_ok and self.diameter_ok and self.jordan_ok
 
 
 def verify_fundamental(
@@ -658,7 +700,8 @@ def verify_fundamental(
     target norm growth <= l*eps, linear combinations land in the bounds of
     a + t*a_prime at level (1+|t|)l, per-point target width <= 2*l*eps, and
     pointwise products land in the bounds of a*a_prime at the Leibniz level.
-    The Lie clause is identically zero for commutative carriers."""
+    The Lie clause is identically zero for commutative carriers, so there is
+    nothing to check and no field reports it."""
     X = p.domain.space
     Kset = frozenset(K)
     ba = lift_target_bounds(p, a, l, r, eps, Kset, tol=tol)
@@ -707,10 +750,18 @@ def verify_fundamental(
         linearity_ok=linearity_ok,
         diameter_ok=diameter_ok,
         jordan_ok=jordan_ok,
-        lie_ok=True,
         diameter_value=diameter_value,
         norm_bound=bound,
     )
+
+
+def _block_rows(a: FiniteMetricSpace, b: FiniteMetricSpace, cross: Scalar) -> tuple:
+    """Unique labels and rows of the disjoint union of a and b, every cross
+    entry set to cross."""
+    taken: set = set()
+    labels = _unique_labels("A:", a.points, taken) + _unique_labels("B:", b.points, taken)
+    rows = [list(row) + [cross] * b.n for row in a.dist]
+    return labels, rows + [[cross] * a.n + list(row) for row in b.dist]
 
 
 def _lift_seminorm(p: Passage) -> PolyhedralSeminorm:
@@ -754,17 +805,7 @@ def compose(
             f"need t + 4*max(eps1, eps2) < r, got {t} + 4*{max(eps1, eps2)} vs {r}"
         )
     n1, n2 = p1.carrier.n, p2.carrier.n
-    taken: set = set()
-    labels = _unique_labels("A:", p1.carrier.points, taken) + _unique_labels(
-        "B:", p2.carrier.points, taken
-    )
-    big = [[INF] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            big[i][j] = p1.carrier.d(i, j)
-    for i in range(n2):
-        for j in range(n2):
-            big[n1 + i][n1 + j] = p2.carrier.d(i, j)
+    labels, big = _block_rows(p1.carrier, p2.carrier, INF)
     mid_space = p1.codomain.space
     bridges = []
     for b in range(mid_space.n):
@@ -780,7 +821,7 @@ def compose(
     sem2 = _lift_seminorm(p2)
     functionals = [tuple(c) + (0,) * n2 for c in sem1.functionals]
     functionals += [(0,) * n1 + tuple(c) for c in sem2.functionals]
-    inv_alpha = _inv(alpha)
+    inv_alpha = inv(alpha)
     for i1, i2 in bridges:
         row = [0] * (n1 + n2)
         row[i1] = inv_alpha
@@ -803,6 +844,8 @@ def compose(
 
 
 def _witness_family(p: Passage, eps: Scalar, tol: Scalar = 0) -> Callable[[Scalar], frozenset]:
+    # canonical balls never cover the middle copies of a bridged carrier,
+    # so composed passages default to the union family of their parts
     if p.info is not None:
         return composed_k_family(p, tol)
     return k_family(p, eps, tol)
@@ -860,23 +903,11 @@ def existence_tunnel(a, b, r: Scalar, tol: Scalar = 0) -> Passage:
         max(dist_to_set(Y, j, compl_y) for j in range(Y.n)),
     )
     n1, n2 = X.n, Y.n
-    taken: set = set()
-    labels = _unique_labels("A:", X.points, taken) + _unique_labels("B:", Y.points, taken)
-    big = [[INF] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            big[i][j] = X.d(i, j)
-    for i in range(n2):
-        for j in range(n2):
-            big[n1 + i][n1 + j] = Y.d(i, j)
-    for i in range(n1):
-        for j in range(n2):
-            big[i][n1 + j] = d_cap
-            big[n1 + j][i] = d_cap
+    labels, big = _block_rows(X, Y, d_cap)
     carrier = _trusted_space(labels, min_plus_closure(big))
     functionals = [tuple(c) + (0,) * n2 for c in lipschitz_seminorm_of(X).functionals]
     functionals += [(0,) * n1 + tuple(c) for c in lipschitz_seminorm_of(Y).functionals]
-    inv_d = _inv(d_cap)
+    inv_d = inv(d_cap)
     for i in range(n1):
         for j in range(n2):
             row = [0] * (n1 + n2)
@@ -908,7 +939,7 @@ def _gluing_variants(A: ClassicalPPQMS, B: ClassicalPPQMS, rel) -> Iterable[tupl
     """(base_gap, passage factory) per bridge width, cheap prune data first."""
     X, x0 = A.space, A.base
     Y, y0 = B.space, B.base
-    dis = correspondence_distortion(rel, X, Y)
+    dis = _distortion(rel, A.pointed, B.pointed)
     for eta in _bridge_widths(dis):
         base_gap = min(X.d(x0, i) + eta + Y.d(j, y0) for i, j in rel.pairs)
         yield base_gap, eta
@@ -979,10 +1010,12 @@ def _tau_bisect(pred: Callable[[Scalar], bool], hi: Scalar, iters: int) -> tuple
 
 def _passage_pred(p: Passage, tol: Scalar) -> Callable[[Scalar], bool]:
     """e -> does p beat tolerance e at radius 1/e.  Monotone: the extent is
-    nondecreasing in the radius, so shrinking 1/e only helps."""
+    nondecreasing in the radius, so shrinking 1/e only helps.  Its scans
+    share one ``ScanContext``."""
+    context = ScanContext(p, tol)
 
     def pred(e: Scalar) -> bool:
-        val, _ = _extent_scan(p, _inv(e), e, tol)
+        val, _ = _extent_scan(p, inv(e), e, tol, context)
         return val < e
 
     return pred
@@ -1040,10 +1073,10 @@ def propinquity_bracket(
 
     def ex_pred(e: Scalar) -> bool:
         try:
-            p_ex = existence_tunnel(A, B, _inv(e), tol)
+            p_ex = existence_tunnel(A, B, inv(e), tol)
         except MetricError:
             return False
-        val, _ = _extent_scan(p_ex, _inv(e), e, tol)
+        val, _ = _extent_scan(p_ex, inv(e), e, tol)
         return val < e
 
     if ex_pred(hi):
@@ -1073,10 +1106,8 @@ def propinquity(
     """(truncated, raw) radius-threshold propinquity; raw is the certified
     upper end of the bisection bracket (exact for isometric pairs), and
     truncated applies the sqrt(2)/4 floor."""
-    lo, hi = propinquity_bracket(a, b, search, budget, seed, samples, iters, tol)
-    raw = hi
-    truncated = raw if above_floor(raw) else SQRT2_OVER_4
-    return truncated, raw
+    _, raw = propinquity_bracket(a, b, search, budget, seed, samples, iters, tol)
+    return truncate_floor(raw), raw
 
 
 def passage_to_json(p: Passage) -> dict:

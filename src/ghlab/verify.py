@@ -168,7 +168,6 @@ def suite_fundamental(rng: random.Random, cases: int = 60) -> list:
             "lift-linearity",
             "target-diameter",
             "jordan-product",
-            "lie-bracket",
             "target-inversion",
         )
     )
@@ -185,7 +184,6 @@ def suite_fundamental(rng: random.Random, cases: int = 60) -> list:
         tally.record("lift-linearity", rep.linearity_ok, example)
         tally.record("target-diameter", rep.diameter_ok, example)
         tally.record("jordan-product", rep.jordan_ok, example)
-        tally.record("lie-bracket", rep.lie_ok, example)
         tb = lift_target_bounds(p, a, l, r, eps, K)
         b = real_function(p.codomain.space, tb.target_hi)
         tbi = lift_target_bounds(inverse(p), b, l, r + 4 * eps, eps, K)

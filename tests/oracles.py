@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 from math import comb
 
@@ -242,3 +243,110 @@ def lipschitz_hull_vertices(dist, l, pins: dict):
     if not feasible:
         return False, None, None
     return True, lo, hi
+
+
+# ---------------------------------------------------------------------------
+# uncached extent scan
+#
+# The extent scan as it stood before probe results were shared: the full
+# candidate set rebuilt on every call, and both sides' clauses evaluated by
+# ``check_left_admissible`` at every probe.  The clause evaluation itself is
+# the library's; what this checks is the sharing around it.
+
+
+def _half(v):
+    return v / 2 if isinstance(v, float) else Fraction(v, 2)
+
+
+def _quarter(v):
+    return v / 4 if isinstance(v, float) else Fraction(v, 4)
+
+
+def eps_candidates_reference(p, r) -> list:
+    from ghlab.tunnels import _base_rows
+
+    carrier = p.carrier
+    base_values = _base_rows(p)
+    cmp_values = {carrier.d(i, j) for i in range(carrier.n) for j in range(i + 1, carrier.n)}
+    cands = set()
+    for v in base_values | cmp_values | {r}:
+        if v > 0:
+            cands.update((v, _half(v), _quarter(v)))
+    shifted = base_values | {r}
+    for v in shifted:
+        for w in shifted | {0}:
+            if v - w > 0:
+                cands.update((_half(v - w), _quarter(v - w)))
+    return sorted(cands)
+
+
+def check_admissible_reference(p, r, eps, k_of_t=None, tol=0) -> tuple:
+    from ghlab.numerics import leq
+    from ghlab.tunnels import (
+        _base_rows,
+        _family_shifts,
+        check_left_admissible,
+        composed_k_family,
+        inverse,
+        k_family,
+    )
+
+    if r <= 0 or eps <= 0:
+        return False, {"reason": "nonpositive radius or tolerance"}
+    gap = p.carrier.d(p.x0_host, p.y0_host)
+    if not leq(gap, eps, tol):
+        return False, {"reason": "basepoint", "gap": gap}
+    shifts = {0, 2 * eps, 4 * eps} | _family_shifts(p, eps)
+    probes = sorted({d - s for d in _base_rows(p) for s in shifts if 0 < d - s <= r})
+    probes = [_half(probes[0] if probes else r)] + probes
+    if r not in probes:
+        probes.append(r)
+    if k_of_t is not None:
+        kf, family = k_of_t, "supplied"
+    elif p.info is not None:
+        kf, family = composed_k_family(p, tol), "composed-union"
+    else:
+        kf, family = k_family(p, eps, tol), "canonical"
+    for t in probes:
+        K = frozenset(kf(t))
+        for side, q in (("left", p), ("right", inverse(p))):
+            ok, cert = check_left_admissible(q, t, eps, K, tol)
+            if not ok:
+                return False, {"t": t, "side": side, **cert}
+    return True, {"probes": len(probes), "family": family}
+
+
+def extent_scan_reference(p, r, cutoff=math.inf, tol=0, context=None) -> tuple:
+    """(value, attained probe); ``context`` is accepted and ignored, so the
+    reference can stand in for ``tunnels._extent_scan``."""
+
+    def admissible(e):
+        return check_admissible_reference(p, r, e, tol=tol)[0]
+
+    cands = eps_candidates_reference(p, r)
+    if not cands:
+        return (0, 1) if admissible(1) else (math.inf, None)
+    gap = p.carrier.d(p.x0_host, p.y0_host)
+    if tol == 0 and gap > 0:
+        start = bisect.bisect_left(cands, gap)
+    else:
+        start = 0
+        probe0 = _half(cands[0])
+        if probe0 < cutoff and admissible(probe0):
+            return 0, probe0
+    for i in range(start, len(cands)):
+        c = cands[i]
+        if c >= cutoff:
+            if i > start:
+                prev = cands[i - 1]
+                probe = _half(prev + cutoff)
+                if probe > prev and admissible(probe):
+                    return prev, probe
+            return math.inf, None
+        if admissible(c):
+            return c, c
+        nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c + 1
+        mid = _half(c + min(nxt, cutoff))
+        if mid > c and admissible(mid):
+            return c, mid
+    return math.inf, None

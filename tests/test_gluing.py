@@ -302,3 +302,29 @@ def test_heuristic_stream_is_deterministic_under_seed():
     assert a == b
     assert len(a) > 0
     assert a != c or len(set(a)) == len(set(c))  # different seed may legitimately coincide on tiny spaces
+
+
+def test_stream_distortion_is_reused_only_on_its_own_spaces():
+    # the stream hands its measured distortion to the gluing; a correspondence
+    # built by hand, or glued onto other spaces of the same shape, is measured
+    # afresh, so an eta below half the distortion still raises
+    rng = random.Random(8)
+    tiny = F(1, 1000)
+    checked = 0
+    for _ in range(8):
+        x, y = random_pointed_space(rng, 2, 3), random_pointed_space(rng, 2, 3)
+        x2, y2 = random_pointed_space(rng, x.n, x.n), random_pointed_space(rng, y.n, y.n)
+        for mode in ("exact", "heuristic"):
+            for rel in correspondence_stream(x, y, mode, samples=8):
+                by_hand = correspondence(rel.pairs, x.n, y.n)
+                for a, b in ((x, y), (x2, y2)):
+                    dis = correspondence_distortion(rel, a.space, b.space)
+                    assert glue_from_correspondence(a, b, rel).host == glue_from_correspondence(
+                        a, b, by_hand
+                    ).host
+                    if dis > 0:
+                        for c in (rel, by_hand):
+                            with pytest.raises(EtaTooSmall):
+                                glue_from_correspondence(a, b, c, eta=dis / 2 - tiny)
+                        checked += 1
+    assert checked > 0

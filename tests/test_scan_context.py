@@ -1,0 +1,221 @@
+"""The shared extent scan against the uncached reference.
+
+``tunnels.ScanContext`` keeps what one passage's scans share and memoises
+probe results on their ball-membership signature.  These tests run many
+scans and admissibility checks through one context per passage, in an order
+that revisits tolerances at new radii and new tolerances at old radii, and
+compare every answer with ``oracles.extent_scan_reference`` and
+``oracles.check_admissible_reference``, which rebuild everything and
+evaluate both sides' clauses at every probe.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import oracles
+from ghlab import (
+    check_admissible,
+    compose,
+    correspondence,
+    correspondence_distortion,
+    enumerate_correspondences,
+    existence_tunnel,
+    glue_from_correspondence,
+    inverse,
+    k_family,
+    passage_from_gluing,
+    pointed,
+    propinquity_bracket,
+    validate_metric,
+)
+from ghlab import tunnels
+from ghlab.gluing import validate_gluing
+from ghlab.metric_core import MetricError, subspace
+from ghlab.numerics import DEFAULT_FLOAT_TOL, INF
+from ghlab.tunnels import ScanContext, _extent_scan
+from ghlab.verify import random_pointed_space, random_passage
+
+TOL = DEFAULT_FLOAT_TOL
+
+
+def _float_copy(p):
+    rows = [[float(v) for v in row] for row in p.space.dist]
+    return pointed(validate_metric(p.space.points, rows, tol=TOL), p.base)
+
+
+def _widths(dis):
+    return (F(1, 2),) if dis == 0 else (F(dis, 2), F(dis), 2 * F(dis))
+
+
+def _metric_passages(rng, pairs, per_pair):
+    """(rational, float) passage twins: correspondences of random 1-3 point
+    pairs glued at widths dis/2, dis and 2 dis."""
+    out = []
+    for _ in range(pairs):
+        x, y = random_pointed_space(rng, 1, 3), random_pointed_space(rng, 1, 3)
+        fx, fy = _float_copy(x), _float_copy(y)
+        rels = list(enumerate_correspondences(x.n, y.n))
+        for rel in rng.sample(rels, min(per_pair, len(rels))):
+            for eta in _widths(correspondence_distortion(rel, x.space, y.space)):
+                out.append((
+                    passage_from_gluing(glue_from_correspondence(x, y, rel, eta)),
+                    passage_from_gluing(glue_from_correspondence(fx, fy, rel, float(eta))),
+                ))
+    return out
+
+
+def _subspace_passages(rng, count):
+    """(rational, float) twins over gluings that are not correspondence
+    gluings: two sub-spaces of one random host, possibly overlapping.  On
+    these the widened ball and eps itself decide some clauses."""
+    out = []
+    for _ in range(count):
+        host = random_pointed_space(rng, 3, 4)
+        twins = []
+        for h, tol in ((host, 0), (_float_copy(host), TOL)):
+            n = h.n
+            ix = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            iy = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            x = pointed(subspace(h.space, ix), rng.randrange(len(ix)))
+            y = pointed(subspace(h.space, iy), rng.randrange(len(iy)))
+            twins.append(passage_from_gluing(validate_gluing(h.space, x, ix, y, iy, tol)))
+        out.append(tuple(twins))
+    return out
+
+
+def _composed_passages(rng, count):
+    """Bridged compositions, each composed once more with an inverse leg."""
+    out = []
+    for _ in range(count):
+        x, y, z = (random_pointed_space(rng, 1, 3) for _ in range(3))
+        p1, p2 = random_passage(rng, x, y), random_passage(rng, y, z)
+        alpha = F(1, rng.randint(2, 5))
+        comp = compose(p1, p2, alpha, F(1), r=F(3), eps1=F(1, 4), eps2=F(1, 4))
+        back = compose(comp, inverse(p2), alpha, F(1), r=F(3), eps1=F(1, 4), eps2=F(1, 4))
+        out += [comp, back]
+    return out
+
+
+def _existence_passages(rng, count):
+    out = []
+    while len(out) < count:
+        x, y = random_pointed_space(rng, 2, 3), random_pointed_space(rng, 2, 3)
+        for r in (F(rng.randint(1, 6), 2), F(40)):
+            try:
+                out.append(existence_tunnel(x, y, r))
+            except MetricError:
+                pass
+    return out
+
+
+def _radii(rng):
+    """(radius, cutoff) pairs: seeded radii with no cutoff, then 1/e at
+    dyadic e with cutoff e, as the propinquity bisection probes them."""
+    out = [(F(rng.randint(1, 16), rng.randint(1, 4)), INF) for _ in range(3)]
+    for m in (2, 5, 9):
+        e = F(rng.randint(1, 2**m), 2**m)
+        out.append((1 / e, e))
+    rng.shuffle(out)
+    return out
+
+
+def _as_backend(value, backend):
+    return value if backend == "rational" or value == INF else float(value)
+
+
+def _assert_scans_match(p, radii, tol):
+    context = ScanContext(p, tol)
+    for r, cutoff in radii + radii[::-1]:
+        expected = oracles.extent_scan_reference(p, r, cutoff, tol)
+        assert _extent_scan(p, r, cutoff, tol, context) == expected
+        assert _extent_scan(p, r, cutoff, tol) == expected
+        assert context.candidates(r) == oracles.eps_candidates_reference(p, r)
+
+
+def _assert_checks_match(p, radii, tol):
+    """Every candidate and every midpoint between candidates, largest first,
+    under the canonical family and under supplied families that produce one
+    K_t at different radii, all through one context."""
+    context = ScanContext(p, tol)
+    third = F(1, 3) if tol == 0 else 1 / 3
+    other = k_family(p, third, tol)
+    families = (None, lambda t: other(t / 2), lambda t: other(t + third))
+    for r, _ in radii:
+        cands = oracles.eps_candidates_reference(p, r)
+        probes = cands + [(a + b) / 2 for a, b in zip(cands, cands[1:])]
+        for eps in sorted(probes, reverse=True):
+            for k_of_t in families:
+                expected = oracles.check_admissible_reference(p, r, eps, k_of_t, tol)
+                assert check_admissible(p, r, eps, k_of_t, tol, context=context) == expected
+        eps = probes[len(probes) // 2]
+        assert check_admissible(p, r, eps, tol=tol) == oracles.check_admissible_reference(
+            p, r, eps, tol=tol
+        )
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_metric_passages_match_the_uncached_scan(backend):
+    rng = random.Random(5)
+    tol = 0 if backend == "rational" else TOL
+    twins = _metric_passages(rng, pairs=6, per_pair=4) + _subspace_passages(rng, 40)
+    for exact, floating in twins:
+        p = exact if backend == "rational" else floating
+        radii = [(_as_backend(r, backend), _as_backend(c, backend)) for r, c in _radii(rng)]
+        _assert_scans_match(p, radii[:4], tol)
+        _assert_checks_match(p, radii[:2], tol)
+
+
+def test_composed_and_existence_passages_match_the_uncached_scan():
+    rng = random.Random(37)
+    passages = _composed_passages(rng, 3) + _existence_passages(rng, 4)
+    # both existence cases: compact collapse (a metric passage) and the band
+    assert {(p.kind, p.info is None) for p in passages} == {
+        ("composed", False), ("composed", True), ("metric", True)
+    }
+    assert any(p.info is not None and p.info.first.info is not None for p in passages)
+    for p in passages:
+        radii = _radii(rng)[:4]
+        _assert_scans_match(p, radii, 0)
+        _assert_checks_match(p, radii[:2], 0)
+
+
+def _pair(rng, nx, ny, backend):
+    x = random_pointed_space(rng, nx, nx)
+    y = random_pointed_space(rng, ny, ny)
+    return (x, y) if backend == "rational" else (_float_copy(x), _float_copy(y))
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_propinquity_brackets_match_the_uncached_scan(backend, monkeypatch):
+    rng = random.Random(11)
+    tol = 0 if backend == "rational" else TOL
+    cases = [_pair(rng, nx, ny, backend) for nx, ny in ((1, 2), (2, 1), (2, 2), (1, 2), (2, 2))]
+    got = [propinquity_bracket(x, y, tol=tol) for x, y in cases]
+    monkeypatch.setattr(tunnels, "_extent_scan", oracles.extent_scan_reference)
+    assert got == [propinquity_bracket(x, y, tol=tol) for x, y in cases]
+
+
+def test_context_memo_is_shared_across_radii(monkeypatch):
+    # one bisection's scans reuse probe results: far fewer clause
+    # evaluations than scans, with unchanged answers
+    rng = random.Random(2)
+    x, y = random_pointed_space(rng, 3, 3), random_pointed_space(rng, 3, 3)
+    rel = correspondence([(i, i) for i in range(3)], 3, 3)
+    p = passage_from_gluing(glue_from_correspondence(x, y, rel))
+    tolerances = [F(k, 4) for k in range(1, 60)]
+    expected = [oracles.extent_scan_reference(p, 1 / e, e) for e in tolerances]
+    calls = []
+    original = tunnels.check_left_admissible
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tunnels, "check_left_admissible", counted)
+    context = ScanContext(p)
+    assert [_extent_scan(p, 1 / e, e, 0, context) for e in tolerances] == expected
+    assert 0 < len(calls) < len(tolerances)
