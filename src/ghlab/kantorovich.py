@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .metric_core import FiniteMetricSpace, MetricError
+from .metric_core import FiniteMetricSpace, MetricError, dist_to_set
 from .numerics import INF, Scalar, close, inv, leq
 from .simplex import LPInfeasible, solve_lp, transportation_simplex
 
@@ -177,9 +177,4 @@ def dirac_to_pushforward_set(space: FiniteMetricSpace, z: int, subset) -> Scalar
     Convexity collapses the optimum onto a single point, so this is the
     point-to-set distance; +inf for the empty set.
     """
-    best = INF
-    for j in subset:
-        dzj = space.d(z, j)
-        if dzj < best:
-            best = dzj
-    return best
+    return dist_to_set(space, z, subset)

@@ -116,13 +116,10 @@ def mcshane_extend(
 def mcshane_extend_lower(
     host: FiniteMetricSpace, anchors: Mapping[int, Scalar], L: Scalar, tol: Scalar = 0
 ) -> RealFunction:
-    """Pointwise-smallest L-Lipschitz extension (the dual formula)."""
-    if not anchors:
-        raise EmptySubspace("no anchors to extend")
-    if _partial_lip(host, anchors, tol) > L + tol:
-        raise MetricError(f"anchors are not {L}-Lipschitz")
-    values = [max(v - L * host.d(i, z) for i, v in anchors.items()) for z in range(host.n)]
-    return RealFunction(host=host, values=tuple(values))
+    """Pointwise-smallest L-Lipschitz extension, -mcshane_extend(-anchors).
+    ``0 - v`` keeps a zero value unsigned, as max(v - L d) gives it."""
+    upper = mcshane_extend(host, {i: -v for i, v in anchors.items()}, L, tol)
+    return RealFunction(host=host, values=tuple(0 - v for v in upper.values))
 
 
 def truncate_clip(g: RealFunction, M: Scalar) -> RealFunction:

@@ -9,10 +9,23 @@ The searches (``Delta_r``, ``gh_inframetric``) are branch and bound: the
 correspondence stream skips every correspondence whose basepoint-gap lower
 bound cannot beat the best value so far, so an exact search still returns
 the family minimum, with the witness a full enumeration would pick.
+
+On rational input both searches run on one integer grid per query.  With L
+= 4 * lcm of the denominators of both distance matrices and of the query's
+scalars (r and tol, or slack), each space is scaled by L into an ``int``
+copy (a positive multiple of a metric is a metric) and the unchanged search
+code runs on ``int`` rows; only the value and the witness are divided by L
+on the way out.  The factor 4 keeps every halving an ``int``: the grid
+distances are multiples of 4, so a distortion and eta = dis/2 are even,
+cross distances are even, and so are the delta_r candidate gaps d - r that
+get halved.  The radius inversion 1/t of the inframetric is a length on
+the grid too: a grid length T = L t inverts to L / t = L**2 / T, so it uses
+``inv(T, L**2)``.  Input holding any float skips the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +39,7 @@ from .metric_core import (
     FiniteMetricSpace,
     MetricError,
     PointedSpace,
+    _trusted_space,
     dist_to_set,
     eps_contained,
     validate_metric,
@@ -211,6 +225,32 @@ def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> G
     )
 
 
+def _grid_unit(spaces, scalars) -> int | None:
+    """L = 4 * lcm of every denominator in the spaces and scalars; None when
+    any of them is a float (that input runs on its own numbers)."""
+    values = [v for space in spaces for row in space.dist for v in row]
+    values.extend(scalars)
+    if any(isinstance(v, float) for v in values):
+        return None
+    return 4 * math.lcm(*{v.denominator for v in values})
+
+
+def _on_grid(v: Scalar, unit: int) -> int:
+    return v.numerator * (unit // v.denominator)
+
+
+def _pointed_on_grid(p: PointedSpace, unit: int) -> PointedSpace:
+    rows = [[_on_grid(v, unit) for v in row] for row in p.space.dist]
+    return PointedSpace(_trusted_space(p.space.points, rows), p.base)
+
+
+def _off_grid(glued: GluedSpace, unit: int, x: PointedSpace, y: PointedSpace) -> GluedSpace:
+    """The grid witness divided by L, embedding the caller's spaces."""
+    host = glued.host
+    rows = [[Fraction(v, unit) for v in row] for row in host.dist]
+    return GluedSpace(_trusted_space(host.points, rows), glued.embed_x, glued.embed_y, x, y)
+
+
 def Delta_r(
     x: PointedSpace,
     y: PointedSpace,
@@ -233,6 +273,25 @@ def Delta_r(
     """
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
+    unit = _grid_unit((x.space, y.space), (r, tol))
+    if unit is None:
+        return _Delta_r_search(x, y, r, search, budget, seed, samples, refine_steps, tol)
+    value, glued = _Delta_r_search(
+        _pointed_on_grid(x, unit),
+        _pointed_on_grid(y, unit),
+        _on_grid(r, unit),
+        search,
+        budget,
+        seed,
+        samples,
+        refine_steps,
+        _on_grid(tol, unit),
+    )
+    return Fraction(value, unit), _off_grid(glued, unit, x, y)
+
+
+def _Delta_r_search(x, y, r, search, budget, seed, samples, refine_steps, tol):
+    """``Delta_r`` on the spaces' own scale."""
     best = None
 
     def prune(lower: Scalar) -> bool:
@@ -279,14 +338,14 @@ def _delta_steps(glued: GluedSpace) -> list:
     return steps
 
 
-def _threshold_sup(glued: GluedSpace, slack: Scalar) -> Scalar:
-    """sup of radii t with delta(t) + slack < 1/t; INF when unbounded."""
+def _threshold_sup(glued: GluedSpace, slack: Scalar, unit: Scalar = 1) -> Scalar:
+    """sup of radii t with delta(t) + slack < unit/t; INF when unbounded."""
     steps = _delta_steps(glued)
     t_best: Scalar = 0
     for k, (a, v) in enumerate(steps):
         b = steps[k + 1][0] if k + 1 < len(steps) else INF
         lim = v + slack
-        bound = INF if lim <= 0 else inv(lim)
+        bound = INF if lim <= 0 else inv(lim, unit)
         if bound > a:
             cand = min(b, bound)
             if cand > t_best:
@@ -324,17 +383,28 @@ def gh_inframetric(
     best_raw: Scalar = INF
     witness = None
     for extra in extra_gluings:
-        t_star = _threshold_sup(extra, slack)
-        raw_g = inv(t_star)
+        raw_g = inv(_threshold_sup(extra, slack))
         if raw_g < best_raw:
             best_raw, witness = raw_g, extra
-    prune = lambda lower: lower >= best_raw  # first found wins ties
-    for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
-        glued = glue_from_correspondence(x, y, rel)
-        t_star = _threshold_sup(glued, slack)
-        raw_g = inv(t_star)
-        if raw_g < best_raw:
-            best_raw, witness = raw_g, glued
+    unit = _grid_unit((x.space, y.space), (slack,))
+    if unit is None:
+        best_raw, glued = _inframetric_search(x, y, search, budget, seed, samples, slack, best_raw, 1)
+    else:
+        raw, glued = _inframetric_search(
+            _pointed_on_grid(x, unit),
+            _pointed_on_grid(y, unit),
+            search,
+            budget,
+            seed,
+            samples,
+            _on_grid(slack, unit),
+            best_raw * unit,
+            unit * unit,
+        )
+        if glued is not None:
+            best_raw, glued = Fraction(raw, unit), _off_grid(glued, unit, x, y)
+    if glued is not None:
+        witness = glued
     if is_inf(best_raw):
         raise MetricError("no gluing was generated")
     half = 0.5 if isinstance(best_raw, float) else Fraction(1, 2)
@@ -343,3 +413,17 @@ def gh_inframetric(
     return InframetricResult(
         raw=best_raw, truncated=truncated, witness=witness, search=search, certificate=certificate
     )
+
+
+def _inframetric_search(x, y, search, budget, seed, samples, slack, best_raw, unit):
+    """The ``gh_inframetric`` stream on the spaces' own scale, with radii
+    inverted against ``unit``; returns (raw, gluing), the gluing None when
+    none beats the given best_raw."""
+    witness = None
+    prune = lambda lower: lower >= best_raw  # first found wins ties
+    for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
+        glued = glue_from_correspondence(x, y, rel)
+        raw_g = inv(_threshold_sup(glued, slack, unit), unit)
+        if raw_g < best_raw:
+            best_raw, witness = raw_g, glued
+    return best_raw, witness

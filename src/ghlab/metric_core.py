@@ -12,7 +12,10 @@ Internal builders whose rows are a metric by construction freeze them with
 - ``gluing.glue_triple_w``: X and Y sit isometrically in Z, and each bridge
   crossed adds eps, which keeps the triangle inequality;
 - the ``tunnels.compose`` and ``tunnels.existence_tunnel`` carriers: a
-  ``min_plus_closure`` is a shortest-path metric.
+  ``min_plus_closure`` is a shortest-path metric;
+- the integer-grid copies of ``local_gh`` (``_pointed_on_grid`` scales a
+  validated space by L, ``_off_grid`` a witness host back by 1/L): a
+  positive multiple of a metric is a metric.
 
 Code that builds ``FiniteMetricSpace`` directly from unchecked rows bypasses
 the axioms on purpose (some negative tests do exactly that) and gets no

@@ -32,8 +32,12 @@ def is_inf(v: Scalar) -> bool:
 
 
 def half(v: Scalar) -> Scalar:
-    """v / 2, exact on rationals."""
-    return v / 2 if isinstance(v, float) else Fraction(v, 2)
+    """v / 2, exact on rationals; an even int stays an int (integer grids)."""
+    if isinstance(v, float):
+        return v / 2
+    if isinstance(v, int) and not v % 2:
+        return v // 2
+    return Fraction(v, 2)
 
 
 def quarter(v: Scalar) -> Scalar:
@@ -41,11 +45,12 @@ def quarter(v: Scalar) -> Scalar:
     return v / 4 if isinstance(v, float) else Fraction(v, 4)
 
 
-def inv(v: Scalar) -> Scalar:
-    """1 / v, exact on rationals; 1 / inf is 0."""
+def inv(v: Scalar, unit: Scalar = 1) -> Scalar:
+    """unit / v, exact on rationals; unit / inf is 0.  On a grid of L steps
+    per unit length, the inverse of a grid length takes unit = L**2."""
     if is_inf(v):
         return 0
-    return 1 / v if isinstance(v, float) else Fraction(1) / Fraction(v)
+    return unit / v if isinstance(v, float) else Fraction(unit) / Fraction(v)
 
 
 def leq(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:

@@ -23,6 +23,10 @@ class LPUnbounded(ValueError):
     pass
 
 
+class IterationBudgetExceeded(RuntimeError):
+    """A simplex ran out of pivots before reaching an optimum."""
+
+
 def transportation_simplex(
     cost: Sequence[Sequence[Scalar]],
     supply: Sequence[Scalar],
@@ -169,7 +173,7 @@ def transportation_simplex(
                 bland = True
         else:
             stall = 0
-    raise RuntimeError("transportation simplex exceeded its iteration budget")
+    raise IterationBudgetExceeded("transportation simplex exceeded its iteration budget")
 
 
 def solve_lp(
@@ -258,7 +262,7 @@ def solve_lp(
                     bland = True
             else:
                 stall = 0
-        raise RuntimeError("simplex exceeded its iteration budget")
+        raise IterationBudgetExceeded("simplex exceeded its iteration budget")
 
     # Phase 1: minimize the artificial total.
     obj1 = [0] * (total + 1)

@@ -251,6 +251,31 @@ def test_inframetric_report_shape(tmp_path, capsys):
     glued_from_json(report["witness"], "rational")
 
 
+def test_rational_inframetric_of_two_points_prints_an_int_zero(tmp_path, capsys):
+    # t* is infinite here; the raw threshold is exactly 0, not a float 0.0
+    doc = {"points": ["p"], "dist": [["0"]], "basepoint": 0}
+    x, y = write_json(tmp_path, "x.json", doc), write_json(tmp_path, "y.json", doc)
+    rc, report, captured = run(capsys, ["inframetric", "--x", x, "--y", y, "--backend", "rational"])
+    assert rc == EXIT_OK
+    assert '"raw": 0,' in captured.out
+    assert report["raw"] == 0 and isinstance(report["raw"], int)
+    assert report["truncated"] == "1/2"
+
+
+def test_simplex_budget_exhaustion_names_its_kind(tmp_path, capsys, monkeypatch):
+    from ghlab import cli
+    from ghlab.simplex import IterationBudgetExceeded
+
+    def exhausted(*args, **kwargs):
+        raise IterationBudgetExceeded("transportation simplex exceeded its iteration budget")
+
+    monkeypatch.setattr(cli, "w1", exhausted)
+    path = write_json(tmp_path, "w1.json", W1_DOC)
+    rc, report, _ = run(capsys, ["w1", "--in", path, "--backend", "rational"])
+    assert rc == EXIT_VALIDATION
+    assert report["error"]["kind"] == "IterationBudgetExceeded"
+
+
 def test_propinquity_isometric_pair(tmp_path, capsys):
     x = write_json(tmp_path, "x.json", {**LINE_SPACE, "basepoint": 1})
     relabeled = {

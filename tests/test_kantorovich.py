@@ -22,6 +22,7 @@ from ghlab import (
 )
 from ghlab.kantorovich import HostMismatch, PrimalUnavailable
 from ghlab.numerics import INF
+from ghlab.simplex import IterationBudgetExceeded, solve_lp, transportation_simplex
 from ghlab.verify import random_pointed_space
 
 
@@ -136,3 +137,18 @@ def test_dirac_to_pushforward_set_closed_form_vs_lp():
         # convexity collapses the LP optimum onto a single support point
         lp = min(w1(dirac(sp, z), dirac(sp, j), sem) for j in subset)
         assert closed == lp
+
+
+def test_simplex_iteration_budget_raises_its_own_error():
+    # the northwest corner ships along the costly diagonal, so one pivot is due
+    cost = [[F(2), F(0)], [F(0), F(2)]]
+    supply = demand = [F(1), F(1)]
+    assert transportation_simplex(cost, supply, demand)[0] == 0
+    with pytest.raises(IterationBudgetExceeded, match="transportation simplex"):
+        transportation_simplex(cost, supply, demand, max_iter=1)
+    # min -x subject to x + s = 1: phase 1 pivots x or s in for the artificial
+    c, a_rows, b = [F(-1), F(0)], [[F(1), F(1)]], [F(1)]
+    assert solve_lp(c, a_rows, b)[0] == -1
+    with pytest.raises(IterationBudgetExceeded):
+        solve_lp(c, a_rows, b, max_iter=1)
+    assert issubclass(IterationBudgetExceeded, RuntimeError)

@@ -28,7 +28,7 @@ from ghlab import (
     validate_metric,
 )
 from ghlab.metric_core import NotSquare, dist_to_set
-from ghlab.numerics import INF
+from ghlab.numerics import INF, half, inv
 from ghlab.verify import random_pointed_space
 
 
@@ -177,3 +177,12 @@ def test_csv_parses_square_matrix_with_header():
 def test_float_backend_accepts_float_rows():
     s = validate_metric(("a", "b"), [[0.0, 1.5], [1.5, 0.0]])
     assert s.d(0, 1) == 1.5
+
+
+def test_half_keeps_even_ints_and_inv_takes_a_unit():
+    assert half(4) == 2 and type(half(4)) is int
+    assert half(-6) == -3 and type(half(-6)) is int
+    assert half(3) == F(3, 2) and half(F(5, 3)) == F(5, 6)
+    assert half(3.0) == 1.5
+    assert inv(F(2, 3)) == F(3, 2) and inv(4, 36) == 9 and inv(8, 36) == F(9, 2)
+    assert inv(INF) == 0 and inv(INF, 36) == 0 and inv(0.5, 4) == 8.0

@@ -86,9 +86,9 @@ def brute_Delta_r(x, y, r, family, tol):
     return (refined_value, refined) if refined_value < value else (value, glued)
 
 
-def _threshold_raw(g):
-    """1 / sup{t : delta_t(g) < 1/t}, with delta_t constant between the
-    basepoint distances of the two copies."""
+def _threshold_raw(g, slack=0):
+    """1 / sup{t : delta_t(g) + slack < 1/t}, with delta_t constant between
+    the basepoint distances of the two copies."""
     x, y = g.origin_x, g.origin_y
     radii = sorted(
         {0}
@@ -98,19 +98,19 @@ def _threshold_raw(g):
     sup = 0
     for k, a in enumerate(radii):
         b = radii[k + 1] if k + 1 < len(radii) else float("inf")
-        v = oracles.delta_r_closed_form(g, a)
+        v = oracles.delta_r_closed_form(g, a) + slack
         bound = float("inf") if v <= 0 else 1 / (v if isinstance(v, float) else F(v))
         if bound > a:
             sup = max(sup, min(b, bound))
     return 0 if sup == float("inf") else 1 / (sup if isinstance(sup, float) else F(sup))
 
 
-def brute_inframetric(x, y, family):
+def brute_inframetric(x, y, family, slack=0):
     """(raw, witness): the first gluing in stream order with the least raw."""
     best, witness = float("inf"), None
     for pairs in family:
         g = _glue(x, y, pairs)
-        raw = _threshold_raw(g)
+        raw = _threshold_raw(g, slack)
         if raw < best:
             best, witness = raw, g
     return best, witness
@@ -202,6 +202,45 @@ def test_local_propinquity_matches_brute_force(backend, tol):
         r = float(r) if backend == "float" else r
         value, _ = local_propinquity(x, y, r, tol=tol)
         assert value == brute_local_propinquity(x, y, r, _exact_family(x.n, y.n), tol)
+
+
+def _scaled(p, factor):
+    rows = [[factor * v for v in row] for row in p.space.dist]
+    return pointed(validate_metric(p.space.points, rows), p.base)
+
+
+def _no_floats(*values):
+    return not any(isinstance(v, float) for v in values)
+
+
+def test_rational_searches_on_mixed_denominators_match_brute_force():
+    # Each side has its own denominators (3, 7, 6), and the radius, slacks
+    # and tols add 5, 4, 13, 10 and 11, so the searches' common integer scale
+    # mixes them all (13 and 11 divide no other entry); two 1-point sides
+    # make the inframetric threshold t* infinite.
+    rng = random.Random(16)
+    factors = (F(1, 3), F(2, 7), F(5, 6))
+    r = F(3, 5)
+    for k, (x, y, _) in enumerate(_pairs(rng, SMALL, 3)):
+        x, y = _scaled(x, factors[k % 3]), _scaled(y, factors[(k + 1) % 3])
+        family = _exact_family(x.n, y.n)
+        for t in (0, F(1, 10), F(1, 11)):
+            value, witness = Delta_r(x, y, r, tol=t)
+            want_value, want_witness = brute_Delta_r(x, y, r, family, t)
+            assert value == want_value
+            assert witness.host == want_witness.host
+            assert witness.origin_x is x and witness.origin_y is y
+            assert _no_floats(value, *(v for row in witness.host.dist for v in row))
+        for s in (0, F(1, 4), F(2, 13)):
+            res = gh_inframetric(x, y, slack=s, tol=F(1, 10))
+            want_raw, want_glued = brute_inframetric(x, y, family, s)
+            assert res.raw == want_raw
+            assert res.truncated == max(want_raw, F(1, 2))
+            assert res.witness.host == want_glued.host
+            assert res.witness.origin_x is x and res.witness.origin_y is y
+            assert _no_floats(res.raw, res.truncated, *(v for row in res.witness.host.dist for v in row))
+            if x.n == y.n == 1:  # delta is 0, so t* = 1/s (infinite at s = 0)
+                assert res.raw == s
 
 
 def test_a_tie_keeps_the_smaller_encoding():
