@@ -21,8 +21,8 @@ from .metric_core import (
     MetricError,
     PointedSpace,
     PreconditionFailed,
+    _block_rows,
     _trusted_space,
-    _unique_labels,
     pointed_from_json,
     space_from_json,
     space_to_json,
@@ -213,27 +213,15 @@ def glue_from_correspondence(
         eta = least
     elif eta < least:
         raise EtaTooSmall(f"eta = {eta} but distortion/2 = {least}")
-    nx, ny = x.n, y.n
-    taken: set = set()
-    labels = _unique_labels("X:", x.space.points, taken) + _unique_labels("Y:", y.space.points, taken)
-    n = nx + ny
-    rows = [[0] * n for _ in range(n)]
-    for a in range(nx):
-        for b in range(nx):
-            rows[a][b] = x.space.d(a, b)
-    for a in range(ny):
-        for b in range(ny):
-            rows[nx + a][nx + b] = y.space.d(a, b)
-    for a in range(nx):
-        for b in range(ny):
-            cross = min(x.space.d(a, i) + eta + y.space.d(j, b) for i, j in rel.pairs)
-            rows[a][nx + b] = cross
-            rows[nx + b][a] = cross
-    host = _trusted_space(labels, rows)
+    xd, yd, pairs = x.space.dist, y.space.dist, rel.pairs
+    labels, rows = _block_rows(
+        (("X:", x.space), ("Y:", y.space)),
+        lambda s, t, a, b: min(xd[a][i] + eta + yd[j][b] for i, j in pairs),
+    )
     return GluedSpace(
-        host=host,
-        embed_x=tuple(range(nx)),
-        embed_y=tuple(range(nx, n)),
+        host=_trusted_space(labels, rows),
+        embed_x=tuple(range(x.n)),
+        embed_y=tuple(range(x.n, x.n + y.n)),
         origin_x=x,
         origin_y=y,
     )
@@ -267,41 +255,19 @@ def glue_triple_w(
                         name, f"iota_{name} is not distance preserving on pair ({a},{b})"
                     )
     ix, iy = tuple(iota_x), tuple(iota_y)
-    nx, nz, ny = x.n, z.n, y.n
-    taken: set = set()
-    labels = (
-        _unique_labels("X:", x.space.points, taken)
-        + _unique_labels("Z:", z.points, taken)
-        + _unique_labels("Y:", y.space.points, taken)
+    # blocks X, Z, Y: X-Z and Z-Y cross one bridge, X-Y both
+    cross = {
+        (0, 1): lambda a, b: z.d(ix[a], b) + eps,
+        (0, 2): lambda a, b: z.d(ix[a], iy[b]) + 2 * eps,
+        (1, 2): lambda a, b: z.d(iy[b], a) + eps,
+    }
+    labels, rows = _block_rows(
+        (("X:", x.space), ("Z:", z), ("Y:", y.space)), lambda s, t, a, b: cross[s, t](a, b)
     )
-    n = nx + nz + ny
-    rows = [[0] * n for _ in range(n)]
-    for a in range(nx):
-        for b in range(nx):
-            rows[a][b] = x.space.d(a, b)
-    for a in range(nz):
-        for b in range(nz):
-            rows[nx + a][nx + b] = z.d(a, b)
-    for a in range(ny):
-        for b in range(ny):
-            rows[nx + nz + a][nx + nz + b] = y.space.d(a, b)
-    for a in range(nx):
-        for b in range(nz):
-            v = z.d(ix[a], b) + eps
-            rows[a][nx + b] = rows[nx + b][a] = v
-    for a in range(ny):
-        for b in range(nz):
-            v = z.d(iy[a], b) + eps
-            rows[nx + nz + a][nx + b] = rows[nx + b][nx + nz + a] = v
-    for a in range(nx):
-        for b in range(ny):
-            v = z.d(ix[a], iy[b]) + 2 * eps
-            rows[a][nx + nz + b] = rows[nx + nz + b][a] = v
-    host = _trusted_space(labels, rows)
     return GluedSpace(
-        host=host,
-        embed_x=tuple(range(nx)),
-        embed_y=tuple(range(nx + nz, n)),
+        host=_trusted_space(labels, rows),
+        embed_x=tuple(range(x.n)),
+        embed_y=tuple(range(x.n + z.n, x.n + z.n + y.n)),
         origin_x=x,
         origin_y=y,
     )

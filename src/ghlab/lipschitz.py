@@ -9,7 +9,6 @@ metric, so no separate space object is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .gluing import GluedSpace
@@ -21,7 +20,7 @@ from .metric_core import (
     dist_to_set,
     eps_contained,
 )
-from .numerics import INF, Scalar, is_inf, leq
+from .numerics import INF, Scalar, inv, is_inf, leq
 
 
 class InfiniteLipschitz(MetricError):
@@ -63,25 +62,11 @@ def support(f: RealFunction) -> frozenset:
 def lip_constant(f: RealFunction, tol: Scalar = 0) -> Scalar:
     if f.host.n == 0:
         raise MetricError("lipschitz constant needs at least one point")
-    best: Scalar = 0
-    for i in range(f.host.n):
-        for j in range(i + 1, f.host.n):
-            gap = abs(f.values[i] - f.values[j])
-            dij = f.host.d(i, j)
-            if dij <= tol:
-                if gap > tol:
-                    raise InfiniteLipschitz(
-                        f"points {f.host.points[i]!r},{f.host.points[j]!r} at distance {dij} "
-                        f"carry distinct values"
-                    )
-                continue
-            ratio = gap / dij
-            if ratio > best:
-                best = ratio
-    return best
+    return _partial_lip(f.host, dict(enumerate(f.values)), tol)
 
 
 def _partial_lip(host: FiniteMetricSpace, anchors: Mapping[int, Scalar], tol: Scalar = 0) -> Scalar:
+    """Lipschitz constant of the anchor values on their subspace."""
     best: Scalar = 0
     items = sorted(anchors.items())
     for a, (i, vi) in enumerate(items):
@@ -91,7 +76,7 @@ def _partial_lip(host: FiniteMetricSpace, anchors: Mapping[int, Scalar], tol: Sc
             if dij <= tol:
                 if gap > tol:
                     raise InfiniteLipschitz(
-                        f"anchors {host.points[i]!r},{host.points[j]!r} at distance {dij} "
+                        f"points {host.points[i]!r},{host.points[j]!r} at distance {dij} "
                         f"carry distinct values"
                     )
                 continue
@@ -127,12 +112,6 @@ def truncate_clip(g: RealFunction, M: Scalar) -> RealFunction:
         raise MetricError(f"clip level must be nonnegative, got {M}")
     values = tuple(max(min(v, M), -M) for v in g.values)
     return RealFunction(host=g.host, values=values)
-
-
-def _ratio(num: Scalar, den: Scalar) -> Scalar:
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    return Fraction(num) / Fraction(den)
 
 
 def extend_compact_support(
@@ -172,7 +151,7 @@ def extend_compact_support(
     for z in range(host.n):
         a = dist_to_set(host, z, outside)
         b = dist_to_set(host, z, inner)
-        t1 = M if a + b == 0 else _ratio(M * a, a + b)
+        t1 = M if a + b == 0 else inv(a + b, M * a)
         values.append(max(min(f2.values[z], t1), -t1))
     return RealFunction(host=host, values=tuple(values))
 

@@ -1,9 +1,13 @@
 """Local Gromov-Hausdorff quantities on gluings and the classical inframetric.
 
-delta_r is computed by three intentionally independent routes: the direct
-sup formula, a candidate-breakpoint scan of the definition predicate, and
-a candidate scan of the inflated-ball predicate.  They must agree; strict
-mode asserts it, and the test suite compares them wholesale.
+delta_r is the sup formula of the definition (``delta_r_def_form``: the
+basepoint gap and the distance of each r-ball point to the other copy, one
+O(n^2) pass), snapped to the first breakpoint at or above it within tol.
+The definition predicate at eps holds exactly when leq(sup, eps, tol), so
+this is the first breakpoint where the predicate holds; at tol = 0 it is
+the sup itself.  The candidate scan of the inflated-ball predicate (balls
+of radius r + 2 eps) is the independent cross-check: strict mode asserts
+that all three agree, and the test suite compares them wholesale.
 
 The searches (``Delta_r``, ``gh_inframetric``) are branch and bound: the
 correspondence stream skips every correspondence whose basepoint-gap lower
@@ -51,14 +55,14 @@ class NonPositiveRadius(MetricError):
     pass
 
 
-def _ball_x(glued: GluedSpace, r: Scalar, tol: Scalar = 0) -> list:
-    host, x0 = glued.host, glued.x0_host
-    return [h for h in glued.embed_x if leq(host.d(x0, h), r, tol)]
-
-
-def _ball_y(glued: GluedSpace, r: Scalar, tol: Scalar = 0) -> list:
-    host, y0 = glued.host, glued.y0_host
-    return [h for h in glued.embed_y if leq(host.d(y0, h), r, tol)]
+def _balls(glued: GluedSpace, r: Scalar, tol: Scalar = 0) -> tuple:
+    """Host indices of the X copy's and the Y copy's closed r-balls about
+    their basepoints."""
+    host = glued.host
+    return tuple(
+        [h for h in embed if leq(host.d(c, h), r, tol)]
+        for c, embed in ((glued.x0_host, glued.embed_x), (glued.y0_host, glued.embed_y))
+    )
 
 
 def delta_candidates(glued: GluedSpace, r: Scalar) -> list:
@@ -76,38 +80,21 @@ def delta_candidates(glued: GluedSpace, r: Scalar) -> list:
     return sorted(values)
 
 
-def _def_feasible(glued: GluedSpace, r: Scalar, eps: Scalar, tol: Scalar = 0) -> bool:
-    host = glued.host
-    if not leq(host.d(glued.x0_host, glued.y0_host), eps, tol):
-        return False
-    if not eps_contained(host, _ball_x(glued, r, tol), glued.embed_y, eps, tol):
-        return False
-    return eps_contained(host, _ball_y(glued, r, tol), glued.embed_x, eps, tol)
-
-
 def _alt_feasible(glued: GluedSpace, r: Scalar, eps: Scalar, tol: Scalar = 0) -> bool:
     host = glued.host
     if not leq(host.d(glued.x0_host, glued.y0_host), eps, tol):
         return False
-    if not eps_contained(host, _ball_x(glued, r, tol), _ball_y(glued, r + 2 * eps, tol), eps, tol):
-        return False
-    return eps_contained(host, _ball_y(glued, r, tol), _ball_x(glued, r + 2 * eps, tol), eps, tol)
+    (ball_x, ball_y), (wide_x, wide_y) = _balls(glued, r, tol), _balls(glued, r + 2 * eps, tol)
+    return eps_contained(host, ball_x, wide_y, eps, tol) and eps_contained(host, ball_y, wide_x, eps, tol)
 
 
 def delta_r(glued: GluedSpace, r: Scalar, strict: bool = False, tol: Scalar = 0) -> Scalar:
-    """Smallest eps with basepoints within eps and r-balls eps-inside the
-    other copy; candidate-breakpoint scan (the predicate is monotone)."""
-    if r <= 0:
-        raise NonPositiveRadius(f"radius must be positive, got {r}")
-    value = None
-    for eps in delta_candidates(glued, r):
-        if _def_feasible(glued, r, eps, tol):
-            value = eps
-            break
-    if value is None:
-        raise RuntimeError("no feasible candidate; the host diameter should be one")
+    """Smallest breakpoint eps with basepoints within eps and r-balls
+    eps-inside the other copy: the first one at or above the sup formula
+    within tol (the sup is itself a breakpoint)."""
+    sup_form = delta_r_def_form(glued, r, tol)
+    value = next(eps for eps in delta_candidates(glued, r) if leq(sup_form, eps, tol))
     if strict:
-        sup_form = delta_r_def_form(glued, r, tol)
         alt_form = delta_r_alt_form(glued, r, tol)
         if not (value == sup_form == alt_form):
             raise RuntimeError(
@@ -121,9 +108,10 @@ def delta_r_def_form(glued: GluedSpace, r: Scalar, tol: Scalar = 0) -> Scalar:
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     host = glued.host
+    ball_x, ball_y = _balls(glued, r, tol)
     parts = [host.d(glued.x0_host, glued.y0_host)]
-    parts.extend(dist_to_set(host, h, glued.embed_y) for h in _ball_x(glued, r, tol))
-    parts.extend(dist_to_set(host, h, glued.embed_x) for h in _ball_y(glued, r, tol))
+    parts.extend(dist_to_set(host, h, glued.embed_y) for h in ball_x)
+    parts.extend(dist_to_set(host, h, glued.embed_x) for h in ball_y)
     return max(parts)
 
 
@@ -164,8 +152,7 @@ def delta_r_equivalents(
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     host = glued.host
-    ball_x = _ball_x(glued, r, tol)
-    ball_y = _ball_y(glued, r, tol)
+    ball_x, ball_y = _balls(glued, r, tol)
     K = frozenset(h for h in glued.embed_y if leq(dist_to_set(host, h, ball_x), eps, tol))
     Q = frozenset(h for h in glued.embed_x if leq(dist_to_set(host, h, ball_y), eps, tol))
     base_ok = leq(host.d(glued.x0_host, glued.y0_host), eps, tol)
@@ -173,12 +160,10 @@ def delta_r_equivalents(
     def haus_le(a, b) -> bool:
         return eps_contained(host, a, b, eps, tol) and eps_contained(host, b, a, eps, tol)
 
-    upper_k = set(_ball_y(glued, r + 2 * eps, tol))
-    upper_q = set(_ball_x(glued, r + 2 * eps, tol))
-    lower_k = set(_ball_y(glued, r - 2 * eps, tol))
-    lower_q = set(_ball_x(glued, r - 2 * eps, tol))
+    upper_q, upper_k = map(set, _balls(glued, r + 2 * eps, tol))
+    lower_q, lower_k = map(set, _balls(glued, r - 2 * eps, tol))
     hausdorff_ok = haus_le(ball_x, K) and haus_le(Q, ball_y)
-    a1 = _def_feasible(glued, r, eps, tol)
+    a1 = leq(delta_r_def_form(glued, r, tol), eps, tol)
     a2 = (
         lower_q <= Q <= upper_q
         and lower_k <= K <= upper_k

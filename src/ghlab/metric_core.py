@@ -7,12 +7,14 @@ Internal builders whose rows are a metric by construction freeze them with
 ``_trusted_space``, which skips the triangle scan:
 
 - ``subspace``: a restriction of a metric;
-- ``gluing.glue_from_correspondence``: the gluing lemma at eta >= dis(R)/2,
-  which ``EtaTooSmall`` enforces;
-- ``gluing.glue_triple_w``: X and Y sit isometrically in Z, and each bridge
-  crossed adds eps, which keeps the triangle inequality;
-- the ``tunnels.compose`` and ``tunnels.existence_tunnel`` carriers: a
-  ``min_plus_closure`` is a shortest-path metric;
+- the disjoint unions of ``_block_rows``, the one builder of glued and
+  bridged hosts, each with its own cross entries:
+  - ``gluing.glue_from_correspondence``: the gluing lemma at
+    eta >= dis(R)/2, which ``EtaTooSmall`` enforces;
+  - ``gluing.glue_triple_w``: X and Y sit isometrically in Z, and each
+    bridge crossed adds eps, which keeps the triangle inequality;
+  - ``tunnels.compose`` and ``tunnels.existence_tunnel``: the rows are only
+    edge weights, and their ``min_plus_closure`` is a shortest-path metric;
 - the integer-grid copies of ``local_gh`` (``_pointed_on_grid`` scales a
   validated space by L, ``_off_grid`` a witness host back by 1/L): a
   positive multiple of a metric is a metric.
@@ -28,7 +30,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .numerics import INF, RATIONAL, Scalar, format_scalar, is_inf, leq, parse_scalar
 
@@ -167,6 +169,27 @@ def _unique_labels(prefix: str, points: Sequence, taken: set) -> list:
         taken.add(lbl)
         labels.append(lbl)
     return labels
+
+
+def _block_rows(blocks: Sequence[tuple], cross: Callable) -> tuple:
+    """Unique labels and rows of the disjoint union of the (label prefix,
+    space) blocks: each block keeps its own distances, and the entry between
+    point a of block s and point b of a later block t is cross(s, t, a, b),
+    on both sides of the diagonal."""
+    taken: set = set()
+    labels = [lbl for prefix, space in blocks for lbl in _unique_labels(prefix, space.points, taken)]
+    offsets = [0]
+    for _, space in blocks:
+        offsets.append(offsets[-1] + space.n)
+    rows = [[0] * offsets[-1] for _ in range(offsets[-1])]
+    for s, (_, space) in enumerate(blocks):
+        o = offsets[s]
+        for a in range(space.n):
+            rows[o + a][o : o + space.n] = space.dist[a]
+            for t in range(s + 1, len(blocks)):
+                for b in range(blocks[t][1].n):
+                    rows[o + a][offsets[t] + b] = rows[offsets[t] + b][o + a] = cross(s, t, a, b)
+    return labels, rows
 
 
 def pointed(space: FiniteMetricSpace, base) -> PointedSpace:

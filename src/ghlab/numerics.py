@@ -46,11 +46,14 @@ def quarter(v: Scalar) -> Scalar:
 
 
 def inv(v: Scalar, unit: Scalar = 1) -> Scalar:
-    """unit / v, exact on rationals; unit / inf is 0.  On a grid of L steps
-    per unit length, the inverse of a grid length takes unit = L**2."""
+    """unit / v, exact unless either is a float; unit / inf is 0.  On a grid
+    of L steps per unit length, the inverse of a grid length takes unit =
+    L**2."""
     if is_inf(v):
         return 0
-    return unit / v if isinstance(v, float) else Fraction(unit) / Fraction(v)
+    if isinstance(v, float) or isinstance(unit, float):
+        return unit / v
+    return Fraction(unit) / Fraction(v)
 
 
 def leq(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:

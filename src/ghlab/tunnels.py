@@ -2,10 +2,16 @@
 composition, and the radius-indexed propinquity built from them.
 
 A passage carries two embedded copies of pointed spaces inside one carrier.
-Metric passages use distance-preserving embeddings (a gluing); composed
+A metric passage is its gluing: distance-preserving embeddings into the
+carrier, and no seminorm beyond the carrier's Lipschitz one.  Composed
 passages carry a polyhedral seminorm whose functionals are all edge
 differences, so the carrier matrix stored here is the seminorm's induced
 shortest-path metric and McShane arguments apply to it verbatim.
+
+A pointed space enters as (C0(X), Lip, C0(X), x0).  Every finite metric
+space satisfies the proper-quantum-metric clauses (properness, approximate
+unit, seminorm domain, ...) automatically, so ``_as_classical`` adds only
+separation to the boundary's metric check.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gluing import (
     GluedSpace,
@@ -41,8 +47,8 @@ from .metric_core import (
     MetricError,
     PointedSpace,
     PreconditionFailed,
+    _block_rows,
     _trusted_space,
-    _unique_labels,
     diameter,
     dist_to_set,
     min_plus_closure,
@@ -68,45 +74,16 @@ class RadiusGap(MetricError):
     """The direct construction covers r >= both diameters or r < both only."""
 
 
-@dataclass(frozen=True)
-class ClassicalPPQMS:
-    """A pointed metric space read as (C0(X), Lip, C0(X), x0).
-
-    Every finite metric space satisfies the proper-quantum-metric clauses
-    (properness, approximate unit, seminorm domain, ...) automatically, so
-    the validator adds only separation to the boundary's metric check.
-    """
-
-    pointed: PointedSpace
-
-    @property
-    def space(self) -> FiniteMetricSpace:
-        return self.pointed.space
-
-    @property
-    def base(self) -> int:
-        return self.pointed.base
-
-    @property
-    def n(self) -> int:
-        return self.pointed.n
-
-
-def classical_ppqms(p: PointedSpace) -> ClassicalPPQMS:
+def _as_classical(obj) -> PointedSpace:
+    """The pointed space itself, once it is known to be separated."""
+    if not isinstance(obj, PointedSpace):
+        raise MetricError(f"expected a pointed space, got {type(obj).__name__}")
     # The boundary set `strict`; re-validating only words the separation error.
-    if not p.space.strict:
-        validate_metric(p.space.points, p.space.dist, require_strict=True)
-    if not 0 <= p.base < p.space.n:
-        raise MetricError(f"basepoint index {p.base} out of range")
-    return ClassicalPPQMS(pointed=p)
-
-
-def _as_classical(obj) -> ClassicalPPQMS:
-    if isinstance(obj, ClassicalPPQMS):
-        return obj
-    if isinstance(obj, PointedSpace):
-        return classical_ppqms(obj)
-    raise MetricError(f"expected a pointed space, got {type(obj).__name__}")
+    if not obj.space.strict:
+        validate_metric(obj.space.points, obj.space.dist, require_strict=True)
+    if not 0 <= obj.base < obj.space.n:
+        raise MetricError(f"basepoint index {obj.base} out of range")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -121,15 +98,24 @@ class ComposedInfo:
 
 @dataclass(frozen=True)
 class Passage:
-    kind: str  # "metric" | "composed"
     carrier: FiniteMetricSpace
     embed_x: tuple
     embed_y: tuple
-    domain: ClassicalPPQMS
-    codomain: ClassicalPPQMS
+    domain: PointedSpace
+    codomain: PointedSpace
     seminorm: PolyhedralSeminorm | None = None
     info: ComposedInfo | None = None
-    glued: GluedSpace | None = None
+
+    @property
+    def kind(self) -> str:
+        return "metric" if self.seminorm is None else "composed"
+
+    @property
+    def glued(self) -> GluedSpace | None:
+        """The gluing a metric passage is; None for a composed one."""
+        if self.seminorm is not None:
+            return None
+        return GluedSpace(self.carrier, self.embed_x, self.embed_y, self.domain, self.codomain)
 
     @property
     def x0_host(self) -> int:
@@ -142,13 +128,11 @@ class Passage:
 
 def passage_from_gluing(glued: GluedSpace) -> Passage:
     return Passage(
-        kind="metric",
         carrier=glued.host,
         embed_x=tuple(glued.embed_x),
         embed_y=tuple(glued.embed_y),
-        domain=classical_ppqms(glued.origin_x),
-        codomain=classical_ppqms(glued.origin_y),
-        glued=glued,
+        domain=_as_classical(glued.origin_x),
+        codomain=_as_classical(glued.origin_y),
     )
 
 
@@ -170,22 +154,7 @@ def passage_from_isometry(a, b, mapping: Sequence[int]) -> Passage:
                     (i, j),
                     f"d({B.space.points[i]!r},{B.space.points[j]!r}) is not preserved",
                 )
-    glued = GluedSpace(
-        host=A.space,
-        embed_x=tuple(range(A.n)),
-        embed_y=m,
-        origin_x=A.pointed,
-        origin_y=B.pointed,
-    )
-    return Passage(
-        kind="metric",
-        carrier=A.space,
-        embed_x=tuple(range(A.n)),
-        embed_y=m,
-        domain=A,
-        codomain=B,
-        glued=glued,
-    )
+    return Passage(carrier=A.space, embed_x=tuple(range(A.n)), embed_y=m, domain=A, codomain=B)
 
 
 def identity_passage(a) -> Passage:
@@ -194,17 +163,7 @@ def identity_passage(a) -> Passage:
 
 
 def inverse(p: Passage) -> Passage:
-    swapped = None
-    if p.glued is not None:
-        swapped = GluedSpace(
-            host=p.glued.host,
-            embed_x=p.glued.embed_y,
-            embed_y=p.glued.embed_x,
-            origin_x=p.glued.origin_y,
-            origin_y=p.glued.origin_x,
-        )
     return Passage(
-        kind=p.kind,
         carrier=p.carrier,
         embed_x=p.embed_y,
         embed_y=p.embed_x,
@@ -212,7 +171,6 @@ def inverse(p: Passage) -> Passage:
         codomain=p.domain,
         seminorm=p.seminorm,
         info=p.info,
-        glued=swapped,
     )
 
 
@@ -625,11 +583,7 @@ def lift_target_bounds(
         except MetricError:
             return _infeasible_bounds(p, strict)
     else:
-        lo_list = []
-        hi_list = []
         sem = p.seminorm
-        if sem is None:
-            raise MetricError("composed passage without a seminorm")
         eq_rows = [[1 if k == idx else 0 for k in range(carrier.n)] for idx in anchors]
         eq_b = list(anchors.values())
         for i, j in sem.zero_pairs:
@@ -638,13 +592,9 @@ def lift_target_bounds(
             row[j] = -1
             eq_rows.append(row)
             eq_b.append(0)
-        ub_rows = []
-        ub_b = []
-        for c in sem.functionals:
-            ub_rows.append(list(c))
-            ub_b.append(l)
-            ub_rows.append([-v for v in c])
-            ub_b.append(l)
+        ub_rows = [row for c in sem.functionals for row in (list(c), [-v for v in c])]
+        ub_b = [l] * len(ub_rows)
+        lo, hi = [], []
         try:
             for z in range(carrier.n):
                 obj = [0] * carrier.n
@@ -652,12 +602,10 @@ def lift_target_bounds(
                 lo_z, _ = solve_lp_general(obj, eq_rows, eq_b, ub_rows, ub_b, tol)
                 obj[z] = -1
                 neg_hi, _ = solve_lp_general(obj, eq_rows, eq_b, ub_rows, ub_b, tol)
-                lo_list.append(lo_z)
-                hi_list.append(-neg_hi)
+                lo.append(lo_z)
+                hi.append(-neg_hi)
         except LPInfeasible:
             return _infeasible_bounds(p, strict)
-        lo = tuple(lo_list)
-        hi = tuple(hi_list)
     target_lo = tuple(lo[p.embed_y[j]] for j in range(p.codomain.n))
     target_hi = tuple(hi[p.embed_y[j]] for j in range(p.codomain.n))
     return TargetBounds(
@@ -719,31 +667,26 @@ def verify_fundamental(
     lifts_b = {"hi": bb.hi, "lo": bb.lo, "mid": mid(bb.lo, bb.hi)}
     combos = [("hi", "hi"), ("hi", "lo"), ("lo", "hi"), ("lo", "lo"), ("mid", "mid")]
 
-    sum_fn = real_function(X, [a(i) + t * a_prime(i) for i in range(X.n)])
-    bsum = lift_target_bounds(p, sum_fn, (1 + abs(t)) * l, r, eps, Kset, tol=tol)
-    linearity_ok = True
-    for ka, kb in combos:
-        fa, fb = lifts_a[ka], lifts_b[kb]
-        for j in range(p.codomain.n):
-            v = fa[p.embed_y[j]] + t * fb[p.embed_y[j]]
-            if not (leq(bsum.target_lo[j], v, tol) and leq(v, bsum.target_hi[j], tol)):
-                linearity_ok = False
+    def lands(op: Callable, level: Scalar) -> bool:
+        """Each combination op of extreme lifts lands on the codomain in the
+        target bounds of op(a, a_prime) at the given level."""
+        fn = real_function(X, [op(a(i), a_prime(i)) for i in range(X.n)])
+        bounds = lift_target_bounds(p, fn, level, r, eps, Kset, tol=tol)
+        for ka, kb in combos:
+            for j, h in enumerate(p.embed_y):
+                v = op(lifts_a[ka][h], lifts_b[kb][h])
+                if not (leq(bounds.target_lo[j], v, tol) and leq(v, bounds.target_hi[j], tol)):
+                    return False
+        return True
+
+    linearity_ok = lands(lambda u, v: u + t * v, (1 + abs(t)) * l)
 
     diameter_value = max(
         ba.target_hi[j] - ba.target_lo[j] for j in range(p.codomain.n)
     )
     diameter_ok = leq(diameter_value, 2 * l * eps, tol)
 
-    jordan_level = l * (sup_norm(a) + sup_norm(a_prime) + 2 * l * eps)
-    prod_fn = real_function(X, [a(i) * a_prime(i) for i in range(X.n)])
-    bprod = lift_target_bounds(p, prod_fn, jordan_level, r, eps, Kset, tol=tol)
-    jordan_ok = True
-    for ka, kb in combos:
-        fa, fb = lifts_a[ka], lifts_b[kb]
-        for j in range(p.codomain.n):
-            v = fa[p.embed_y[j]] * fb[p.embed_y[j]]
-            if not (leq(bprod.target_lo[j], v, tol) and leq(v, bprod.target_hi[j], tol)):
-                jordan_ok = False
+    jordan_ok = lands(lambda u, v: u * v, l * (sup_norm(a) + sup_norm(a_prime) + 2 * l * eps))
 
     return FundamentalReport(
         norm_ok=norm_ok,
@@ -755,17 +698,33 @@ def verify_fundamental(
     )
 
 
-def _block_rows(a: FiniteMetricSpace, b: FiniteMetricSpace, cross: Scalar) -> tuple:
-    """Unique labels and rows of the disjoint union of a and b, every cross
-    entry set to cross."""
-    taken: set = set()
-    labels = _unique_labels("A:", a.points, taken) + _unique_labels("B:", b.points, taken)
-    rows = [list(row) + [cross] * b.n for row in a.dist]
-    return labels, rows + [[cross] * a.n + list(row) for row in b.dist]
-
-
 def _lift_seminorm(p: Passage) -> PolyhedralSeminorm:
     return p.seminorm if p.seminorm is not None else lipschitz_seminorm_of(p.carrier)
+
+
+def _bridge_sum(sem1: PolyhedralSeminorm, sem2: PolyhedralSeminorm, bridges: list, width: Scalar) -> tuple:
+    """(carrier, seminorm) of the disjoint union of the two seminorms' hosts
+    joined by edges of length width at the (i, j) bridges, i in the first
+    host and j in the second.  The carrier is the shortest-path metric of
+    those edges; the seminorm is the max of the two seminorms and the bridge
+    differences scaled by 1/width."""
+    c1, c2 = sem1.host, sem2.host
+    n1, n2 = c1.n, c2.n
+    edges = set(bridges)
+    labels, big = _block_rows(
+        (("A:", c1), ("B:", c2)), lambda s, t, a, b: width if (a, b) in edges else INF
+    )
+    carrier = _trusted_space(labels, min_plus_closure(big))
+    functionals = [tuple(c) + (0,) * n2 for c in sem1.functionals]
+    functionals += [(0,) * n1 + tuple(c) for c in sem2.functionals]
+    w = inv(width)
+    for i, j in bridges:
+        row = [0] * (n1 + n2)
+        row[i] = w
+        row[n1 + j] = -w
+        functionals.append(tuple(row))
+    zero_pairs = list(sem1.zero_pairs) + [(n1 + i, n1 + j) for i, j in sem2.zero_pairs]
+    return carrier, polyhedral_seminorm(carrier, functionals, zero_pairs, metric=carrier)
 
 
 def compose(
@@ -790,7 +749,7 @@ def compose(
         raise PreconditionFailed("alpha", f"bridge width must be positive, got {alpha}")
     if t <= 0:
         raise NonPositiveRadius(f"target radius must be positive, got {t}")
-    if p1.codomain.pointed != p2.domain.pointed:
+    if p1.codomain != p2.domain:
         raise DomainMismatch("codomain of the first passage must equal domain of the second")
     if r is None:
         r = 2 * t
@@ -804,35 +763,11 @@ def compose(
         raise RadiusConditionViolated(
             f"need t + 4*max(eps1, eps2) < r, got {t} + 4*{max(eps1, eps2)} vs {r}"
         )
-    n1, n2 = p1.carrier.n, p2.carrier.n
-    labels, big = _block_rows(p1.carrier, p2.carrier, INF)
-    mid_space = p1.codomain.space
-    bridges = []
-    for b in range(mid_space.n):
-        i1 = p1.embed_y[b]
-        i2 = n1 + p2.embed_x[b]
-        if alpha < big[i1][i2]:
-            big[i1][i2] = alpha
-            big[i2][i1] = alpha
-        bridges.append((i1, i2))
-    carrier = _trusted_space(labels, min_plus_closure(big))
-
-    sem1 = _lift_seminorm(p1)
-    sem2 = _lift_seminorm(p2)
-    functionals = [tuple(c) + (0,) * n2 for c in sem1.functionals]
-    functionals += [(0,) * n1 + tuple(c) for c in sem2.functionals]
-    inv_alpha = inv(alpha)
-    for i1, i2 in bridges:
-        row = [0] * (n1 + n2)
-        row[i1] = inv_alpha
-        row[i2] = -inv_alpha
-        functionals.append(tuple(row))
-    zero_pairs = list(sem1.zero_pairs) + [(n1 + i, n1 + j) for i, j in sem2.zero_pairs]
-    sem = polyhedral_seminorm(carrier, functionals, zero_pairs, metric=carrier)
-
+    n1 = p1.carrier.n
+    bridges = [(p1.embed_y[b], p2.embed_x[b]) for b in range(p1.codomain.n)]
+    carrier, sem = _bridge_sum(_lift_seminorm(p1), _lift_seminorm(p2), bridges, alpha)
     info = ComposedInfo(first=p1, second=p2, alpha=alpha, eps1=eps1, eps2=eps2, offset=n1)
     return Passage(
-        kind="composed",
         carrier=carrier,
         embed_x=tuple(p1.embed_x),
         embed_y=tuple(n1 + p2.embed_y[j] for j in range(p2.codomain.n)),
@@ -891,7 +826,7 @@ def existence_tunnel(a, b, r: Scalar, tol: Scalar = 0) -> Passage:
         total = correspondence(
             [(i, j) for i in range(X.n) for j in range(Y.n)], X.n, Y.n
         )
-        return passage_from_gluing(glue_from_correspondence(A.pointed, B.pointed, total))
+        return passage_from_gluing(glue_from_correspondence(A, B, total))
     if not (r < dx and r < dy):
         raise RadiusGap(f"radius {r} lies between the space diameters {dx} and {dy}")
     compl_x = [i for i in range(X.n) if not leq(X.d(x0, i), r, tol)]
@@ -902,47 +837,43 @@ def existence_tunnel(a, b, r: Scalar, tol: Scalar = 0) -> Passage:
         max(dist_to_set(X, i, compl_x) for i in range(X.n)),
         max(dist_to_set(Y, j, compl_y) for j in range(Y.n)),
     )
-    n1, n2 = X.n, Y.n
-    labels, big = _block_rows(X, Y, d_cap)
-    carrier = _trusted_space(labels, min_plus_closure(big))
-    functionals = [tuple(c) + (0,) * n2 for c in lipschitz_seminorm_of(X).functionals]
-    functionals += [(0,) * n1 + tuple(c) for c in lipschitz_seminorm_of(Y).functionals]
-    inv_d = inv(d_cap)
-    for i in range(n1):
-        for j in range(n2):
-            row = [0] * (n1 + n2)
-            row[i] = inv_d
-            row[n1 + j] = -inv_d
-            functionals.append(tuple(row))
-    sem = polyhedral_seminorm(carrier, functionals, (), metric=carrier)
+    bridges = [(i, j) for i in range(X.n) for j in range(Y.n)]
+    carrier, sem = _bridge_sum(lipschitz_seminorm_of(X), lipschitz_seminorm_of(Y), bridges, d_cap)
     return Passage(
-        kind="composed",
         carrier=carrier,
-        embed_x=tuple(range(n1)),
-        embed_y=tuple(n1 + j for j in range(n2)),
+        embed_x=tuple(range(X.n)),
+        embed_y=tuple(X.n + j for j in range(Y.n)),
         domain=A,
         codomain=B,
         seminorm=sem,
     )
 
 
-def _bridge_widths(dis: Scalar) -> tuple:
-    """Bridge widths tried per correspondence.  The minimal valid width
-    (half the distortion) keeps matched copies closest, but wider bridges
-    can push unmatched far points outside the escape-distance clause, so a
-    couple of doublings are searched too."""
-    h = _half(dis)
-    return (h,) if dis == 0 else (h, dis, 2 * dis)
-
-
-def _gluing_variants(A: ClassicalPPQMS, B: ClassicalPPQMS, rel) -> Iterable[tuple]:
-    """(base_gap, passage factory) per bridge width, cheap prune data first."""
+def _gluing_passages(
+    A: PointedSpace,
+    B: PointedSpace,
+    search: str,
+    budget: int,
+    seed: int,
+    samples: int,
+    bound: Callable[[], Scalar],
+) -> Iterator[Passage]:
+    """Correspondence-gluing passages of A and B, in stream order, at the
+    bridge widths dis/2, dis and 2 dis per correspondence (dis/2 alone when
+    dis = 0).  The minimal width keeps matched copies closest, but wider
+    bridges can push unmatched far points outside the escape-distance
+    clause.  A width whose basepoint gap reaches bound() is skipped, and the
+    stream prunes on the same bound; bound() is read lazily, so it sees the
+    consumer's best so far."""
     X, x0 = A.space, A.base
     Y, y0 = B.space, B.base
-    dis = _distortion(rel, A.pointed, B.pointed)
-    for eta in _bridge_widths(dis):
-        base_gap = min(X.d(x0, i) + eta + Y.d(j, y0) for i, j in rel.pairs)
-        yield base_gap, eta
+    prune = lambda lower: lower >= bound()  # first found wins ties
+    for rel in correspondence_stream(A, B, search, budget, seed, samples, prune):
+        dis = _distortion(rel, A, B)
+        h = _half(dis)
+        for eta in (h,) if dis == 0 else (h, dis, 2 * dis):
+            if min(X.d(x0, i) + eta + Y.d(j, y0) for i, j in rel.pairs) < bound():
+                yield passage_from_gluing(glue_from_correspondence(A, B, rel, eta))
 
 
 def local_propinquity(
@@ -962,22 +893,15 @@ def local_propinquity(
     B = _as_classical(b)
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
-    iso = _find_base_isometry(A.pointed, B.pointed)
+    iso = _find_base_isometry(A, B)
     if iso is not None:
         return 0, passage_from_isometry(A, B, iso)
     best_val: Scalar = INF
     best: Passage | None = None
-    prune = lambda lower: lower >= best_val  # first found wins ties
-    for rel in correspondence_stream(A.pointed, B.pointed, search, budget, seed, samples, prune):
-        for k, (base_gap, eta) in enumerate(_gluing_variants(A, B, rel)):
-            if k and base_gap >= best_val:  # the stream tested the narrowest width
-                continue
-            p = passage_from_gluing(
-                glue_from_correspondence(A.pointed, B.pointed, rel, eta)
-            )
-            val, _ = _extent_scan(p, r, best_val, tol)
-            if val < best_val:
-                best_val, best = val, p
+    for p in _gluing_passages(A, B, search, budget, seed, samples, lambda: best_val):
+        val, _ = _extent_scan(p, r, best_val, tol)
+        if val < best_val:
+            best_val, best = val, p
     try:
         p_ex = existence_tunnel(A, B, r, tol)
     except MetricError:
@@ -988,7 +912,7 @@ def local_propinquity(
             best_val, best = val, p_ex
     if best is not None and best.glued is not None:
         refined = refine_gluing_cross(best.glued, tol=tol)
-        if refined.host != best.glued.host:
+        if refined.host != best.carrier:
             p_ref = passage_from_gluing(refined)
             val, _ = _extent_scan(p_ref, r, best_val, tol)
             if val < best_val:
@@ -1040,32 +964,23 @@ def propinquity_bracket(
     """
     A = _as_classical(a)
     B = _as_classical(b)
-    if _find_base_isometry(A.pointed, B.pointed) is not None:
+    if _find_base_isometry(A, B) is not None:
         return 0, 0
-    variants = []
-    for rel in correspondence_stream(A.pointed, B.pointed, search, budget, seed, samples):
-        for base_gap, eta in _gluing_variants(A, B, rel):
-            variants.append((base_gap, rel, eta))
-    first = passage_from_gluing(
-        glue_from_correspondence(A.pointed, B.pointed, variants[0][1], variants[0][2])
-    )
-    pred0 = _passage_pred(first, tol)
-    hi: Scalar = 1
-    for _ in range(64):
-        if pred0(hi):
-            break
-        hi = 2 * hi
-    else:
-        return 0, INF
-    lo, hi = _tau_bisect(pred0, hi, iters)
-    best = first
-    lows = [lo]
-    for base_gap, rel, eta in variants[1:]:
-        if base_gap >= hi:
-            continue
-        p = passage_from_gluing(glue_from_correspondence(A.pointed, B.pointed, rel, eta))
+    hi: Scalar = INF
+    best: Passage | None = None
+    lows = []
+    for p in _gluing_passages(A, B, search, budget, seed, samples, lambda: hi):
         pred = _passage_pred(p, tol)
-        if not pred(hi):
+        if best is None:
+            # the first passage sets the first finite upper end
+            hi = 1
+            for _ in range(64):
+                if pred(hi):
+                    break
+                hi = 2 * hi
+            else:
+                return 0, INF
+        elif not pred(hi):
             continue
         lo_p, hi = _tau_bisect(pred, hi, iters)
         lows.append(lo_p)
@@ -1085,7 +1000,7 @@ def propinquity_bracket(
 
     if best.glued is not None:
         refined = refine_gluing_cross(best.glued, tol=tol)
-        if refined.host != best.glued.host:
+        if refined.host != best.carrier:
             pred_r = _passage_pred(passage_from_gluing(refined), tol)
             if pred_r(hi):
                 lo_r, hi = _tau_bisect(pred_r, hi, iters)

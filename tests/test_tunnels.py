@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from conftest import random_glued
 from ghlab import (
     MetricError,
     check_admissible,
@@ -153,7 +154,9 @@ def test_inverse_swaps_sides_but_keeps_extent():
         y = random_pointed_space(rng, 1, 3)
         p = random_passage(rng, x, y)
         q = inverse(p)
-        assert q.domain.pointed == p.codomain.pointed
+        assert q.domain == p.codomain
+        assert inverse(q) == p
+        assert q.kind == "metric" and q.glued.origin_x == p.glued.origin_y
         r = F(rng.randint(1, 5))
         assert extent(p, r) == extent(q, r)
 
@@ -251,6 +254,8 @@ def test_composition_certificate_and_extent_bound():
             continue
         alpha = F(1, rng.randint(2, 5))
         comp = compose(p1, p2, alpha, t, r=r, eps1=e1, eps2=e2)
+        assert comp.kind == "composed" and comp.glued is None
+        assert inverse(comp).kind == "composed" and inverse(comp).glued is None
         budgeted = e1 + e2 + alpha
         ok, cert = check_admissible(comp, t, budgeted)
         assert ok and cert["family"] == "composed-union"
@@ -280,7 +285,7 @@ def test_existence_tunnel_cases():
     x2 = pointed(line_space([F(0), F(1), F(6)]), 0)
     y2 = pointed(line_space([F(0), F(2), F(7)]), 0)
     p2 = existence_tunnel(x2, y2, F(3))
-    assert p2.kind == "composed"
+    assert p2.kind == "composed" and p2.glued is None
     assert not is_inf(extent(p2, F(3)))
     # the uncovered middle band errors
     with pytest.raises(RadiusGap):
@@ -312,6 +317,9 @@ def test_passage_json_round_trip_for_metric_passages():
     x = random_pointed_space(rng, 2, 3)
     y = random_pointed_space(rng, 2, 3)
     p = random_passage(rng, x, y)
+    assert p.kind == "metric" and passage_from_gluing(p.glued) == p
+    g = random_glued(rng)
+    assert passage_from_gluing(g).glued == g
     back = passage_from_json(passage_to_json(p))
     assert back.carrier.dist == p.carrier.dist
     assert back.embed_x == p.embed_x and back.embed_y == p.embed_y
@@ -329,6 +337,7 @@ def test_isometry_passage_requires_a_real_isometry():
     y = pointed(line_space([F(0), F(1)]), 0)
     p = passage_from_isometry(x, y, (0, 1))
     assert extent(p, F(5)) == 0
+    assert p.glued.host == x.space and p.glued.origin_y == y
     z = pointed(line_space([F(0), F(2)]), 0)
     with pytest.raises(MetricError):
         passage_from_isometry(x, z, (0, 1))
