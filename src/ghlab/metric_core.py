@@ -280,7 +280,7 @@ def line_space(values: Sequence[Scalar], labels: Sequence | None = None) -> Fini
 
 def space_to_json(space: FiniteMetricSpace, base: int | None = None) -> dict:
     obj = {
-        "points": [str(p) for p in space.points],
+        "points": _unique_labels("", space.points, set()),
         "dist": [[format_scalar(v) for v in row] for row in space.dist],
     }
     if base is not None:
@@ -293,6 +293,10 @@ def space_from_json(obj, backend: str = RATIONAL) -> FiniteMetricSpace:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise MetricError("expected an object with 'points' and 'dist'")
+    if not isinstance(obj["points"], (list, tuple)):
+        raise MetricError("expected 'points' to be an array of labels")
+    if any(not isinstance(row, (list, tuple)) for row in obj["dist"]):
+        raise MetricError("expected every 'dist' row to be an array")
     rows = [[parse_scalar(v, backend) for v in row] for row in obj["dist"]]
     return validate_metric(tuple(obj["points"]), rows)
 

@@ -105,6 +105,29 @@ def delta_r_alt_scan(glued, r):
     return best
 
 
+def delta_r_predicate_scan(glued, r, tol):
+    """Ascending scan of the breakpoints (0, the basepoint gap, every host
+    distance and the halves of the nonnegative gaps d(c, q) - r from either
+    basepoint c), stopping at the first eps where the definition predicate
+    holds with "a <= b" read as a <= b + tol: basepoints within eps, and
+    every point of either copy's r-ball within eps of the other copy."""
+    host = glued.host
+    x0, y0 = glued.x0_host, glued.y0_host
+    bx = [h for h in glued.embed_x if host.d(x0, h) <= r + tol]
+    by = [h for h in glued.embed_y if host.d(y0, h) <= r + tol]
+    cands = {0, host.d(x0, y0)}
+    cands.update(host.d(i, j) for i in range(host.n) for j in range(host.n))
+    cands.update((host.d(c, q) - r) / 2 for c in (x0, y0) for q in range(host.n) if host.d(c, q) >= r)
+    for eps in sorted(cands):
+        if (
+            host.d(x0, y0) <= eps + tol
+            and all(_min_dist(host, z, glued.embed_y) <= eps + tol for z in bx)
+            and all(_min_dist(host, z, glued.embed_x) <= eps + tol for z in by)
+        ):
+            return eps
+    raise AssertionError("the host diameter always satisfies the predicate")
+
+
 def delta_r_grid_scan(glued, r, step: float = 1e-4) -> float:
     """Float grid scan; the true value lies within one step below the
     first feasible grid point."""

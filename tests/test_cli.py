@@ -156,6 +156,38 @@ def test_points_that_print_alike_get_distinct_host_labels(tmp_path, capsys):
     assert report["witness"]["host"]["points"] == ["X:1", "X:#1:1", "Y:a"]
 
 
+def test_witness_with_points_that_print_alike_feeds_back_into_delta_r(tmp_path, capsys):
+    # the witness names X's points 1 and "1" apart, so it reads back in
+    x = write_json(
+        tmp_path, "x.json", {"points": [1, "1"], "dist": [[0, 2], [2, 0]], "basepoint": 0}
+    )
+    y = write_json(tmp_path, "y.json", {"points": ["a"], "dist": [[0]], "basepoint": 0})
+    argv = ["Delta-r", "-r", "1", "--x", x, "--y", y, "--backend", "rational"]
+    rc, report, _ = run(capsys, argv)
+    assert rc == EXIT_OK
+    glued = write_json(tmp_path, "witness.json", report["witness"])
+    rc, again, _ = run(capsys, ["delta-r", "--glued", glued, "-r", "1", "--backend", "rational"])
+    assert rc == EXIT_OK, again
+    assert again["value"] == report["value"]
+    assert report["witness"]["X"]["points"] == ["1", "#1:1"]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        {"points": "abc", "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "basepoint": 0},
+        {"points": ["a", "b", "c"], "dist": ["011", "101", "110"], "basepoint": 0},
+    ],
+)
+def test_string_points_or_rows_are_rejected(tmp_path, capsys, space):
+    x = write_json(tmp_path, "x.json", space)
+    y = write_json(tmp_path, "y.json", {"points": ["q"], "dist": [[0]], "basepoint": 0})
+    for backend in ("rational", "float"):
+        rc, report, _ = run(capsys, ["Delta-r", "-r", "1", "--x", x, "--y", y, "--backend", backend])
+        assert rc == EXIT_VALIDATION
+        assert report["error"]["kind"] == "MetricError"
+
+
 def test_missing_file_exits_3(capsys):
     rc, report, _ = run(capsys, ["w1", "--in", "/nonexistent/w1.json"])
     assert rc == EXIT_IO

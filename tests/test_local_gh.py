@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from conftest import random_glued
+from conftest import random_correspondence_pairs, random_glued
 from ghlab import (
     Delta_r,
     delta_r,
@@ -23,7 +23,9 @@ from ghlab import (
     line_space,
     pointed,
     validate_gluing,
+    validate_metric,
 )
+from ghlab.gluing import correspondence, glue_from_correspondence
 from ghlab.local_gh import NonPositiveRadius
 from ghlab.verify import random_pointed_space
 
@@ -72,6 +74,54 @@ def test_float_backend_within_one_grid_step():
     v = delta_r(g, 2.0, tol=1e-12)
     scan = oracles.delta_r_grid_scan(g, 2.0, step=1e-4)
     assert 0 <= scan - v <= 1e-4 + 1e-9
+
+
+def _near_tie_gluing(rng, offsets, cast):
+    """Correspondence gluing of two random pointed spaces whose distances are
+    small integers plus one of the offsets, so that distinct distances, and
+    the breakpoints built from them, can differ by less than an offset."""
+
+    def space(n):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = cast(rng.randint(1, 4)) + rng.choice(offsets)
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] = min(rows[i][j], rows[i][k] + rows[k][j])
+        return pointed(validate_metric(tuple(map(str, range(n))), rows), rng.randrange(n))
+
+    x, y = space(rng.randint(1, 4)), space(rng.randint(1, 3))
+    rel = correspondence(random_correspondence_pairs(rng, x.n, y.n), x.n, y.n)
+    return glue_from_correspondence(x, y, rel)
+
+
+@pytest.mark.parametrize(
+    "tol,offsets,cast",
+    [
+        (F(1, 10), (0, F(1, 30), F(1, 20), F(1, 15)), F),
+        (F(1, 11), (0, F(1, 33), F(1, 22), F(2, 33)), F),
+        # binary offsets below 1e-9 keep every float sum exact
+        (1e-9, (0.0, 2.0**-31, 2.0**-30), float),
+    ],
+)
+def test_delta_r_at_a_tolerance_is_the_first_breakpoint_the_predicate_accepts(tol, offsets, cast):
+    rng = random.Random(53)
+    snapped = 0
+    for _ in range(150):
+        g = _near_tie_gluing(rng, offsets, cast)
+        h = g.host
+        # half of d(x0, q) - r lands an offset below a host distance, near
+        # the values the sup formula takes
+        q, i, j = (rng.randrange(h.n) for _ in range(3))
+        r = h.d(g.x0_host, q) - 2 * h.d(i, j) + 2 * rng.choice(offsets)
+        if r <= 0:
+            r = cast(rng.randint(1, 5)) + rng.choice(offsets)
+        value = delta_r(g, r, tol=tol)
+        assert value == oracles.delta_r_predicate_scan(g, r, tol)
+        snapped += value != delta_r(g, r)
+    assert snapped >= 10  # the near-ties do move the value
 
 
 def test_delta_is_nondecreasing_in_radius():
