@@ -85,7 +85,9 @@ def _alt_feasible(glued: GluedSpace, r: Scalar, eps: Scalar, tol: Scalar = 0) ->
     if not leq(host.d(glued.x0_host, glued.y0_host), eps, tol):
         return False
     (ball_x, ball_y), (wide_x, wide_y) = _balls(glued, r, tol), _balls(glued, r + 2 * eps, tol)
-    return eps_contained(host, ball_x, wide_y, eps, tol) and eps_contained(host, ball_y, wide_x, eps, tol)
+    if not eps_contained(host, ball_x, wide_y, eps, tol):
+        return False
+    return eps_contained(host, ball_y, wide_x, eps, tol)
 
 
 def delta_r(glued: GluedSpace, r: Scalar, strict: bool = False, tol: Scalar = 0) -> Scalar:

@@ -177,7 +177,7 @@ def _block_rows(blocks: Sequence[tuple], cross: Callable) -> tuple:
     point a of block s and point b of a later block t is cross(s, t, a, b),
     on both sides of the diagonal."""
     taken: set = set()
-    labels = [lbl for prefix, space in blocks for lbl in _unique_labels(prefix, space.points, taken)]
+    labels = [lbl for pre, space in blocks for lbl in _unique_labels(pre, space.points, taken)]
     offsets = [0]
     for _, space in blocks:
         offsets.append(offsets[-1] + space.n)

@@ -702,7 +702,9 @@ def _lift_seminorm(p: Passage) -> PolyhedralSeminorm:
     return p.seminorm if p.seminorm is not None else lipschitz_seminorm_of(p.carrier)
 
 
-def _bridge_sum(sem1: PolyhedralSeminorm, sem2: PolyhedralSeminorm, bridges: list, width: Scalar) -> tuple:
+def _bridge_sum(
+    sem1: PolyhedralSeminorm, sem2: PolyhedralSeminorm, bridges: list, width: Scalar
+) -> tuple:
     """(carrier, seminorm) of the disjoint union of the two seminorms' hosts
     joined by edges of length width at the (i, j) bridges, i in the first
     host and j in the second.  The carrier is the shortest-path metric of
@@ -998,13 +1000,12 @@ def propinquity_bracket(
         lo_ex, hi = _tau_bisect(ex_pred, hi, iters)
         lows.append(lo_ex)
 
-    if best.glued is not None:
-        refined = refine_gluing_cross(best.glued, tol=tol)
-        if refined.host != best.carrier:
-            pred_r = _passage_pred(passage_from_gluing(refined), tol)
-            if pred_r(hi):
-                lo_r, hi = _tau_bisect(pred_r, hi, iters)
-                lows.append(lo_r)
+    refined = refine_gluing_cross(best.glued, tol=tol)  # best is a gluing passage
+    if refined.host != best.carrier:
+        pred_r = _passage_pred(passage_from_gluing(refined), tol)
+        if pred_r(hi):
+            lo_r, hi = _tau_bisect(pred_r, hi, iters)
+            lows.append(lo_r)
     return min(min(lows), hi), hi
 
 

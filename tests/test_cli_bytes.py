@@ -101,8 +101,10 @@ def batch() -> list:
             r = ["-r", str(_scalar(Fraction(rng.randint(1, 8), rng.choice((1, 2, 3)))))]
             docs = {"x": _pointed_doc(x), "y": _pointed_doc(y)}
             pair = ["--x", "x", "--y", "y"]
-            add(f"{backend}/delta-r/{k}", ["delta-r", "--glued", "g"] + r + flags, {"g": _glued_doc(rng, x, y)})
-            add(f"{backend}/extent/{k}", ["extent", "--passage", "p"] + r + flags, {"p": {"gluing": _glued_doc(rng, x, y)}})
+            glued = {"g": _glued_doc(rng, x, y)}
+            add(f"{backend}/delta-r/{k}", ["delta-r", "--glued", "g"] + r + flags, glued)
+            passage = {"p": {"gluing": _glued_doc(rng, x, y)}}
+            add(f"{backend}/extent/{k}", ["extent", "--passage", "p"] + r + flags, passage)
             add(f"{backend}/Delta-r/{k}", ["Delta-r"] + pair + r + flags, docs)
             add(f"{backend}/inframetric/{k}", ["inframetric"] + pair + flags, docs)
             heuristic = flags + ["--mode", "heuristic", "--seed", str(k)]
