@@ -7,7 +7,7 @@ The definition predicate at eps holds exactly when leq(sup, eps, tol), so
 this is the first breakpoint where the predicate holds; at tol = 0 it is
 the sup itself.  The candidate scan of the inflated-ball predicate (balls
 of radius r + 2 eps) is the independent cross-check: strict mode asserts
-that all three agree, and the test suite compares them wholesale.
+that it, the sup and the snapped value agree; the tests compare all three.
 
 The searches (``Delta_r``, ``gh_inframetric``) are branch and bound: the
 correspondence stream skips every correspondence whose basepoint-gap lower
