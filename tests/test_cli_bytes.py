@@ -4,7 +4,7 @@ calls whose stdout and exit code must hash to the digests stored in
 
 The batch covers every distance subcommand on spaces of 1-3 points from
 ``verify.random_pointed_space``, on both backends, plus one small verify
-run.  A refactor that keeps values and reports must keep every digest; a
+run and rational documents that each break one metric axiom.  A refactor that keeps values and reports must keep every digest; a
 mismatch names the argv that changed.  After a deliberate change of output,
 rewrite the digests with ``PYTHONPATH=src python tests/test_cli_bytes.py``
 and say in the change log which argvs moved and why.
@@ -117,7 +117,44 @@ def batch() -> list:
             docs = {"x": _pointed_doc(x), "y": _pointed_doc(y)}
             add(f"{backend}/propinquity/{k}", ["propinquity", "--x", "x", "--y", "y"] + flags, docs)
         add(f"{backend}/verify", ["verify", "--suite", "inframetric", "--cases", "3"] + flags, {})
+    _add_ingestion_errors(add)
     return cases
+
+
+def _add_ingestion_errors(add) -> None:
+    """Rational documents that break one metric axiom each, written with p/q
+    entries: the report names the clause's points and prints the input's
+    own values."""
+    flags = ["--backend", "rational"]
+    good = {"points": ["u", "v"], "dist": [[0, "3/5"], ["3/5", 0]], "basepoint": "u"}
+    diagonal = {"points": ["a", "b"], "dist": [[0, "1/2"], ["1/2", "1/3"]]}
+    add("rational/error/diagonal", ["hausdorff", "--in", "in"] + flags,
+        {"in": {"space": diagonal, "a": [0], "b": [1]}})
+    symmetry = {"points": ["a", "b", "c"], "dist": [[0, "2/3", 1], ["2/3", 0, "3/4"], [1, "4/5", 0]],
+                "basepoint": 0}
+    add("rational/error/symmetry", ["Delta-r", "--x", "x", "--y", "y", "-r", "1"] + flags,
+        {"x": symmetry, "y": good})
+    negative = {"points": ["a", "b", "c"], "dist": [[0, "1/6", "-5/7"], ["1/6", 0, "1/6"], ["-5/7", "1/6", 0]],
+                "basepoint": "a"}
+    add("rational/error/negative", ["inframetric", "--x", "x", "--y", "y"] + flags,
+        {"x": good, "y": negative})
+    # d(a, d) > d(a, b) + d(b, d) is the first violation in scan order;
+    # d(b, d) > d(b, c) + d(c, d) comes later
+    triangle = {"points": ["a", "b", "c", "d"],
+                "dist": [[0, "1/7", "1/5", "7/6"], ["1/7", 0, "1/3", "9/10"],
+                         ["1/5", "1/3", 0, "1/2"], ["7/6", "9/10", "1/2", 0]]}
+    add("rational/error/triangle", ["w1", "--in", "in"] + flags,
+        {"in": {"space": triangle, "mu": ["1/2", "1/2", 0, 0], "nu": [0, 0, "1/3", "2/3"]}})
+    separation = {"points": ["a", "b"], "dist": [[0, 0], [0, 0]], "basepoint": 0}
+    add("rational/error/separation", ["propinquity", "--x", "x", "--y", "y"] + flags,
+        {"x": separation, "y": good})
+    host = {"points": ["X:u", "X:v", "Y:u", "Y:v"],
+            "dist": [[0, "3/5", "1/4", "3/2"], ["3/5", 0, "1/3", "1/4"],
+                     ["1/4", "1/3", 0, "3/5"], ["3/2", "1/4", "3/5", 0]]}
+    glued = {"host": host, "embedX": [0, 1], "embedY": [2, 3], "X": good, "Y": good}
+    add("rational/error/glued-host", ["delta-r", "--glued", "g", "-r", "1"] + flags, {"g": glued})
+    add("rational/error/passage-host", ["extent", "--passage", "p", "-r", "1"] + flags,
+        {"p": {"gluing": glued}})
 
 
 def digest_of(argv: list, docs: dict, workdir: str) -> str:
