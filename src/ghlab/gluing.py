@@ -161,6 +161,18 @@ def validate_gluing(
     # Revalidate the host: direct dataclass construction can smuggle in a
     # non-metric, and gluing guarantees are void in that case.
     validate_metric(host.points, host.dist, tol=tol)
+    return _embedded(host, origin_x, embed_x, origin_y, embed_y, tol)
+
+
+def _embedded(
+    host: FiniteMetricSpace,
+    origin_x: PointedSpace,
+    embed_x: Sequence[int],
+    origin_y: PointedSpace,
+    embed_y: Sequence[int],
+    tol: Scalar,
+) -> GluedSpace:
+    """``validate_gluing`` on a host that is already known to be a metric."""
     for side, origin, embed in (("X", origin_x, embed_x), ("Y", origin_y, embed_y)):
         emb = tuple(embed)
         if len(emb) != origin.n:
@@ -403,4 +415,9 @@ def glued_from_json(obj, backend: str = RATIONAL, tol: Scalar = 0) -> GluedSpace
     host = space_from_json(obj["host"], backend)
     px = pointed_from_json(obj["X"], backend)
     py = pointed_from_json(obj["Y"], backend)
-    return validate_gluing(host, px, tuple(obj["embedX"]), py, tuple(obj["embedY"]), tol=tol)
+    # space_from_json validated the host at tol 0, which implies
+    # validate_gluing's re-check at any tol >= 0 of the rows' own kind (a
+    # float tol added to exact rational sums rounds them, so it re-checks)
+    if tol < 0 or (isinstance(tol, float) and backend == RATIONAL):
+        validate_metric(host.points, host.dist, tol=tol)
+    return _embedded(host, px, tuple(obj["embedX"]), py, tuple(obj["embedY"]), tol)

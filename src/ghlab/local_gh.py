@@ -16,10 +16,11 @@ the family minimum, with the witness a full enumeration would pick.
 
 On rational input both searches run on one integer grid per query.  With L
 = 4 * lcm of the denominators of both distance matrices and of the query's
-scalars (r and tol, or slack), each space is scaled by L into an ``int``
-copy (a positive multiple of a metric is a metric) and the unchanged search
-code runs on ``int`` rows; only the value and the witness are divided by L
-on the way out.  The factor 4 keeps every halving an ``int``: the grid
+scalars (r and tol, or slack), from ``numerics.grid_unit`` as in
+``validate_metric``, each space is scaled by L into an ``int`` copy (a
+positive multiple of a metric is a metric) and the unchanged search code
+runs on ``int`` rows; only the value and the witness are divided by L on
+the way out.  The factor 4 keeps every halving an ``int``: the grid
 distances are multiples of 4, so a distortion and eta = dis/2 are even,
 cross distances are even, and so are the delta_r candidate gaps d - r that
 get halved.  The radius inversion 1/t of the inframetric is a length on
@@ -29,7 +30,7 @@ the grid too: a grid length T = L t inverts to L / t = L**2 / T, so it uses
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +49,7 @@ from .metric_core import (
     eps_contained,
     validate_metric,
 )
-from .numerics import INF, Scalar, half as _half, inv, is_inf, leq
+from .numerics import INF, Scalar, grid_unit, half as _half, inv, is_inf, leq, on_grid
 
 
 class NonPositiveRadius(MetricError):
@@ -212,22 +213,8 @@ def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> G
     )
 
 
-def _grid_unit(spaces, scalars) -> int | None:
-    """L = 4 * lcm of every denominator in the spaces and scalars; None when
-    any of them is a float (that input runs on its own numbers)."""
-    values = [v for space in spaces for row in space.dist for v in row]
-    values.extend(scalars)
-    if any(isinstance(v, float) for v in values):
-        return None
-    return 4 * math.lcm(*{v.denominator for v in values})
-
-
-def _on_grid(v: Scalar, unit: int) -> int:
-    return v.numerator * (unit // v.denominator)
-
-
 def _pointed_on_grid(p: PointedSpace, unit: int) -> PointedSpace:
-    rows = [[_on_grid(v, unit) for v in row] for row in p.space.dist]
+    rows = [[on_grid(v, unit) for v in row] for row in p.space.dist]
     return PointedSpace(_trusted_space(p.space.points, rows), p.base)
 
 
@@ -260,19 +247,20 @@ def Delta_r(
     """
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
-    unit = _grid_unit((x.space, y.space), (r, tol))
+    unit = grid_unit(itertools.chain((r, tol), *x.space.dist, *y.space.dist))
     if unit is None:
         return _Delta_r_search(x, y, r, search, budget, seed, samples, refine_steps, tol)
+    unit *= 4
     value, glued = _Delta_r_search(
         _pointed_on_grid(x, unit),
         _pointed_on_grid(y, unit),
-        _on_grid(r, unit),
+        on_grid(r, unit),
         search,
         budget,
         seed,
         samples,
         refine_steps,
-        _on_grid(tol, unit),
+        on_grid(tol, unit),
     )
     return Fraction(value, unit), _off_grid(glued, unit, x, y)
 
@@ -373,10 +361,11 @@ def gh_inframetric(
         raw_g = inv(_threshold_sup(extra, slack))
         if raw_g < best_raw:
             best_raw, witness = raw_g, extra
-    unit = _grid_unit((x.space, y.space), (slack,))
+    unit = grid_unit(itertools.chain((slack,), *x.space.dist, *y.space.dist))
     if unit is None:
         best_raw, glued = _inframetric_search(x, y, search, budget, seed, samples, slack, best_raw, 1)
     else:
+        unit *= 4
         raw, glued = _inframetric_search(
             _pointed_on_grid(x, unit),
             _pointed_on_grid(y, unit),
@@ -384,7 +373,7 @@ def gh_inframetric(
             budget,
             seed,
             samples,
-            _on_grid(slack, unit),
+            on_grid(slack, unit),
             best_raw * unit,
             unit * unit,
         )

@@ -22,17 +22,33 @@ Internal builders whose rows are a metric by construction freeze them with
 Code that builds ``FiniteMetricSpace`` directly from unchecked rows bypasses
 the axioms on purpose (some negative tests do exactly that) and gets no
 guarantees.
+
+On rational input (every entry and ``tol`` an int or a Fraction),
+``validate_metric`` runs all its checks on one integer copy of the rows:
+each entry times L, the lcm of all the denominators (``numerics.grid_unit``).
+Scaling by a positive L keeps every equality, sign and comparison of sums,
+so each check has the outcome it has on the rows themselves, and the first
+failing clause, its indices and its message (printed from the caller's
+entries) are the same; the O(n^3) triangle scan then adds ints instead of
+Fractions.  The returned space holds the caller's entries.  A float or inf
+entry or a float ``tol`` keeps the scan on the caller's own numbers.
+
+``gluing.glued_from_json`` checks its host once: ``space_from_json`` has
+validated it at tol 0, and passing at tol 0 implies passing the triangle
+scan at any tol >= 0 of the rows' own kind, which is all that
+``validate_gluing``'s re-check of the host would add.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .numerics import INF, RATIONAL, Scalar, format_scalar, is_inf, leq, parse_scalar
+from .numerics import INF, RATIONAL, Scalar, format_scalar, grid_unit, is_inf, leq, on_grid, parse_scalar
 
 
 class MetricError(ValueError):
@@ -115,27 +131,35 @@ def validate_metric(
     if len(dist) != n or any(len(row) != n for row in dist):
         raise NotSquare(f"need a {n}x{n} matrix, got rows {[len(r) for r in dist]}")
     rows = tuple(tuple(row) for row in dist)
+    # every check compares on g and t; messages print the caller's rows
+    unit = grid_unit(itertools.chain((tol,), *rows))
+    if unit is None:
+        g, t = rows, tol
+    else:
+        g, t = [[on_grid(v, unit) for v in row] for row in rows], on_grid(tol, unit)
     strict = True
     for i in range(n):
-        if rows[i][i] != 0:
+        if g[i][i] != 0:
             raise AxiomViolation("diagonal", (i,), f"d({pts[i]!r},{pts[i]!r}) = {rows[i][i]} != 0")
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if g[i][j] != g[j][i]:
                 raise AxiomViolation(
                     "symmetry", (i, j), f"d({pts[i]!r},{pts[j]!r}) != d({pts[j]!r},{pts[i]!r})"
                 )
-            if rows[i][j] < 0:
+            if g[i][j] < 0:
                 raise AxiomViolation("negative", (i, j), f"d({pts[i]!r},{pts[j]!r}) = {rows[i][j]} < 0")
-            if rows[i][j] == 0:
+            if g[i][j] == 0:
                 if require_strict:
                     raise AxiomViolation(
                         "separation", (i, j), f"distinct points {pts[i]!r},{pts[j]!r} at distance 0"
                     )
                 strict = False
-    for i in range(n):
-        for j in range(n):
+    columns = list(zip(*g))
+    for i, row_i in enumerate(g):
+        for j, col_j in enumerate(columns):
+            dij = row_i[j]
             for k in range(n):
-                if rows[i][j] > rows[i][k] + rows[k][j] + tol:
+                if dij > row_i[k] + col_j[k] + t:
                     raise AxiomViolation(
                         "triangle",
                         (i, k, j),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -54,6 +54,23 @@ def inv(v: Scalar, unit: Scalar = 1) -> Scalar:
     if isinstance(v, float) or isinstance(unit, float):
         return unit / v
     return Fraction(unit) / Fraction(v)
+
+
+def grid_unit(values: Iterable) -> int | None:
+    """The lcm L of the values' denominators, so that every value times L is
+    an integer; None when any value is not an int or a Fraction (a float or
+    inf keeps its own numbers)."""
+    denominators = set()
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return None
+        denominators.add(v.denominator)
+    return math.lcm(*denominators)
+
+
+def on_grid(v: Scalar, unit: int) -> int:
+    """v * unit as an int, for a multiple of v's denominator."""
+    return v.numerator * (unit // v.denominator)
 
 
 def leq(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:

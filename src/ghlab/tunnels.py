@@ -812,6 +812,26 @@ def composed_k_family(p: Passage, tol: Scalar = 0) -> Callable[[Scalar], frozens
     return kf
 
 
+def _existence_case(A: PointedSpace, B: PointedSpace, r: Scalar, tol: Scalar) -> tuple | None:
+    """What ``existence_tunnel``'s passage at radius r depends on: None for
+    the compact collapse, else the complements of the two basepoint r-balls,
+    which alone fix the bridge passage; raises where neither case applies."""
+    if r <= 0:
+        raise NonPositiveRadius(f"radius must be positive, got {r}")
+    X, x0 = A.space, A.base
+    Y, y0 = B.space, B.base
+    dx, dy = diameter(X), diameter(Y)
+    if leq(max(dx, dy), r, tol):
+        return None
+    if not (r < dx and r < dy):
+        raise RadiusGap(f"radius {r} lies between the space diameters {dx} and {dy}")
+    compl_x = tuple(i for i in range(X.n) if not leq(X.d(x0, i), r, tol))
+    compl_y = tuple(j for j in range(Y.n) if not leq(Y.d(y0, j), r, tol))
+    if not compl_x or not compl_y:
+        raise RadiusGap("the basepoint ball covers a space whose diameter exceeds the radius")
+    return compl_x, compl_y
+
+
 def existence_tunnel(a, b, r: Scalar, tol: Scalar = 0) -> Passage:
     """A passage with finite extent at radius r, by the two direct cases:
     compact collapse (r at least both diameters, any correspondence gluing)
@@ -819,22 +839,14 @@ def existence_tunnel(a, b, r: Scalar, tol: Scalar = 0) -> Passage:
     both escape radii), whose extent at r is at most the bridge width D."""
     A = _as_classical(a)
     B = _as_classical(b)
-    if r <= 0:
-        raise NonPositiveRadius(f"radius must be positive, got {r}")
-    X, x0 = A.space, A.base
-    Y, y0 = B.space, B.base
-    dx, dy = diameter(X), diameter(Y)
-    if leq(max(dx, dy), r, tol):
+    case = _existence_case(A, B, r, tol)
+    X, Y = A.space, B.space
+    if case is None:
         total = correspondence(
             [(i, j) for i in range(X.n) for j in range(Y.n)], X.n, Y.n
         )
         return passage_from_gluing(glue_from_correspondence(A, B, total))
-    if not (r < dx and r < dy):
-        raise RadiusGap(f"radius {r} lies between the space diameters {dx} and {dy}")
-    compl_x = [i for i in range(X.n) if not leq(X.d(x0, i), r, tol)]
-    compl_y = [j for j in range(Y.n) if not leq(Y.d(y0, j), r, tol)]
-    if not compl_x or not compl_y:
-        raise RadiusGap("the basepoint ball covers a space whose diameter exceeds the radius")
+    compl_x, compl_y = case
     d_cap = max(
         max(dist_to_set(X, i, compl_x) for i in range(X.n)),
         max(dist_to_set(Y, j, compl_y) for j in range(Y.n)),
@@ -947,6 +959,28 @@ def _passage_pred(p: Passage, tol: Scalar) -> Callable[[Scalar], bool]:
     return pred
 
 
+def _existence_pred(A: PointedSpace, B: PointedSpace, tol: Scalar) -> Callable[[Scalar], bool]:
+    """e -> does the existence passage at radius 1/e beat tolerance e (False
+    where it does not exist).  Each distinct passage (``_existence_case``)
+    is built once, and its scans share one ``ScanContext``."""
+    built: dict = {}
+
+    def pred(e: Scalar) -> bool:
+        r = inv(e)
+        try:
+            case = _existence_case(A, B, r, tol)
+        except MetricError:
+            return False
+        if case not in built:
+            p = existence_tunnel(A, B, r, tol)
+            built[case] = p, ScanContext(p, tol)
+        p, context = built[case]
+        val, _ = _extent_scan(p, r, e, tol, context)
+        return val < e
+
+    return pred
+
+
 def propinquity_bracket(
     a,
     b,
@@ -988,14 +1022,7 @@ def propinquity_bracket(
         lows.append(lo_p)
         best = p
 
-    def ex_pred(e: Scalar) -> bool:
-        try:
-            p_ex = existence_tunnel(A, B, inv(e), tol)
-        except MetricError:
-            return False
-        val, _ = _extent_scan(p_ex, inv(e), e, tol)
-        return val < e
-
+    ex_pred = _existence_pred(A, B, tol)
     if ex_pred(hi):
         lo_ex, hi = _tau_bisect(ex_pred, hi, iters)
         lows.append(lo_ex)

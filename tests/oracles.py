@@ -373,3 +373,49 @@ def extent_scan_reference(p, r, cutoff=math.inf, tol=0, context=None) -> tuple:
         if mid > c and admissible(mid):
             return c, mid
     return math.inf, None
+
+
+# ---------------------------------------------------------------------------
+# metric validation
+#
+# ``validate_metric`` as it stood before the integer grid: every check on the
+# caller's own entries, the triangle scan in their own arithmetic.
+
+
+def validate_metric_reference(points, dist, require_strict=False, tol=0):
+    from ghlab.metric_core import AxiomViolation, FiniteMetricSpace, NotSquare
+
+    pts = tuple(points)
+    n = len(pts)
+    if len(set(pts)) != n:
+        raise AxiomViolation("labels", (), "point labels must be distinct")
+    if len(dist) != n or any(len(row) != n for row in dist):
+        raise NotSquare(f"need a {n}x{n} matrix, got rows {[len(r) for r in dist]}")
+    rows = tuple(tuple(row) for row in dist)
+    strict = True
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise AxiomViolation("diagonal", (i,), f"d({pts[i]!r},{pts[i]!r}) = {rows[i][i]} != 0")
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise AxiomViolation(
+                    "symmetry", (i, j), f"d({pts[i]!r},{pts[j]!r}) != d({pts[j]!r},{pts[i]!r})"
+                )
+            if rows[i][j] < 0:
+                raise AxiomViolation("negative", (i, j), f"d({pts[i]!r},{pts[j]!r}) = {rows[i][j]} < 0")
+            if rows[i][j] == 0:
+                if require_strict:
+                    raise AxiomViolation(
+                        "separation", (i, j), f"distinct points {pts[i]!r},{pts[j]!r} at distance 0"
+                    )
+                strict = False
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][j] > rows[i][k] + rows[k][j] + tol:
+                    raise AxiomViolation(
+                        "triangle",
+                        (i, k, j),
+                        f"d({pts[i]!r},{pts[j]!r}) > d({pts[i]!r},{pts[k]!r}) + d({pts[k]!r},{pts[j]!r})",
+                    )
+    return FiniteMetricSpace(points=pts, dist=rows, strict=strict)

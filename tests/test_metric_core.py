@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +187,71 @@ def test_half_keeps_even_ints_and_inv_takes_a_unit():
     assert half(3.0) == 1.5
     assert inv(F(2, 3)) == F(3, 2) and inv(4, 36) == 9 and inv(8, 36) == F(9, 2)
     assert inv(INF) == 0 and inv(INF, 36) == 0 and inv(0.5, 4) == 8.0
+
+
+# pairwise coprime, and large enough that the grid unit of one matrix is huge
+PRIMES = (10**9 + 7, 10**9 + 9, 998244353, 2**31 - 1)
+CLAUSES = ("none", "labels", "shape", "diagonal", "symmetry", "negative", "separation", "triangle", "inf")
+
+
+def _mixed_metric(rng, n):
+    """A random rational metric by min-plus repair, with denominators up to
+    the large primes; whole entries are ints on a random side."""
+    dens = (1, 2, 3, 12) + PRIMES
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = F(rng.randint(1, 40 * rng.choice(dens)), rng.choice(dens))
+    rows = min_plus_closure(rows)
+    return [[int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in row] for row in rows]
+
+
+def _planted(rng, clause, tol):
+    """(labels, rows, require_strict) breaking the clause at most, at a tol
+    that a triangle violation exceeds or meets exactly."""
+    n = rng.randint(1 if clause in ("none", "diagonal") else 3, 6)
+    labels = [f"p{k}" for k in range(n)]
+    rows = _mixed_metric(rng, n)
+    i, j, k = rng.sample(range(n), 3) if n >= 3 else (0, n - 1, 0)
+    tiny = F(1, rng.choice(PRIMES))
+    if clause == "labels":
+        labels[j] = labels[i]
+    elif clause == "shape":
+        rows[j] = rows[j][:-1]
+    elif clause == "diagonal":
+        rows[i][i] = tiny
+    elif clause == "symmetry":
+        rows[i][j] += tiny
+    elif clause == "negative":
+        rows[i][j] = rows[j][i] = -rows[i][j]
+    elif clause == "separation":
+        rows[i][j] = rows[j][i] = 0
+    elif clause == "triangle":
+        rows[i][j] = rows[j][i] = rows[i][k] + rows[k][j] + tol + rng.choice((0, tiny))
+    elif clause == "inf":
+        rows[i][j] = rows[j][i] = INF
+    return labels, rows, clause == "separation" and rng.random() < 0.5
+
+
+def _outcome(validate, labels, rows, require_strict, tol):
+    try:
+        return validate(labels, rows, require_strict=require_strict, tol=tol)
+    except MetricError as exc:
+        return type(exc), getattr(exc, "kind", None), getattr(exc, "witness", None), str(exc)
+
+
+def test_validate_metric_on_the_grid_matches_the_rational_scan():
+    rng = random.Random(29)
+    raised = set()
+    for clause in CLAUSES * 40:
+        tol = rng.choice((0, 1, F(1, 3), F(2, rng.choice(PRIMES)), 1e-9))
+        labels, rows, require_strict = _planted(rng, clause, tol)
+        want = _outcome(oracles.validate_metric_reference, labels, rows, require_strict, tol)
+        got = _outcome(validate_metric, labels, rows, require_strict, tol)
+        assert got == want, (clause, labels, rows, tol)
+        if isinstance(want, tuple):
+            raised.add(want[1] or want[0].__name__)
+        else:
+            # the space keeps the caller's own entries
+            assert all(a is b for row, given in zip(got.dist, rows) for a, b in zip(row, given))
+    assert raised == {"labels", "NotSquare", "diagonal", "symmetry", "negative", "separation", "triangle"}

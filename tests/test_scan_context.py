@@ -35,7 +35,7 @@ from ghlab import (
 from ghlab import tunnels
 from ghlab.gluing import validate_gluing
 from ghlab.metric_core import MetricError, subspace
-from ghlab.numerics import DEFAULT_FLOAT_TOL, INF
+from ghlab.numerics import DEFAULT_FLOAT_TOL, INF, inv
 from ghlab.tunnels import ScanContext, _extent_scan
 from ghlab.verify import random_pointed_space, random_passage
 
@@ -197,6 +197,80 @@ def test_propinquity_brackets_match_the_uncached_scan(backend, monkeypatch):
     got = [propinquity_bracket(x, y, tol=tol) for x, y in cases]
     monkeypatch.setattr(tunnels, "_extent_scan", oracles.extent_scan_reference)
     assert got == [propinquity_bracket(x, y, tol=tol) for x, y in cases]
+
+
+def _existence_pred_per_probe(A, B, tol):
+    """The bracket's existence predicate with a fresh passage and scan
+    context at every probe."""
+
+    def pred(e):
+        try:
+            p = tunnels.existence_tunnel(A, B, inv(e), tol)
+        except MetricError:
+            return False
+        return _extent_scan(p, inv(e), e, tol)[0] < e
+
+    return pred
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_brackets_building_each_existence_passage_once_match_a_rebuild_per_probe(
+    backend, monkeypatch
+):
+    rng = random.Random(11)
+    tol = 0 if backend == "rational" else TOL
+    cases = [_pair(rng, nx, ny, backend) for _ in range(2) for nx in (1, 2, 3) for ny in (1, 2, 3)]
+    built = []
+    original = tunnels.existence_tunnel
+
+    def counted(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(tunnels, "existence_tunnel", counted)
+    got, per_bracket, kinds = [], [], set()
+    for x, y in cases:
+        got.append(propinquity_bracket(x, y, tol=tol))
+        per_bracket.append(len(built))
+        kinds |= {p.kind for p in built}
+        built.clear()
+    # both cases occur: the compact collapse and the bridge
+    assert kinds == {"metric", "composed"}
+    monkeypatch.setattr(tunnels, "_existence_pred", _existence_pred_per_probe)
+    for (x, y), bracket, once in zip(cases, got, per_bracket):
+        assert propinquity_bracket(x, y, tol=tol) == bracket
+        assert len({p.carrier for p in built}) == once
+        built.clear()
+
+
+def test_existence_predicate_scans_the_passage_a_rebuild_makes(monkeypatch):
+    # radii 1/e at, between and around the basepoint distances and diameters
+    # cross both cases and several bridges, revisited in a shuffled order
+    rng = random.Random(13)
+    scanned = []
+    original = tunnels._extent_scan
+
+    def recording(p, r, cutoff, tol, context=None):
+        scanned.append((p.carrier, r))
+        return original(p, r, cutoff, tol, context)
+
+    most = 0
+    for nx, ny in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 3)):
+        x, y = random_pointed_space(rng, nx, nx), random_pointed_space(rng, ny, ny)
+        marks = sorted({d for p in (x, y) for row in p.space.dist for d in row if d > 0})
+        radii = marks + [(a + b) / 2 for a, b in zip(marks, marks[1:])] + [marks[-1] + 1]
+        es = [1 / r for r in radii] * 2
+        rng.shuffle(es)
+        reference = _existence_pred_per_probe(x, y, 0)
+        expected = [reference(e) for e in es]
+        pred = tunnels._existence_pred(x, y, 0)
+        monkeypatch.setattr(tunnels, "_extent_scan", recording)
+        assert [pred(e) for e in es] == expected
+        monkeypatch.setattr(tunnels, "_extent_scan", original)
+        assert all(c == existence_tunnel(x, y, r).carrier for c, r in scanned)
+        most = max(most, len({c for c, _ in scanned}))
+        scanned.clear()
+    assert most >= 3
 
 
 def test_context_memo_is_shared_across_radii(monkeypatch):
