@@ -4,8 +4,9 @@ calls whose stdout and exit code must hash to the digests stored in
 
 The batch covers every distance subcommand on spaces of 1-3 points from
 ``verify.random_pointed_space``, on both backends, plus one small verify
-run and rational documents that each break one metric axiom.  A refactor that keeps values and reports must keep every digest; a
-mismatch names the argv that changed.  After a deliberate change of output,
+run and rational documents that each break one metric axiom.  A refactor
+that keeps values and reports must keep every digest; a mismatch names the
+argv that changed.  After a deliberate change of output,
 rewrite the digests with ``PYTHONPATH=src python tests/test_cli_bytes.py``
 and say in the change log which argvs moved and why.
 """
@@ -130,12 +131,12 @@ def _add_ingestion_errors(add) -> None:
     diagonal = {"points": ["a", "b"], "dist": [[0, "1/2"], ["1/2", "1/3"]]}
     add("rational/error/diagonal", ["hausdorff", "--in", "in"] + flags,
         {"in": {"space": diagonal, "a": [0], "b": [1]}})
-    symmetry = {"points": ["a", "b", "c"], "dist": [[0, "2/3", 1], ["2/3", 0, "3/4"], [1, "4/5", 0]],
-                "basepoint": 0}
+    symmetry = {"points": ["a", "b", "c"], "basepoint": 0,
+                "dist": [[0, "2/3", 1], ["2/3", 0, "3/4"], [1, "4/5", 0]]}
     add("rational/error/symmetry", ["Delta-r", "--x", "x", "--y", "y", "-r", "1"] + flags,
         {"x": symmetry, "y": good})
-    negative = {"points": ["a", "b", "c"], "dist": [[0, "1/6", "-5/7"], ["1/6", 0, "1/6"], ["-5/7", "1/6", 0]],
-                "basepoint": "a"}
+    negative = {"points": ["a", "b", "c"], "basepoint": "a",
+                "dist": [[0, "1/6", "-5/7"], ["1/6", 0, "1/6"], ["-5/7", "1/6", 0]]}
     add("rational/error/negative", ["inframetric", "--x", "x", "--y", "y"] + flags,
         {"x": good, "y": negative})
     # d(a, d) > d(a, b) + d(b, d) is the first violation in scan order;

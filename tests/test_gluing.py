@@ -33,6 +33,7 @@ from ghlab import (
     passage_from_gluing,
     pointed,
     restrict_to_images,
+    space_to_json,
     subspace,
     validate_gluing,
     validate_metric,
@@ -272,6 +273,28 @@ def test_glued_json_round_trip():
     assert back.origin_x.base == g.origin_x.base
     assert back.origin_y.base == g.origin_y.base
     assert delta_r(back, F(2)) == delta_r(g, F(2))
+
+
+@pytest.mark.parametrize("tol", [0, F(1, 10), F(-1, 10), 1e-9])
+def test_glued_json_host_checks_match_validate_gluing(tol):
+    # a host on a line, so every triangle through the middle point is
+    # tight; its distances are so large that adding a float tol rounds
+    a = 10**17 + F(1, 3)
+    host = line_space([F(0), a, 2 * a], labels=("p", "q", "s"))
+    x = pointed(line_space([F(0), a], labels=("p", "q")), 0)
+    y = pointed(line_space([a, 2 * a], labels=("q", "s")), 1)
+    obj = {"host": space_to_json(host), "embedX": [0, 1], "embedY": [1, 2],
+           "X": space_to_json(x.space, x.base), "Y": space_to_json(y.space, y.base)}
+
+    def outcome(build):
+        try:
+            return build()
+        except MetricError as exc:
+            return type(exc), str(exc)
+
+    want = outcome(lambda: validate_gluing(host, x, (0, 1), y, (1, 2), tol))
+    assert outcome(lambda: glued_from_json(obj, tol=tol)) == want
+    assert isinstance(want, tuple) == (tol == F(-1, 10) or isinstance(tol, float))
 
 
 def test_exact_stream_budget_limits():

@@ -191,7 +191,9 @@ def test_half_keeps_even_ints_and_inv_takes_a_unit():
 
 # pairwise coprime, and large enough that the grid unit of one matrix is huge
 PRIMES = (10**9 + 7, 10**9 + 9, 998244353, 2**31 - 1)
-CLAUSES = ("none", "labels", "shape", "diagonal", "symmetry", "negative", "separation", "triangle", "inf")
+CLAUSES = (
+    "none", "labels", "shape", "diagonal", "symmetry", "negative", "separation", "triangle", "inf"
+)
 
 
 def _mixed_metric(rng, n):
@@ -203,7 +205,8 @@ def _mixed_metric(rng, n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = F(rng.randint(1, 40 * rng.choice(dens)), rng.choice(dens))
     rows = min_plus_closure(rows)
-    return [[int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in row] for row in rows]
+    return [[int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in row]
+            for row in rows]
 
 
 def _planted(rng, clause, tol):
@@ -244,7 +247,7 @@ def test_validate_metric_on_the_grid_matches_the_rational_scan():
     rng = random.Random(29)
     raised = set()
     for clause in CLAUSES * 40:
-        tol = rng.choice((0, 1, F(1, 3), F(2, rng.choice(PRIMES)), 1e-9))
+        tol = rng.choice((0, 1, F(1, 3), F(2, rng.choice(PRIMES)), F(-1, 5), 1e-9))
         labels, rows, require_strict = _planted(rng, clause, tol)
         want = _outcome(oracles.validate_metric_reference, labels, rows, require_strict, tol)
         got = _outcome(validate_metric, labels, rows, require_strict, tol)
@@ -254,4 +257,6 @@ def test_validate_metric_on_the_grid_matches_the_rational_scan():
         else:
             # the space keeps the caller's own entries
             assert all(a is b for row, given in zip(got.dist, rows) for a, b in zip(row, given))
-    assert raised == {"labels", "NotSquare", "diagonal", "symmetry", "negative", "separation", "triangle"}
+    assert raised == {
+        "labels", "NotSquare", "diagonal", "symmetry", "negative", "separation", "triangle"
+    }
