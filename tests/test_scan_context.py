@@ -219,7 +219,8 @@ def test_brackets_building_each_existence_passage_once_match_a_rebuild_per_probe
 ):
     rng = random.Random(11)
     tol = 0 if backend == "rational" else TOL
-    cases = [_pair(rng, nx, ny, backend) for _ in range(2) for nx in (1, 2, 3) for ny in (1, 2, 3)]
+    shapes = [(nx, ny) for nx in (1, 2, 3) for ny in (1, 2, 3)] * 2
+    cases = [_pair(rng, nx, ny, backend) for nx, ny in shapes]
     built = []
     original = tunnels.existence_tunnel
 
