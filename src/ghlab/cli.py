@@ -54,16 +54,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_PARSE = 4
 
-DIST_SUBCOMMANDS = (
-    "hausdorff",
-    "delta-r",
-    "Delta-r",
-    "inframetric",
-    "w1",
-    "extent",
-    "propinquity",
-)
-
 
 class ParseFailure(ValueError):
     """Input document does not match the expected schema."""
@@ -120,29 +110,16 @@ def _jsonable(value):
     return repr(value)
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_document(path: str):
-    text = _read_text(path)
-    if path.endswith(".csv"):
-        return text
-    return json.loads(text)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return text if path.endswith(".csv") else json.loads(text)
 
 
 def _require(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseFailure(f"{where} needs a {key!r} field")
     return obj[key]
-
-
-def _load_space(path: str, backend: str) -> FiniteMetricSpace:
-    doc = _load_document(path)
-    if isinstance(doc, str):
-        return space_from_csv(doc, backend)
-    return space_from_json(doc, backend)
 
 
 def _with_base(space: FiniteMetricSpace, raw) -> PointedSpace:
@@ -186,159 +163,172 @@ def _subset_indices(space: FiniteMetricSpace, items, name: str) -> list:
     return out
 
 
-def _radius(inputs: dict, config: RunConfig):
-    raw = inputs.get("r")
-    if raw is None:
-        raise ParseFailure("missing radius -r")
-    return parse_scalar(raw, config.backend)
-
-
 def _certificate_for(mode: str) -> str:
     return "family-minimum" if mode == "exact" else "upper-bound"
 
 
-def cmd_dist(subcommand: str, inputs: dict, config: RunConfig) -> dict:
-    """Dispatch one distance computation; returns the report dict."""
-    if subcommand == "hausdorff":
-        doc = _load_document(_require(inputs, "in", "hausdorff"))
-        if isinstance(doc, str):
-            raise ParseFailure("hausdorff input must be JSON with space/a/b")
-        space = space_from_json(_require(doc, "space", "hausdorff input"), config.backend)
-        a = _subset_indices(space, _require(doc, "a", "hausdorff input"), "a")
-        b = _subset_indices(space, _require(doc, "b", "hausdorff input"), "b")
-        value = hausdorff(space, a, b)
-        return {"command": "hausdorff", "value": format_scalar(value)}
-
-    if subcommand == "delta-r":
-        glued = glued_from_json(
-            _load_document(_require(inputs, "glued", "delta-r")),
-            config.backend,
-            tol=config.tolerance,
-        )
-        r = _radius(inputs, config)
-        value = delta_r(glued, r, strict=True, tol=config.tolerance)
-        return {
-            "command": "delta-r",
-            "r": format_scalar(r),
-            "routes": "agree",
-            "value": format_scalar(value),
-        }
-
-    if subcommand == "Delta-r":
-        x = _load_pointed(_require(inputs, "x", "Delta-r"), config.backend, inputs.get("x_base"))
-        y = _load_pointed(_require(inputs, "y", "Delta-r"), config.backend, inputs.get("y_base"))
-        r = _radius(inputs, config)
-        value, witness = Delta_r(
-            x,
-            y,
-            r,
-            search=config.mode,
-            budget=config.budget,
-            seed=config.seed,
-            tol=config.tolerance,
-        )
-        return {
-            "command": "Delta-r",
-            "certificate": _certificate_for(config.mode),
-            "mode": config.mode,
-            "r": format_scalar(r),
-            "value": format_scalar(value),
-            "witness": _jsonable(glued_to_json(witness)),
-        }
-
-    if subcommand == "inframetric":
-        x = _load_pointed(_require(inputs, "x", "inframetric"), config.backend, inputs.get("x_base"))
-        y = _load_pointed(_require(inputs, "y", "inframetric"), config.backend, inputs.get("y_base"))
-        res = gh_inframetric(
-            x,
-            y,
-            search=config.mode,
-            budget=config.budget,
-            seed=config.seed,
-            tol=config.tolerance,
-        )
-        return {
-            "command": "inframetric",
-            "certificate": res.certificate,
-            "mode": res.search,
-            "raw": format_scalar(res.raw),
-            "truncated": format_scalar(res.truncated),
-            "value": format_scalar(res.truncated),
-            "witness": _jsonable(glued_to_json(res.witness)),
-        }
-
-    if subcommand == "w1":
-        doc = _load_document(_require(inputs, "in", "w1"))
-        if isinstance(doc, str):
-            raise ParseFailure("w1 input must be JSON with space/mu/nu")
-        space = space_from_json(_require(doc, "space", "w1 input"), config.backend)
-        mu_raw = _require(doc, "mu", "w1 input")
-        nu_raw = _require(doc, "nu", "w1 input")
-        if not isinstance(mu_raw, list) or not isinstance(nu_raw, list):
-            raise ParseFailure("mu and nu must be weight arrays")
-        mu = measure(space, [parse_scalar(v, config.backend) for v in mu_raw], tol=config.tolerance)
-        nu = measure(space, [parse_scalar(v, config.backend) for v in nu_raw], tol=config.tolerance)
-        value = w1(mu, nu, lipschitz_seminorm_of(space), method="both", tol=config.tolerance)
-        return {"command": "w1", "routes": "primal=dual", "value": format_scalar(value)}
-
-    if subcommand == "extent":
-        p = passage_from_json(
-            _load_document(_require(inputs, "passage", "extent")),
-            config.backend,
-            tol=config.tolerance,
-        )
-        r = _radius(inputs, config)
-        context = ScanContext(p, config.tolerance)
-        value, attained = _checked_scan(p, r, config.tolerance, context)
-        report = {
-            "command": "extent",
-            "r": format_scalar(r),
-            "value": format_scalar(value),
-        }
-        if attained is None:
-            report["certificate"] = None
-        else:
-            ok, cert = check_admissible(p, r, attained, tol=config.tolerance, context=context)
-            report["certificate"] = _jsonable({"eps": attained, "admissible": ok, **cert})
-        return report
-
-    if subcommand == "propinquity":
-        x = _load_pointed(_require(inputs, "x", "propinquity"), config.backend, inputs.get("x_base"))
-        y = _load_pointed(_require(inputs, "y", "propinquity"), config.backend, inputs.get("y_base"))
-        lo, hi = propinquity_bracket(
-            x,
-            y,
-            search=config.mode,
-            budget=config.budget,
-            seed=config.seed,
-            tol=config.tolerance,
-        )
-        truncated = truncate_floor(hi)
-        return {
-            "command": "propinquity",
-            "bracket": [format_scalar(lo), format_scalar(hi)],
-            "certificate": _certificate_for(config.mode),
-            "mode": config.mode,
-            "raw": format_scalar(hi),
-            "truncated": format_scalar(truncated),
-            "value": format_scalar(truncated),
-        }
-
-    raise MetricError(f"unknown dist subcommand {subcommand!r}")
+def _search(config: RunConfig) -> dict:
+    return dict(search=config.mode, budget=config.budget, seed=config.seed, tol=config.tolerance)
 
 
-def cmd_verify(suite: str, config: RunConfig, cases: int | None = None) -> dict:
+def _load_pair(args: argparse.Namespace, config: RunConfig) -> tuple:
+    x = _load_pointed(args.x, config.backend, args.x_base)
+    return x, _load_pointed(args.y, config.backend, args.y_base)
+
+
+# name -> (help, flags, handler); a handler maps (args, config) to the report
+_COMMANDS: dict = {}
+
+
+def _flag(*names, **options) -> tuple:
+    return names, options
+
+
+def _infile(fields: str) -> tuple:
+    return _flag("--in", dest="infile", required=True, help=f"JSON with space, {fields}")
+
+
+_RADIUS = _flag("-r", required=True, help="radius")
+_XY = (
+    _flag("--x", required=True, help="pointed space (JSON or CSV)"),
+    _flag("--y", required=True, help="pointed space (JSON or CSV)"),
+)
+_BASES = (
+    _flag("--x-base", dest="x_base", default=None, help="basepoint label or index"),
+    _flag("--y-base", dest="y_base", default=None, help="basepoint label or index"),
+)
+
+
+def _command(name: str, help_text: str, *flags):
+    """Declare the gh subcommand ``name`` with its flags; decorates its handler."""
+
+    def register(handler):
+        _COMMANDS[name] = (help_text, flags, handler)
+        return handler
+
+    return register
+
+
+@_command("hausdorff", "Hausdorff distance between two subsets of one space", _infile("a, b"))
+def _run_hausdorff(args, config: RunConfig) -> dict:
+    doc = _load_document(args.infile)
+    if isinstance(doc, str):
+        raise ParseFailure("hausdorff input must be JSON with space/a/b")
+    space = space_from_json(_require(doc, "space", "hausdorff input"), config.backend)
+    a = _subset_indices(space, _require(doc, "a", "hausdorff input"), "a")
+    b = _subset_indices(space, _require(doc, "b", "hausdorff input"), "b")
+    return {"command": "hausdorff", "value": format_scalar(hausdorff(space, a, b))}
+
+
+@_command(
+    "delta-r",
+    "local distance of a glued pair at radius r",
+    _flag("--glued", required=True, help="gluing JSON document"),
+    _RADIUS,
+)
+def _run_delta_r(args, config: RunConfig) -> dict:
+    glued = glued_from_json(_load_document(args.glued), config.backend, tol=config.tolerance)
+    r = parse_scalar(args.r, config.backend)
+    value = format_scalar(delta_r(glued, r, strict=True, tol=config.tolerance))
+    return {"command": "delta-r", "r": format_scalar(r), "routes": "agree", "value": value}
+
+
+@_command("Delta-r", "best local distance over searched gluings", *_XY, _RADIUS, *_BASES)
+def _run_Delta_r(args, config: RunConfig) -> dict:
+    x, y = _load_pair(args, config)
+    r = parse_scalar(args.r, config.backend)
+    value, witness = Delta_r(x, y, r, **_search(config))
+    return {
+        "command": "Delta-r",
+        "certificate": _certificate_for(config.mode),
+        "mode": config.mode,
+        "r": format_scalar(r),
+        "value": format_scalar(value),
+        "witness": _jsonable(glued_to_json(witness)),
+    }
+
+
+@_command("inframetric", "pointed Gromov-Hausdorff inframetric", *_XY, *_BASES)
+def _run_inframetric(args, config: RunConfig) -> dict:
+    res = gh_inframetric(*_load_pair(args, config), **_search(config))
+    return {
+        "command": "inframetric",
+        "certificate": res.certificate,
+        "mode": res.search,
+        "raw": format_scalar(res.raw),
+        "truncated": format_scalar(res.truncated),
+        "value": format_scalar(res.truncated),
+        "witness": _jsonable(glued_to_json(res.witness)),
+    }
+
+
+@_command("w1", "Kantorovich transport distance between two weightings", _infile("mu, nu"))
+def _run_w1(args, config: RunConfig) -> dict:
+    doc = _load_document(args.infile)
+    if isinstance(doc, str):
+        raise ParseFailure("w1 input must be JSON with space/mu/nu")
+    space = space_from_json(_require(doc, "space", "w1 input"), config.backend)
+    mu_raw = _require(doc, "mu", "w1 input")
+    nu_raw = _require(doc, "nu", "w1 input")
+    if not isinstance(mu_raw, list) or not isinstance(nu_raw, list):
+        raise ParseFailure("mu and nu must be weight arrays")
+    mu = measure(space, [parse_scalar(v, config.backend) for v in mu_raw], tol=config.tolerance)
+    nu = measure(space, [parse_scalar(v, config.backend) for v in nu_raw], tol=config.tolerance)
+    value = w1(mu, nu, lipschitz_seminorm_of(space), method="both", tol=config.tolerance)
+    return {"command": "w1", "routes": "primal=dual", "value": format_scalar(value)}
+
+
+@_command(
+    "extent",
+    "extent of a passage at radius r",
+    _flag("--passage", required=True, help="passage JSON document"),
+    _RADIUS,
+)
+def _run_extent(args, config: RunConfig) -> dict:
+    p = passage_from_json(_load_document(args.passage), config.backend, tol=config.tolerance)
+    r = parse_scalar(args.r, config.backend)
+    context = ScanContext(p, config.tolerance)
+    value, attained = _checked_scan(p, r, config.tolerance, context)
+    report = {"command": "extent", "r": format_scalar(r), "value": format_scalar(value)}
+    if attained is None:
+        report["certificate"] = None
+    else:
+        ok, cert = check_admissible(p, r, attained, tol=config.tolerance, context=context)
+        report["certificate"] = _jsonable({"eps": attained, "admissible": ok, **cert})
+    return report
+
+
+@_command("propinquity", "radius-threshold propinquity of two pointed spaces", *_XY, *_BASES)
+def _run_propinquity(args, config: RunConfig) -> dict:
+    lo, hi = propinquity_bracket(*_load_pair(args, config), **_search(config))
+    truncated = truncate_floor(hi)
+    return {
+        "command": "propinquity",
+        "bracket": [format_scalar(lo), format_scalar(hi)],
+        "certificate": _certificate_for(config.mode),
+        "mode": config.mode,
+        "raw": format_scalar(hi),
+        "truncated": format_scalar(truncated),
+        "value": format_scalar(truncated),
+    }
+
+
+@_command(
+    "verify",
+    "run the seeded theorem suites",
+    _flag("--suite", default="all", choices=SUITES + ("all",)),
+    _flag("--cases", type=int, default=None, help="override per-suite case count"),
+)
+def _run_verify(args, config: RunConfig) -> dict:
     """Run the named property suite (or all) and report per-theorem counts."""
-    if suite != "all" and suite not in SUITES:
-        raise MetricError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
-    results = run_suite(suite, seed=config.seed, cases=cases)
+    results = run_suite(args.suite, seed=config.seed, cases=args.cases)
     return {
         "all_passed": all(tr.passed for tr in results),
         "backend": RATIONAL,  # suites always run exact
         "command": "verify",
         "results": [_jsonable(tr.to_json()) for tr in results],
         "seed": config.seed,
-        "suite": suite,
+        "suite": args.suite,
     }
 
 
@@ -355,13 +345,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return run_config(backend=backend, tolerance=tol, seed=int(seed), mode=mode, budget=int(budget))
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--backend", choices=(RATIONAL, FLOAT), default=None)
-    sub.add_argument("--tol", default=None, help="comparison tolerance (float mode needs > 0)")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--mode", choices=("exact", "heuristic"), default=None)
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--out", default=None, help="also write the report to this file")
+_CONFIG_FLAGS = (
+    _flag("--backend", choices=(RATIONAL, FLOAT), default=None),
+    _flag("--tol", default=None, help="comparison tolerance (float mode needs > 0)"),
+    _flag("--seed", type=int, default=None),
+    _flag("--mode", choices=("exact", "heuristic"), default=None),
+    _flag("--budget", type=int, default=None),
+    _flag("--out", default=None, help="also write the report to this file"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,62 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gh", description="Distances and verification for finite pointed metric spaces."
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("hausdorff", help="Hausdorff distance between two subsets of one space")
-    sp.add_argument("--in", dest="infile", required=True, help="JSON with space, a, b")
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("delta-r", help="local distance of a glued pair at radius r")
-    sp.add_argument("--glued", required=True, help="gluing JSON document")
-    sp.add_argument("-r", required=True, help="radius")
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("Delta-r", help="best local distance over searched gluings")
-    sp.add_argument("--x", required=True, help="pointed space (JSON or CSV)")
-    sp.add_argument("--y", required=True, help="pointed space (JSON or CSV)")
-    sp.add_argument("-r", required=True, help="radius")
-    sp.add_argument("--x-base", dest="x_base", default=None, help="basepoint label or index")
-    sp.add_argument("--y-base", dest="y_base", default=None, help="basepoint label or index")
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("inframetric", help="pointed Gromov-Hausdorff inframetric")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--x-base", dest="x_base", default=None)
-    sp.add_argument("--y-base", dest="y_base", default=None)
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("w1", help="Kantorovich transport distance between two weightings")
-    sp.add_argument("--in", dest="infile", required=True, help="JSON with space, mu, nu")
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("extent", help="extent of a passage at radius r")
-    sp.add_argument("--passage", required=True, help="passage JSON document")
-    sp.add_argument("-r", required=True, help="radius")
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("propinquity", help="radius-threshold propinquity of two pointed spaces")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--x-base", dest="x_base", default=None)
-    sp.add_argument("--y-base", dest="y_base", default=None)
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("verify", help="run the seeded theorem suites")
-    sp.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    sp.add_argument("--cases", type=int, default=None, help="override per-suite case count")
-    _add_config_flags(sp)
-
+    for name, (help_text, flags, handler) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        for names, options in flags + _CONFIG_FLAGS:
+            sp.add_argument(*names, **options)
+        sp.set_defaults(run=handler)
     return parser
 
 
-def _inputs_from_args(command: str, args: argparse.Namespace) -> dict:
-    inputs: dict = {}
-    for key in ("infile", "glued", "passage", "x", "y", "x_base", "y_base", "r"):
-        value = getattr(args, key, None)
-        if value is not None:
-            inputs["in" if key == "infile" else key] = value
-    return inputs
+# The exit code of a failed command is the first entry its exception
+# matches; a MetricError is a ValueError, and so are JSON and schema errors.
+_EXIT_CODES = (
+    (OSError, EXIT_IO),
+    (MetricError, EXIT_VALIDATION),
+    ((KeyError, TypeError, ValueError), EXIT_PARSE),
+    (RuntimeError, EXIT_VALIDATION),  # dual-route disagreement and kindred cross-checks
+)
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -445,24 +396,13 @@ def main(argv=None) -> int:
     out_path = args.out if args.out is not None else _env("OUT")
     started = time.monotonic()
     try:
-        config = _config_from_args(args)
-        if args.command == "verify":
-            report = cmd_verify(args.suite, config, cases=args.cases)
-        else:
-            report = cmd_dist(args.command, _inputs_from_args(args.command, args), config)
-    except OSError as exc:
+        report = args.run(args, _config_from_args(args))
+    except Exception as exc:
+        code = next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), None)
+        if code is None:
+            raise
         _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, out_path)
-        return EXIT_IO
-    except MetricError as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, out_path)
-        return EXIT_VALIDATION
-    except (json.JSONDecodeError, ParseFailure, KeyError, TypeError, ValueError) as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, out_path)
-        return EXIT_PARSE
-    except RuntimeError as exc:
-        # dual-route disagreement and kindred internal cross-checks
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, out_path)
-        return EXIT_VALIDATION
+        return code
     _emit(report, out_path)
     print(f"wall-clock: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return EXIT_OK

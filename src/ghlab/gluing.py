@@ -164,6 +164,18 @@ def validate_gluing(
     return _embedded(host, origin_x, embed_x, origin_y, embed_y, tol)
 
 
+def _distorted_pair(
+    space: FiniteMetricSpace, host: FiniteMetricSpace, embed: Sequence[int], tol: Scalar = 0
+) -> tuple | None:
+    """The first pair a < b of space whose distance embed changes by more
+    than tol in host, or None when embed preserves every distance."""
+    for a in range(space.n):
+        for b in range(a + 1, space.n):
+            if abs(space.d(a, b) - host.d(embed[a], embed[b])) > tol:
+                return a, b
+    return None
+
+
 def _embedded(
     host: FiniteMetricSpace,
     origin_x: PointedSpace,
@@ -182,17 +194,15 @@ def _embedded(
         if any(not 0 <= h < host.n for h in emb):
             raise MetricError(f"embedding for {side} leaves the host index range")
         space = origin.space
-        for a in range(origin.n):
-            for b in range(a + 1, origin.n):
-                want = space.d(a, b)
-                got = host.d(emb[a], emb[b])
-                if abs(want - got) > tol:
-                    raise NotDistancePreserving(
-                        side,
-                        (a, b),
-                        f"{side} pair ({space.points[a]!r},{space.points[b]!r}): "
-                        f"source distance {want}, host distance {got}",
-                    )
+        bad = _distorted_pair(space, host, emb, tol)
+        if bad is not None:
+            a, b = bad
+            raise NotDistancePreserving(
+                side,
+                bad,
+                f"{side} pair ({space.points[a]!r},{space.points[b]!r}): "
+                f"source distance {space.d(a, b)}, host distance {host.d(emb[a], emb[b])}",
+            )
     return GluedSpace(
         host=host,
         embed_x=tuple(embed_x),
@@ -260,12 +270,11 @@ def glue_triple_w(
             raise PreconditionFailed(name, f"iota_{name} must be injective on all of {name}")
         if any(not 0 <= k < z.n for k in im):
             raise PreconditionFailed(name, f"iota_{name} leaves the middle space")
-        for a in range(origin.n):
-            for b in range(a + 1, origin.n):
-                if z.d(im[a], im[b]) != origin.space.d(a, b):
-                    raise PreconditionFailed(
-                        name, f"iota_{name} is not distance preserving on pair ({a},{b})"
-                    )
+        bad = _distorted_pair(origin.space, z, im)
+        if bad is not None:
+            raise PreconditionFailed(
+                name, f"iota_{name} is not distance preserving on pair ({bad[0]},{bad[1]})"
+            )
     ix, iy = tuple(iota_x), tuple(iota_y)
     # blocks X, Z, Y: X-Z and Z-Y cross one bridge, X-Y both
     cross = {

@@ -164,13 +164,13 @@ def validate_metric(
                         "separation", (i, j), f"distinct points {pts[i]!r},{pts[j]!r} at distance 0"
                     )
                 strict = False
-    # On the grid with t >= 0, (i, j, k) fails exactly when (j, i, k) does
-    # and never when k is i or j, so the first failure in the order i, j, k
-    # has i < j; the scan takes those pairs only.
-    half = unit is not None and t >= 0
+    # With t >= 0, (i, j, k) fails exactly when (j, i, k) does, since the
+    # rows are exactly symmetric and addition commutes (on floats too), and
+    # never when k is i or j, since d + t >= d.  So the first failure in the
+    # order i, j, k has i < j, and the scan takes those pairs only.
     for i in range(n):
         row_i = g[i]
-        for j in range(i + 1 if half else 0, n):
+        for j in range(i + 1 if t >= 0 else 0, n):
             dij = row_i[j]
             for k in range(n):
                 if dij > row_i[k] + g[k][j] + t:

@@ -9,7 +9,10 @@ after a degenerate stall, which guarantees termination.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
+from fractions import Fraction
+from operator import truediv
 from typing import Sequence
 
 from .numerics import Scalar
@@ -186,8 +189,12 @@ def solve_lp(
     """Minimize c.x subject to A x = b, x >= 0.
 
     Returns (value, x, y) with y the dual vector (one entry per row).
-    Redundant rows keep a zero-level artificial and report dual 0.
+    Redundant rows keep a zero-level artificial and report dual 0.  With no
+    float among the data every division is exact, so int entries never
+    turn into floats.
     """
+    exact = not any(isinstance(v, float) for v in itertools.chain(c, b, *a_rows))
+    div = Fraction if exact else truediv
     m = len(a_rows)
     nvars = len(c)
     if max_iter is None:
@@ -209,7 +216,7 @@ def solve_lp(
 
     def pivot(prow: int, pcol: int, obj: list):
         piv = tableau[prow][pcol]
-        tableau[prow] = [a / piv for a in tableau[prow]]
+        tableau[prow] = [div(a, piv) for a in tableau[prow]]
         prow_vals = tableau[prow]
         for i in range(m):
             if i != prow and tableau[i][pcol] != 0:
@@ -244,7 +251,7 @@ def solve_lp(
             for i in range(m):
                 a = tableau[i][entering]
                 if a > tol:
-                    ratio = tableau[i][total] / a
+                    ratio = div(tableau[i][total], a)
                     if (
                         best_ratio is None
                         or ratio < best_ratio
@@ -300,32 +307,3 @@ def solve_lp(
     y = [sign[i] * (-obj2[nvars + i]) for i in range(m)]
     return value, x, y
 
-
-def solve_lp_general(
-    obj: Sequence[Scalar],
-    eq_rows: Sequence[Sequence[Scalar]],
-    eq_b: Sequence[Scalar],
-    ub_rows: Sequence[Sequence[Scalar]],
-    ub_b: Sequence[Scalar],
-    tol: Scalar = 0,
-):
-    """Minimize obj.x over free x with A_eq x = b_eq and A_ub x <= b_ub.
-
-    Free variables are split internally; returns (value, x).
-    """
-    n = len(obj)
-    rows = []
-    rhs = []
-    n_slack = len(ub_rows)
-    for row, bb in zip(eq_rows, eq_b):
-        rows.append(list(row) + [-a for a in row] + [0] * n_slack)
-        rhs.append(bb)
-    for k, (row, bb) in enumerate(zip(ub_rows, ub_b)):
-        slack = [0] * n_slack
-        slack[k] = 1
-        rows.append(list(row) + [-a for a in row] + slack)
-        rhs.append(bb)
-    c = list(obj) + [-a for a in obj] + [0] * n_slack
-    value, x, _ = solve_lp(c, rows, rhs, tol=tol)
-    combined = [x[i] - x[n + i] for i in range(n)]
-    return value, combined

@@ -5,8 +5,11 @@ A passage carries two embedded copies of pointed spaces inside one carrier.
 A metric passage is its gluing: distance-preserving embeddings into the
 carrier, and no seminorm beyond the carrier's Lipschitz one.  Composed
 passages carry a polyhedral seminorm whose functionals are all edge
-differences, so the carrier matrix stored here is the seminorm's induced
-shortest-path metric and McShane arguments apply to it verbatim.
+differences (f_i - f_j) / w_ij, and the carrier matrix stored here is the
+shortest-path metric of those edges.  A function then has seminorm at most
+l exactly when it is l-Lipschitz on the carrier, so admissibility and the
+lift envelope read the carrier alone, with the McShane extensions, for
+every passage kind; the functionals serve only to compose further.
 
 A pointed space enters as (C0(X), Lip, C0(X), x0).  Every finite metric
 space satisfies the proper-quantum-metric clauses (properness, approximate
@@ -24,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .gluing import (
     GluedSpace,
     NotDistancePreserving,
+    _distorted_pair,
     _distortion,
     correspondence,
     correspondence_stream,
@@ -55,7 +59,6 @@ from .metric_core import (
     validate_metric,
 )
 from .numerics import INF, Scalar, half as _half, inv, leq, quarter, truncate_floor
-from .simplex import LPInfeasible, solve_lp_general
 
 
 class Infeasible(MetricError):
@@ -146,14 +149,12 @@ def passage_from_isometry(a, b, mapping: Sequence[int]) -> Passage:
         raise PreconditionFailed("bijection", "mapping must be a bijection onto the domain")
     if m[B.base] != A.base:
         raise PreconditionFailed("basepoint", "mapping must send basepoint to basepoint")
-    for i in range(B.n):
-        for j in range(i + 1, B.n):
-            if B.space.d(i, j) != A.space.d(m[i], m[j]):
-                raise NotDistancePreserving(
-                    "isometry",
-                    (i, j),
-                    f"d({B.space.points[i]!r},{B.space.points[j]!r}) is not preserved",
-                )
+    bad = _distorted_pair(B.space, A.space, m)
+    if bad is not None:
+        i, j = bad
+        raise NotDistancePreserving(
+            "isometry", bad, f"d({B.space.points[i]!r},{B.space.points[j]!r}) is not preserved"
+        )
     return Passage(carrier=A.space, embed_x=tuple(range(A.n)), embed_y=m, domain=A, codomain=B)
 
 
@@ -554,8 +555,10 @@ def lift_target_bounds(
     """Per-point envelope of carrier functions extending a with seminorm
     at most l and vanishing on the zero region, plus its codomain restriction.
 
-    Metric carriers use the McShane closed forms; composed carriers solve
-    two small LPs per coordinate against the stored seminorm.
+    The envelope is the pair of McShane extensions on the carrier, for every
+    passage kind: a composed seminorm bounds only edge differences, and its
+    carrier is the shortest-path metric of those edges, so a function meets
+    the seminorm bound l exactly when it is l-Lipschitz on the carrier.
     """
     X, x0 = p.domain.space, p.domain.base
     if a.host != X:
@@ -576,41 +579,14 @@ def lift_target_bounds(
         if idx in anchors and anchors[idx] != a(i):
             return _infeasible_bounds(p, strict)
         anchors[idx] = a(i)
-    if p.kind == "metric":
-        try:
-            hi = mcshane_extend(carrier, anchors, l, tol).values
-            lo = mcshane_extend_lower(carrier, anchors, l, tol).values
-        except MetricError:
-            return _infeasible_bounds(p, strict)
-    else:
-        sem = p.seminorm
-        eq_rows = [[1 if k == idx else 0 for k in range(carrier.n)] for idx in anchors]
-        eq_b = list(anchors.values())
-        for i, j in sem.zero_pairs:
-            row = [0] * carrier.n
-            row[i] = 1
-            row[j] = -1
-            eq_rows.append(row)
-            eq_b.append(0)
-        ub_rows = [row for c in sem.functionals for row in (list(c), [-v for v in c])]
-        ub_b = [l] * len(ub_rows)
-        lo, hi = [], []
-        try:
-            for z in range(carrier.n):
-                obj = [0] * carrier.n
-                obj[z] = 1
-                lo_z, _ = solve_lp_general(obj, eq_rows, eq_b, ub_rows, ub_b, tol)
-                obj[z] = -1
-                neg_hi, _ = solve_lp_general(obj, eq_rows, eq_b, ub_rows, ub_b, tol)
-                lo.append(lo_z)
-                hi.append(-neg_hi)
-        except LPInfeasible:
-            return _infeasible_bounds(p, strict)
-    target_lo = tuple(lo[p.embed_y[j]] for j in range(p.codomain.n))
-    target_hi = tuple(hi[p.embed_y[j]] for j in range(p.codomain.n))
-    return TargetBounds(
-        lo=tuple(lo), hi=tuple(hi), target_lo=target_lo, target_hi=target_hi, feasible=True
-    )
+    try:
+        hi = mcshane_extend(carrier, anchors, l, tol).values
+        lo = mcshane_extend_lower(carrier, anchors, l, tol).values
+    except MetricError:
+        return _infeasible_bounds(p, strict)
+    target_lo = tuple(lo[h] for h in p.embed_y)
+    target_hi = tuple(hi[h] for h in p.embed_y)
+    return TargetBounds(lo=lo, hi=hi, target_lo=target_lo, target_hi=target_hi, feasible=True)
 
 
 def _infeasible_bounds(p: Passage, strict: bool) -> TargetBounds:

@@ -22,6 +22,7 @@ from .lipschitz import lip_constant, real_function
 from .local_gh import delta_r, delta_r_equivalents, gh_inframetric
 from .metric_core import (
     PointedSpace,
+    min_plus_closure,
     pointed,
     space_to_json,
     validate_metric,
@@ -70,12 +71,7 @@ def random_pointed_space(rng: random.Random, n_min: int = 1, n_max: int = 4) -> 
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if rows[i][k] + rows[k][j] < rows[i][j]:
-                    rows[i][j] = rows[j][i] = rows[i][k] + rows[k][j]
-    space = validate_metric(tuple(str(i) for i in range(n)), rows)
+    space = validate_metric(tuple(str(i) for i in range(n)), min_plus_closure(rows))
     return pointed(space, rng.randrange(n))
 
 

@@ -269,6 +269,49 @@ def lipschitz_hull_vertices(dist, l, pins: dict):
 
 
 # ---------------------------------------------------------------------------
+# lift envelope by linear programming
+#
+# The lift bounds of a passage read off its seminorm rather than its carrier
+# metric: per carrier point, the least and the greatest value over the
+# functions that meet the pins, agree on the zero pairs and keep every
+# functional within l.  The LP is solved by the library's exact simplex, but
+# no McShane formula and no carrier distance enters it.
+
+
+def lift_bounds_lp(seminorm, l, pins: dict):
+    """(feasible, lo, hi) over free f with f = pins on its keys, f_i = f_j
+    on the zero pairs and |c.f| <= l for every functional c.  Free values
+    are split as f = u - v with u, v >= 0, and each bound on c.f gets a
+    slack."""
+    from ghlab.simplex import LPInfeasible, solve_lp
+
+    n = seminorm.host.n
+
+    def unit(size, i, j=None):
+        return [1 if k == i else -1 if k == j else 0 for k in range(size)]
+
+    def split(row):
+        return list(row) + [-a for a in row]
+
+    eq = [(unit(n, z), v) for z, v in pins.items()]
+    eq += [(unit(n, i, j), 0) for i, j in seminorm.zero_pairs]
+    ub = [[s * ck for ck in c] for c in seminorm.functionals for s in (1, -1)]
+    m = len(ub)
+    rows = [split(row) + [0] * m for row, _ in eq]
+    rows += [split(row) + unit(m, k) for k, row in enumerate(ub)]
+    rhs = [v for _, v in eq] + [l] * m
+    lo, hi = [], []
+    try:
+        for z in range(n):
+            e = unit(n, z)
+            lo.append(solve_lp(split(e) + [0] * m, rows, rhs)[0])
+            hi.append(-solve_lp(split([-a for a in e]) + [0] * m, rows, rhs)[0])
+    except LPInfeasible:
+        return False, None, None
+    return True, lo, hi
+
+
+# ---------------------------------------------------------------------------
 # uncached extent scan
 #
 # The extent scan as it stood before probe results were shared: the full

@@ -64,6 +64,21 @@ def test_w1_pinned_rational(tmp_path, capsys):
     assert captured.err.startswith("wall-clock:")
 
 
+def test_rational_w1_on_zero_distance_pairs_answers_exactly(tmp_path, capsys):
+    # every pair is at distance 0; the dual LP once read float rounding of
+    # its int columns at tol 0 as infeasibility and exited 2
+    doc = {
+        "space": {"points": ["0", "1", "2", "3"], "dist": [[0] * 4 for _ in range(4)]},
+        "mu": ["3/7", "1/7", "2/7", "1/7"],
+        "nu": ["1/3", 0, "1/6", "1/2"],
+    }
+    path = write_json(tmp_path, "w1.json", doc)
+    for backend in ("rational", "float"):
+        rc, report, _ = run(capsys, ["w1", "--in", path, "--backend", backend])
+        assert rc == EXIT_OK
+        assert report["value"] == 0
+
+
 def test_w1_float_default_backend(tmp_path, capsys):
     path = write_json(tmp_path, "w1.json", W1_DOC)
     rc, report, _ = run(capsys, ["w1", "--in", path])

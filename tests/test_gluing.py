@@ -31,6 +31,7 @@ from ghlab import (
     inverse,
     line_space,
     passage_from_gluing,
+    passage_from_isometry,
     pointed,
     restrict_to_images,
     space_to_json,
@@ -39,6 +40,7 @@ from ghlab import (
     validate_metric,
 )
 from ghlab.gluing import NotDistancePreserving, correspondence_stream
+from ghlab.metric_core import PreconditionFailed
 from ghlab.numerics import DEFAULT_FLOAT_TOL
 from ghlab.verify import random_correspondence, random_pointed_space
 
@@ -260,6 +262,25 @@ def test_validate_gluing_reports_a_distorted_pair():
     assert err.value.side == "X"
     i, j = err.value.pair
     assert X.space.d(i, j) != host.d(ex[i], ex[j])
+
+
+def test_each_embedding_check_names_the_first_distorted_pair():
+    # the identity map keeps d(a, b) and d(b, c) but not d(a, c): the first
+    # changed pair in the order a < b is (0, 2), whichever check finds it
+    line = pointed(line_space([F(0), F(1), F(2)], labels=("a", "b", "c")), 0)
+    bent = validate_metric(("a", "b", "c"), [[0, 1, F(3, 2)], [1, 0, 1], [F(3, 2), 1, 0]])
+    with pytest.raises(NotDistancePreserving) as err:
+        validate_gluing(bent, line, (0, 1, 2), line, (0, 1, 2))
+    assert (err.value.side, err.value.pair) == ("X", (0, 2))
+    assert str(err.value) == "X pair ('a','c'): source distance 2, host distance 3/2"
+    with pytest.raises(PreconditionFailed) as err:
+        glue_triple_w(line, bent, line, (0, 1, 2), (0, 1, 2), F(1))
+    assert err.value.clause == "X"
+    assert str(err.value) == "iota_X is not distance preserving on pair (0,2)"
+    with pytest.raises(NotDistancePreserving) as err:
+        passage_from_isometry(line, pointed(bent, 0), (0, 1, 2))
+    assert (err.value.side, err.value.pair) == ("isometry", (0, 2))
+    assert str(err.value) == "d('a','c') is not preserved"
 
 
 def test_glued_json_round_trip():

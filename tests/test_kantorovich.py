@@ -17,11 +17,13 @@ from ghlab import (
     measure,
     mix_measures,
     polyhedral_seminorm,
+    space_from_json,
+    validate_metric,
     w1,
     w1_dual_potential,
 )
 from ghlab.kantorovich import HostMismatch, PrimalUnavailable
-from ghlab.numerics import INF
+from ghlab.numerics import INF, parse_scalar
 from ghlab.simplex import IterationBudgetExceeded, solve_lp, transportation_simplex
 from ghlab.verify import random_pointed_space
 
@@ -97,6 +99,35 @@ def test_dual_potential_is_feasible_and_tight():
         value, f = w1_dual_potential(mu, nu, sem)
         assert sem.value(f) <= 1
         assert sum((wm - wn) * fv for wm, wn, fv in zip(mu.weights, nu.weights, f)) == value
+
+
+# four points at mutual distance 0: every pair is a zero pair, whose dual
+# LP columns are +-1 ints
+ZERO_PAIRS_W1 = {
+    "space": {"points": ["0", "1", "2", "3"], "dist": [[0] * 4 for _ in range(4)]},
+    "mu": ["3/7", "1/7", "2/7", "1/7"],
+    "nu": ["1/3", 0, "1/6", "1/2"],
+}
+
+
+def test_exact_dual_divides_exactly_on_zero_pairs():
+    s = space_from_json(ZERO_PAIRS_W1["space"], "rational")
+    mu, nu = (measure(s, [parse_scalar(v) for v in ZERO_PAIRS_W1[k]]) for k in ("mu", "nu"))
+    value, f = w1_dual_potential(mu, nu, lipschitz_seminorm_of(s))
+    assert value == 0 and isinstance(value, F)
+    assert not any(isinstance(v, float) for v in f)
+    rng = random.Random(43)
+    for _ in range(40):
+        base = random_pointed_space(rng, 1, 3).space
+        idx = list(range(base.n)) + [rng.randrange(base.n) for _ in range(rng.randint(1, 2))]
+        rows = [[base.d(i, j) for j in idx] for i in idx]
+        s = validate_metric([str(k) for k in range(len(idx))], rows)
+        sem = lipschitz_seminorm_of(s)
+        mu, nu = random_measure(rng, s), random_measure(rng, s)
+        value, f = w1_dual_potential(mu, nu, sem)
+        assert isinstance(value, F) and not any(isinstance(v, float) for v in f)
+        assert sem.value(f) <= 1
+        assert w1(mu, nu, sem, method="both") == value
 
 
 def test_measure_validation():

@@ -209,12 +209,24 @@ def _mixed_metric(rng, n):
             for row in rows]
 
 
-def _planted(rng, clause, tol):
+def _float_metric(rng, n):
+    """A random float metric by min-plus repair, from entries that round:
+    1e17 plus a fraction, multiples of 0.1 + 0.2, plain floats and inf."""
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice(
+                (1e17 + rng.random(), (0.1 + 0.2) * rng.randint(1, 3), rng.uniform(0, 10), INF)
+            )
+    return min_plus_closure(rows)
+
+
+def _planted(rng, clause, tol, metric=_mixed_metric):
     """(labels, rows, require_strict) breaking the clause at most, at a tol
     that a triangle violation exceeds or meets exactly."""
     n = rng.randint(1 if clause in ("none", "diagonal") else 3, 6)
     labels = [f"p{k}" for k in range(n)]
-    rows = _mixed_metric(rng, n)
+    rows = metric(rng, n)
     i, j, k = rng.sample(range(n), 3) if n >= 3 else (0, n - 1, 0)
     tiny = F(1, rng.choice(PRIMES))
     if clause == "labels":
@@ -257,6 +269,24 @@ def test_validate_metric_on_the_grid_matches_the_rational_scan():
         else:
             # the space keeps the caller's own entries
             assert all(a is b for row, given in zip(got.dist, rows) for a, b in zip(row, given))
+    assert raised == {
+        "labels", "NotSquare", "diagonal", "symmetry", "negative", "separation", "triangle"
+    }
+
+
+def test_validate_metric_on_float_rows_matches_the_full_scan():
+    # the half scan holds off the grid too: float rows are exactly symmetric,
+    # float addition commutes and d + t >= d for t >= 0
+    rng = random.Random(31)
+    raised = set()
+    for clause in CLAUSES * 40:
+        tol = rng.choice((0, 1e-9, 1e-3, 0.5, -1e-3))
+        labels, rows, require_strict = _planted(rng, clause, tol, _float_metric)
+        want = _outcome(oracles.validate_metric_reference, labels, rows, require_strict, tol)
+        got = _outcome(validate_metric, labels, rows, require_strict, tol)
+        assert got == want, (clause, labels, rows, tol)
+        if isinstance(want, tuple):
+            raised.add(want[1] or want[0].__name__)
     assert raised == {
         "labels", "NotSquare", "diagonal", "symmetry", "negative", "separation", "triangle"
     }

@@ -35,7 +35,13 @@ from ghlab import (
     verify_fundamental,
 )
 from ghlab.numerics import INF, SQRT2_OVER_4, is_inf
-from ghlab.tunnels import Infeasible, RadiusConditionViolated, RadiusGap, _zero_set
+from ghlab.tunnels import (
+    Infeasible,
+    RadiusConditionViolated,
+    RadiusGap,
+    _zero_set,
+    composed_k_family,
+)
 from ghlab.verify import (
     random_admissible_instance,
     random_lip_function,
@@ -208,6 +214,57 @@ def test_lift_bounds_infeasible_when_k_zeroes_an_anchor():
     assert not tb.feasible
     zero = set(_zero_set(p, F(1), F(1, 8), frozenset(), 0))
     assert p.embed_x[0] in zero and a(0) != 0  # the conflict the oracle sees too
+
+
+def _composed(rng, depth):
+    """A passage composed depth times over random 1-2 point spaces, as the
+    composition suite builds one: each step at a radius that leaves room for
+    the parts' smallest admissible tolerances.  Returns (passage, t, eps)
+    with eps the certified budget at radius t."""
+    spaces = [random_pointed_space(rng, 1, 2) for _ in range(depth + 2)]
+    p = random_passage(rng, spaces[0], spaces[1])
+    for k in range(1, depth + 1):
+        q = random_passage(rng, spaces[k], spaces[k + 1])
+        big = max(max(row) for part in (p, q) for row in part.carrier.dist)
+        R = 12 * max(F(1), big) + 1
+        e1, e2 = smallest_admissible(p, R), smallest_admissible(q, R)
+        t = (R - 4 * max(e1, e2)) / 2
+        alpha = rng.choice((F(1, 8), F(1, 4), F(1)))
+        p = compose(p, q, alpha, t, r=R, eps1=e1, eps2=e2)
+    return p, t, e1 + e2 + alpha
+
+
+def test_composed_lift_bounds_match_the_lp_oracle():
+    # the McShane envelope on a composed carrier against an LP over the
+    # composed seminorm's own functionals, on the witness family and on
+    # random K, once and twice composed
+    rng = random.Random(3)
+    outcomes = []
+    for case in range(8):
+        depth = 2 if case % 4 == 3 else 1
+        p, t, eps = _composed(rng, depth)
+        r = rng.choice((t, F(rng.randint(1, 8), 2)))
+        l = F(rng.randint(1, 3), rng.choice((1, 2)))
+        a = random_lip_function(rng, p.domain.space, p.domain.base, r, l)
+        if case % 2:
+            K = frozenset(z for z in range(p.carrier.n) if rng.random() < 0.7)
+        else:
+            K = composed_k_family(p)(r)
+        tb = lift_target_bounds(p, a, l, r, eps, K, strict=False)
+        pins = {z: F(0) for z in _zero_set(p, r, eps, K, 0)}
+        clash = any(pins.get(h, a(i)) != a(i) for i, h in enumerate(p.embed_x))
+        pins.update((h, a(i)) for i, h in enumerate(p.embed_x))
+        ok, lo, hi = (False, None, None) if clash else oracles.lift_bounds_lp(p.seminorm, l, pins)
+        assert tb.feasible == ok
+        if ok:
+            assert list(tb.lo) == lo and list(tb.hi) == hi
+            assert tb.target_lo == tuple(lo[h] for h in p.embed_y)
+            assert tb.target_hi == tuple(hi[h] for h in p.embed_y)
+            values = tb.lo + tb.hi + tuple(lo) + tuple(hi)
+            assert not any(isinstance(v, float) for v in values)
+        outcomes.append((depth, ok, clash))
+    assert (2, True, False) in outcomes  # a twice composed passage with a lift
+    assert any(not ok and not clash for _, ok, clash in outcomes)  # the LP finds it empty
 
 
 def test_fundamental_report_on_random_admissible_instances():
