@@ -425,8 +425,7 @@ def glued_from_json(obj, backend: str = RATIONAL, tol: Scalar = 0) -> GluedSpace
     px = pointed_from_json(obj["X"], backend)
     py = pointed_from_json(obj["Y"], backend)
     # space_from_json validated the host at tol 0, which implies
-    # validate_gluing's re-check at any tol >= 0 of the rows' own kind (a
-    # float tol added to exact rational sums rounds them, so it re-checks)
-    if tol < 0 or (isinstance(tol, float) and backend == RATIONAL):
+    # validate_gluing's re-check at any tol >= 0
+    if tol < 0:
         validate_metric(host.points, host.dist, tol=tol)
     return _embedded(host, px, tuple(obj["embedX"]), py, tuple(obj["embedY"]), tol)

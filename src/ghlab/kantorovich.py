@@ -77,7 +77,6 @@ def polyhedral_seminorm(
     host: FiniteMetricSpace,
     functionals: Sequence[Sequence[Scalar]],
     zero_pairs: Sequence[tuple] = (),
-    metric: FiniteMetricSpace | None = None,
     tol: Scalar = 0,
 ) -> PolyhedralSeminorm:
     funcs = tuple(tuple(c) for c in functionals)
@@ -90,7 +89,7 @@ def polyhedral_seminorm(
     for i, j in pairs:
         if not (0 <= i < host.n and 0 <= j < host.n):
             raise MetricError(f"zero pair ({i},{j}) out of range")
-    return PolyhedralSeminorm(host=host, functionals=funcs, zero_pairs=pairs, metric=metric)
+    return PolyhedralSeminorm(host=host, functionals=funcs, zero_pairs=pairs)
 
 
 def lipschitz_seminorm_of(space: FiniteMetricSpace) -> PolyhedralSeminorm:

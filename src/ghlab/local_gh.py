@@ -14,6 +14,14 @@ correspondence stream skips every correspondence whose basepoint-gap lower
 bound cannot beat the best value so far, so an exact search still returns
 the family minimum, with the witness a full enumeration would pick.
 
+The inframetric needs no gluing per correspondence.  In the gluing along R
+at eta = dis(R)/2 every point has a partner at exactly eta (the cross entry
+of a related pair is 0 + eta + 0), and the basepoint gap d(x0, y0), a min of
+sums d(x0, i) + eta + d(j, y0), is at least eta, on floats too since
+rounding is monotone.  So delta at every radius equals that gap, the
+stream's own lower bound, and the raw threshold of the constant profile is
+the gap plus slack.
+
 On rational input both searches run on one integer grid per query.  With L
 = 4 * lcm of the denominators of both distance matrices and of the query's
 scalars (r and tol, or slack), from ``numerics.grid_unit`` as in
@@ -23,9 +31,7 @@ runs on ``int`` rows; only the value and the witness are divided by L on
 the way out.  The factor 4 keeps every halving an ``int``: the grid
 distances are multiples of 4, so a distortion and eta = dis/2 are even,
 cross distances are even, and so are the delta_r candidate gaps d - r that
-get halved.  The radius inversion 1/t of the inframetric is a length on
-the grid too: a grid length T = L t inverts to L / t = L**2 / T, so it uses
-``inv(T, L**2)``.  Input holding any float skips the grid.
+get halved.  Input holding any float skips the grid.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from fractions import Fraction
 
 from .gluing import (
     GluedSpace,
+    _base_gap,
+    _distortion,
     correspondence_stream,
     glue_from_correspondence,
 )
@@ -49,7 +57,7 @@ from .metric_core import (
     eps_contained,
     validate_metric,
 )
-from .numerics import INF, Scalar, grid_unit, half as _half, inv, is_inf, leq, on_grid
+from .numerics import INF, Scalar, grid_unit, half as _half, inv, leq, on_grid
 
 
 class NonPositiveRadius(MetricError):
@@ -233,7 +241,6 @@ def Delta_r(
     budget: int = 12,
     seed: int = 0,
     samples: int = 64,
-    refine_steps: int = 2,
     tol: Scalar = 0,
 ):
     """Best delta_r over correspondence gluings plus coordinate-descent
@@ -249,7 +256,7 @@ def Delta_r(
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     unit = grid_unit(itertools.chain((r, tol), *x.space.dist, *y.space.dist))
     if unit is None:
-        return _Delta_r_search(x, y, r, search, budget, seed, samples, refine_steps, tol)
+        return _Delta_r_search(x, y, r, search, budget, seed, samples, tol)
     unit *= 4
     value, glued = _Delta_r_search(
         _pointed_on_grid(x, unit),
@@ -259,13 +266,12 @@ def Delta_r(
         budget,
         seed,
         samples,
-        refine_steps,
         on_grid(tol, unit),
     )
     return Fraction(value, unit), _off_grid(glued, unit, x, y)
 
 
-def _Delta_r_search(x, y, r, search, budget, seed, samples, refine_steps, tol):
+def _Delta_r_search(x, y, r, search, budget, seed, samples, tol):
     """``Delta_r`` on the spaces' own scale."""
     best = None
 
@@ -283,49 +289,11 @@ def _Delta_r_search(x, y, r, search, budget, seed, samples, refine_steps, tol):
     if best is None:
         raise MetricError("no gluing was generated")
     value, glued, _ = best
-    refined = refine_gluing_cross(glued, steps=refine_steps, tol=tol)
+    refined = refine_gluing_cross(glued, tol=tol)
     refined_value = delta_r(refined, r, tol=tol)
     if refined_value < value:
         return refined_value, refined
     return value, glued
-
-
-def _delta_steps(glued: GluedSpace) -> list:
-    """Step profile of delta over the radius: [(radius, value)] with the
-    value holding on [radius_k, radius_{k+1})."""
-    host = glued.host
-    x0, y0 = glued.x0_host, glued.y0_host
-    b0 = host.d(x0, y0)
-    xs = sorted((host.d(x0, h), dist_to_set(host, h, glued.embed_y)) for h in glued.embed_x)
-    ys = sorted((host.d(y0, h), dist_to_set(host, h, glued.embed_x)) for h in glued.embed_y)
-    radii = sorted({0} | {d for d, _ in xs} | {d for d, _ in ys})
-    steps = []
-    ix = iy = 0
-    vx = vy = 0
-    for a in radii:
-        while ix < len(xs) and xs[ix][0] <= a:
-            vx = max(vx, xs[ix][1])
-            ix += 1
-        while iy < len(ys) and ys[iy][0] <= a:
-            vy = max(vy, ys[iy][1])
-            iy += 1
-        steps.append((a, max(b0, vx, vy)))
-    return steps
-
-
-def _threshold_sup(glued: GluedSpace, slack: Scalar, unit: Scalar = 1) -> Scalar:
-    """sup of radii t with delta(t) + slack < unit/t; INF when unbounded."""
-    steps = _delta_steps(glued)
-    t_best: Scalar = 0
-    for k, (a, v) in enumerate(steps):
-        b = steps[k + 1][0] if k + 1 < len(steps) else INF
-        lim = v + slack
-        bound = INF if lim <= 0 else inv(lim, unit)
-        if bound > a:
-            cand = min(b, bound)
-            if cand > t_best:
-                t_best = cand
-    return t_best
 
 
 @dataclass(frozen=True)
@@ -345,25 +313,20 @@ def gh_inframetric(
     seed: int = 0,
     samples: int = 64,
     slack: Scalar = 0,
-    extra_gluings=(),
     tol: Scalar = 0,
 ) -> InframetricResult:
     """max(inf{r : Delta_{1/r} < r}, 1/2) over the searched gluing family.
 
-    The raw threshold is computed exactly from the per-gluing step profiles
-    (the limit the textbook bisection converges to); `truncated` applies
-    the 1/2 floor.  The stream drops correspondences whose basepoint gap
-    already reaches the current best, without building their gluings.
+    A correspondence gluing's delta profile is constant at its basepoint gap
+    g, so its raw threshold inf{r : g + slack < r} is g + slack (0 when that
+    is not positive), read off the stream without building the gluing; only
+    the winner is glued.  `truncated` applies the 1/2 floor.  The stream
+    drops correspondences whose basepoint gap already reaches the current
+    best.
     """
-    best_raw: Scalar = INF
-    witness = None
-    for extra in extra_gluings:
-        raw_g = inv(_threshold_sup(extra, slack))
-        if raw_g < best_raw:
-            best_raw, witness = raw_g, extra
     unit = grid_unit(itertools.chain((slack,), *x.space.dist, *y.space.dist))
     if unit is None:
-        best_raw, glued = _inframetric_search(x, y, search, budget, seed, samples, slack, best_raw, 1)
+        raw, witness = _inframetric_search(x, y, search, budget, seed, samples, slack)
     else:
         unit *= 4
         raw, glued = _inframetric_search(
@@ -374,32 +337,28 @@ def gh_inframetric(
             seed,
             samples,
             on_grid(slack, unit),
-            best_raw * unit,
-            unit * unit,
         )
-        if glued is not None:
-            best_raw, glued = Fraction(raw, unit), _off_grid(glued, unit, x, y)
-    if glued is not None:
-        witness = glued
-    if is_inf(best_raw):
-        raise MetricError("no gluing was generated")
-    half = 0.5 if isinstance(best_raw, float) else Fraction(1, 2)
-    truncated = best_raw if best_raw > half else half
+        raw, witness = Fraction(raw, unit), _off_grid(glued, unit, x, y)
+    half = 0.5 if isinstance(raw, float) else Fraction(1, 2)
+    truncated = raw if raw > half else half
     certificate = "family-minimum" if search == "exact" else "upper-bound"
     return InframetricResult(
-        raw=best_raw, truncated=truncated, witness=witness, search=search, certificate=certificate
+        raw=raw, truncated=truncated, witness=witness, search=search, certificate=certificate
     )
 
 
-def _inframetric_search(x, y, search, budget, seed, samples, slack, best_raw, unit):
-    """The ``gh_inframetric`` stream on the spaces' own scale, with radii
-    inverted against ``unit``; returns (raw, gluing), the gluing None when
-    none beats the given best_raw."""
-    witness = None
+def _inframetric_search(x, y, search, budget, seed, samples, slack):
+    """The ``gh_inframetric`` stream on the spaces' own scale; returns (raw,
+    gluing of the first correspondence that attains it)."""
+    best_raw: Scalar = INF
+    best = None
     prune = lambda lower: lower >= best_raw  # first found wins ties
     for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
-        glued = glue_from_correspondence(x, y, rel)
-        raw_g = inv(_threshold_sup(glued, slack, unit), unit)
-        if raw_g < best_raw:
-            best_raw, witness = raw_g, glued
-    return best_raw, witness
+        lim = _base_gap(x, y, rel.pairs, _distortion(rel, x, y)) + slack
+        # the inverse of the threshold radius 1/lim, rounded as that radius is
+        raw = 0 if lim <= 0 else inv(inv(lim))
+        if raw < best_raw:
+            best_raw, best = raw, rel
+    if best is None:
+        raise MetricError("no gluing was generated")
+    return best_raw, glue_from_correspondence(x, y, best)

@@ -23,20 +23,21 @@ Code that builds ``FiniteMetricSpace`` directly from unchecked rows bypasses
 the axioms on purpose (some negative tests do exactly that) and gets no
 guarantees.
 
-On rational input (every entry and ``tol`` an int or a Fraction),
-``validate_metric`` runs all its checks on one integer copy of the rows:
-each entry times L, the lcm of all the denominators (``numerics.grid_unit``).
-Scaling by a positive L keeps every equality, sign and comparison of sums,
-so each check has the outcome it has on the rows themselves, and the first
-failing clause, its indices and its message (printed from the caller's
-entries) are the same; the O(n^3) triangle scan then adds ints instead of
-Fractions.  The returned space holds the caller's entries.  A float or inf
-entry or a float ``tol`` keeps the scan on the caller's own numbers.
+On rational rows (every entry an int or a Fraction) ``validate_metric``
+runs all its checks on one integer copy of the rows: each entry times L,
+the lcm of all the denominators and of ``tol``'s (``numerics.grid_unit``).
+A finite float ``tol`` enters at its exact value, so a tolerance never
+rounds an exact sum.  Scaling by a positive L keeps every equality, sign and
+comparison of sums, so each check has the outcome it has on the rows
+themselves, and the first failing clause, its indices and its message
+(printed from the caller's entries) are the same; the O(n^3) triangle scan
+then adds ints instead of Fractions.  The returned space holds the caller's
+entries.  A float or inf entry keeps the scan on the caller's own numbers.
 
 ``gluing.glued_from_json`` checks its host once: ``space_from_json`` has
 validated it at tol 0, and passing at tol 0 implies passing the triangle
-scan at any tol >= 0 of the rows' own kind, which is all that
-``validate_gluing``'s re-check of the host would add.
+scan at any tol >= 0, which is all that ``validate_gluing``'s re-check of
+the host would add.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .numerics import (
@@ -142,11 +145,12 @@ def validate_metric(
         raise NotSquare(f"need a {n}x{n} matrix, got rows {[len(r) for r in dist]}")
     rows = tuple(tuple(row) for row in dist)
     # every check compares on g and t; messages print the caller's rows
-    unit = grid_unit(itertools.chain((tol,), *rows))
+    exact_tol = Fraction(tol) if isinstance(tol, float) and math.isfinite(tol) else tol
+    unit = grid_unit(itertools.chain((exact_tol,), *rows))
     if unit is None:
         g, t = rows, tol
     else:
-        g, t = [[on_grid(v, unit) for v in row] for row in rows], on_grid(tol, unit)
+        g, t = [[on_grid(v, unit) for v in row] for row in rows], on_grid(exact_tol, unit)
     strict = True
     for i in range(n):
         if g[i][i] != 0:

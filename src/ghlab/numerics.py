@@ -46,9 +46,7 @@ def quarter(v: Scalar) -> Scalar:
 
 
 def inv(v: Scalar, unit: Scalar = 1) -> Scalar:
-    """unit / v, exact unless either is a float; unit / inf is 0.  On a grid
-    of L steps per unit length, the inverse of a grid length takes unit =
-    L**2."""
+    """unit / v, exact unless either is a float; unit / inf is 0."""
     if is_inf(v):
         return 0
     if isinstance(v, float) or isinstance(unit, float):

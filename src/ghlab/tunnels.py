@@ -3,13 +3,13 @@ composition, and the radius-indexed propinquity built from them.
 
 A passage carries two embedded copies of pointed spaces inside one carrier.
 A metric passage is its gluing: distance-preserving embeddings into the
-carrier, and no seminorm beyond the carrier's Lipschitz one.  Composed
-passages carry a polyhedral seminorm whose functionals are all edge
-differences (f_i - f_j) / w_ij, and the carrier matrix stored here is the
-shortest-path metric of those edges.  A function then has seminorm at most
-l exactly when it is l-Lipschitz on the carrier, so admissibility and the
-lift envelope read the carrier alone, with the McShane extensions, for
-every passage kind; the functionals serve only to compose further.
+carrier, and no seminorm beyond the carrier's Lipschitz one.  A composed
+passage's seminorm has only edge differences (f_i - f_j) / w_ij as
+functionals, and the carrier matrix stored here is the shortest-path metric
+of those edges.  A function then has seminorm at most l exactly when it is
+l-Lipschitz on the carrier, so admissibility and the lift envelope read the
+carrier alone, with the McShane extensions, for every passage kind, and the
+seminorm itself is never built.
 
 A pointed space enters as (C0(X), Lip, C0(X), x0).  Every finite metric
 space satisfies the proper-quantum-metric clauses (properness, approximate
@@ -35,7 +35,6 @@ from .gluing import (
     glued_from_json,
     glued_to_json,
 )
-from .kantorovich import PolyhedralSeminorm, lipschitz_seminorm_of, polyhedral_seminorm
 from .lipschitz import (
     RealFunction,
     _partial_lip,
@@ -106,17 +105,13 @@ class Passage:
     embed_y: tuple
     domain: PointedSpace
     codomain: PointedSpace
-    seminorm: PolyhedralSeminorm | None = None
+    kind: str = "metric"  # or "composed": a bridged carrier
     info: ComposedInfo | None = None
-
-    @property
-    def kind(self) -> str:
-        return "metric" if self.seminorm is None else "composed"
 
     @property
     def glued(self) -> GluedSpace | None:
         """The gluing a metric passage is; None for a composed one."""
-        if self.seminorm is not None:
+        if self.kind != "metric":
             return None
         return GluedSpace(self.carrier, self.embed_x, self.embed_y, self.domain, self.codomain)
 
@@ -170,7 +165,7 @@ def inverse(p: Passage) -> Passage:
         embed_y=p.embed_x,
         domain=p.codomain,
         codomain=p.domain,
-        seminorm=p.seminorm,
+        kind=p.kind,
         info=p.info,
     )
 
@@ -674,35 +669,18 @@ def verify_fundamental(
     )
 
 
-def _lift_seminorm(p: Passage) -> PolyhedralSeminorm:
-    return p.seminorm if p.seminorm is not None else lipschitz_seminorm_of(p.carrier)
-
-
 def _bridge_sum(
-    sem1: PolyhedralSeminorm, sem2: PolyhedralSeminorm, bridges: list, width: Scalar
-) -> tuple:
-    """(carrier, seminorm) of the disjoint union of the two seminorms' hosts
-    joined by edges of length width at the (i, j) bridges, i in the first
-    host and j in the second.  The carrier is the shortest-path metric of
-    those edges; the seminorm is the max of the two seminorms and the bridge
+    c1: FiniteMetricSpace, c2: FiniteMetricSpace, bridges: list, width: Scalar
+) -> FiniteMetricSpace:
+    """The shortest-path metric of the disjoint union of c1 and c2 joined by
+    edges of length width at the (i, j) bridges, i in c1 and j in c2: the
+    carrier of the max of their Lipschitz seminorms and the bridge
     differences scaled by 1/width."""
-    c1, c2 = sem1.host, sem2.host
-    n1, n2 = c1.n, c2.n
     edges = set(bridges)
     labels, big = _block_rows(
         (("A:", c1), ("B:", c2)), lambda s, t, a, b: width if (a, b) in edges else INF
     )
-    carrier = _trusted_space(labels, min_plus_closure(big))
-    functionals = [tuple(c) + (0,) * n2 for c in sem1.functionals]
-    functionals += [(0,) * n1 + tuple(c) for c in sem2.functionals]
-    w = inv(width)
-    for i, j in bridges:
-        row = [0] * (n1 + n2)
-        row[i] = w
-        row[n1 + j] = -w
-        functionals.append(tuple(row))
-    zero_pairs = list(sem1.zero_pairs) + [(n1 + i, n1 + j) for i, j in sem2.zero_pairs]
-    return carrier, polyhedral_seminorm(carrier, functionals, zero_pairs, metric=carrier)
+    return _trusted_space(labels, min_plus_closure(big))
 
 
 def compose(
@@ -743,15 +721,14 @@ def compose(
         )
     n1 = p1.carrier.n
     bridges = [(p1.embed_y[b], p2.embed_x[b]) for b in range(p1.codomain.n)]
-    carrier, sem = _bridge_sum(_lift_seminorm(p1), _lift_seminorm(p2), bridges, alpha)
     info = ComposedInfo(first=p1, second=p2, alpha=alpha, eps1=eps1, eps2=eps2, offset=n1)
     return Passage(
-        carrier=carrier,
+        carrier=_bridge_sum(p1.carrier, p2.carrier, bridges, alpha),
         embed_x=tuple(p1.embed_x),
         embed_y=tuple(n1 + p2.embed_y[j] for j in range(p2.codomain.n)),
         domain=p1.domain,
         codomain=p2.codomain,
-        seminorm=sem,
+        kind="composed",
         info=info,
     )
 
@@ -828,14 +805,13 @@ def existence_tunnel(a, b, r: Scalar, tol: Scalar = 0) -> Passage:
         max(dist_to_set(Y, j, compl_y) for j in range(Y.n)),
     )
     bridges = [(i, j) for i in range(X.n) for j in range(Y.n)]
-    carrier, sem = _bridge_sum(lipschitz_seminorm_of(X), lipschitz_seminorm_of(Y), bridges, d_cap)
     return Passage(
-        carrier=carrier,
+        carrier=_bridge_sum(X, Y, bridges, d_cap),
         embed_x=tuple(range(X.n)),
         embed_y=tuple(X.n + j for j in range(Y.n)),
         domain=A,
         codomain=B,
-        seminorm=sem,
+        kind="composed",
     )
 
 

@@ -16,7 +16,6 @@ from .gluing import (
     correspondence,
     correspondence_distortion,
     glue_from_correspondence,
-    identity_gluing,
 )
 from .lipschitz import lip_constant, real_function
 from .local_gh import delta_r, delta_r_equivalents, gh_inframetric
@@ -285,7 +284,7 @@ def suite_inframetric(rng: random.Random, cases: int = 60) -> list:
         )
         floor_ok = res_xy.truncated == max(res_xy.raw, Fraction(1, 2))
         tally.record("truncation-floor", floor_ok, {"raw": format_scalar(res_xy.raw)})
-        self_res = gh_inframetric(x, x, budget=16, extra_gluings=(identity_gluing(x),))
+        self_res = gh_inframetric(x, x, budget=16)
         self_ok = self_res.raw == 0 and self_res.truncated == Fraction(1, 2)
         tally.record("isometric-raw-zero", self_ok, {"raw": format_scalar(self_res.raw)})
     return tally.results(cases)

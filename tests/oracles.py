@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -276,6 +277,46 @@ def lipschitz_hull_vertices(dist, l, pins: dict):
 # functions that meet the pins, agree on the zero pairs and keep every
 # functional within l.  The LP is solved by the library's exact simplex, but
 # no McShane formula and no carrier distance enters it.
+
+
+# A polyhedral seminorm on a host: max |c.f| over the functionals c,
+# infinite unless f agrees on every zero pair.
+Seminorm = namedtuple("Seminorm", "host functionals zero_pairs")
+
+
+def composed_seminorm(p) -> Seminorm:
+    """The seminorm of a passage by definition, on its carrier's indices.  A
+    metric passage has the Lipschitz seminorm of its carrier: (f_i - f_j) /
+    d(i, j) for i < j, and a zero pair where d(i, j) = 0.  A composed one has
+    its two legs' seminorms, the second shifted past the first's carrier,
+    and (f_a - f_b) / alpha at each bridge between the two copies of the
+    middle space."""
+    n = p.carrier.n
+    if p.info is None:
+        functionals, zero_pairs = [], []
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = p.carrier.d(i, j)
+                if d == 0:
+                    zero_pairs.append((i, j))
+                else:
+                    c = [0] * n
+                    c[i], c[j] = Fraction(1) / d, -Fraction(1) / d
+                    functionals.append(tuple(c))
+        return Seminorm(p.carrier, tuple(functionals), tuple(zero_pairs))
+    first, second, off = p.info.first, p.info.second, p.info.offset
+    sem1, sem2 = composed_seminorm(first), composed_seminorm(second)
+    n2 = n - off
+    functionals = [tuple(c) + (0,) * n2 for c in sem1.functionals]
+    functionals += [(0,) * off + tuple(c) for c in sem2.functionals]
+    w = Fraction(1) / p.info.alpha
+    for b in range(first.codomain.n):
+        row = [0] * n
+        row[first.embed_y[b]] = w
+        row[off + second.embed_x[b]] = -w
+        functionals.append(tuple(row))
+    zero_pairs = list(sem1.zero_pairs) + [(off + i, off + j) for i, j in sem2.zero_pairs]
+    return Seminorm(p.carrier, tuple(functionals), tuple(zero_pairs))
 
 
 def lift_bounds_lp(seminorm, l, pins: dict):

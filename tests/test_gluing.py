@@ -299,7 +299,8 @@ def test_glued_json_round_trip():
 @pytest.mark.parametrize("tol", [0, F(1, 10), F(-1, 10), 1e-9])
 def test_glued_json_host_checks_match_validate_gluing(tol):
     # a host on a line, so every triangle through the middle point is
-    # tight; its distances are so large that adding a float tol rounds
+    # tight; its distances are so large that adding a float tol to them
+    # would round, so only the negative tol may reject it
     a = 10**17 + F(1, 3)
     host = line_space([F(0), a, 2 * a], labels=("p", "q", "s"))
     x = pointed(line_space([F(0), a], labels=("p", "q")), 0)
@@ -315,7 +316,7 @@ def test_glued_json_host_checks_match_validate_gluing(tol):
 
     want = outcome(lambda: validate_gluing(host, x, (0, 1), y, (1, 2), tol))
     assert outcome(lambda: glued_from_json(obj, tol=tol)) == want
-    assert isinstance(want, tuple) == (tol == F(-1, 10) or isinstance(tol, float))
+    assert isinstance(want, tuple) == (tol == F(-1, 10))
 
 
 def test_exact_stream_budget_limits():

@@ -25,7 +25,14 @@ from ghlab import (
     validate_gluing,
     validate_metric,
 )
-from ghlab.gluing import correspondence, glue_from_correspondence
+from ghlab import local_gh
+from ghlab.gluing import (
+    _base_gap,
+    _distortion,
+    correspondence,
+    correspondence_stream,
+    glue_from_correspondence,
+)
 from ghlab.local_gh import NonPositiveRadius
 from ghlab.verify import random_pointed_space
 
@@ -223,6 +230,54 @@ def test_inframetric_isometric_floor():
     assert res.truncated == F(1, 2)
     assert res.search == "exact"
     assert res.certificate == "family-minimum"
+
+
+def _float_copy(p):
+    rows = [[float(v) for v in row] for row in p.space.dist]
+    return pointed(validate_metric(p.space.points, rows, tol=1e-9), p.base)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_correspondence_gluing_delta_is_its_basepoint_gap_at_every_radius(backend):
+    # the identity gh_inframetric scores by: in the gluing at dis/2, delta
+    # at each basepoint radius (so at every radius) is the basepoint gap
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(25):
+        x, y = random_pointed_space(rng, 1, 3), random_pointed_space(rng, 1, 3)
+        if backend == "float":
+            x, y = _float_copy(x), _float_copy(y)
+        radii = {x.space.d(x.base, i) for i in range(x.n)}
+        radii |= {y.space.d(y.base, j) for j in range(y.n)}
+        for rel in correspondence_stream(x, y):
+            gap = _base_gap(x, y, rel.pairs, _distortion(rel, x, y))
+            g = glue_from_correspondence(x, y, rel)
+            assert all(oracles.delta_r_closed_form(g, r) == gap for r in radii)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_inframetric_of_a_space_with_itself_is_zero_and_builds_one_gluing(backend, monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return glue_from_correspondence(*args, **kwargs)
+
+    monkeypatch.setattr(local_gh, "glue_from_correspondence", counted)
+    rng = random.Random(71)
+    for _ in range(10):
+        x, y = random_pointed_space(rng, 1, 3), random_pointed_space(rng, 1, 3)
+        if backend == "float":
+            x, y = _float_copy(x), _float_copy(y)
+        for search in ("exact", "heuristic"):
+            del built[:]
+            res = gh_inframetric(x, x, search=search)
+            assert res.raw == 0 and res.truncated == F(1, 2)
+            assert len(built) == 1
+            gh_inframetric(x, y, search=search)
+            assert len(built) == 2
 
 
 def test_inframetric_heuristic_is_an_upper_bound():

@@ -37,6 +37,12 @@ def test_validate_metric_accepts_a_line():
     s = validate_metric(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert s.n == 3
     assert s.d(0, 2) == 2
+    # a float tol on rational rows enters at its exact value: it rounds no
+    # sum of these tight triangles, so it rejects nothing tol 0 accepts
+    a = 10**17 + F(1, 3)
+    rows = [[0, a, 2 * a], [a, 0, a], [2 * a, a, 0]]
+    for tol in (0, 1e-9, 0.5):
+        assert validate_metric(("a", "b", "c"), rows, tol=tol).dist[0][2] == 2 * a
 
 
 @pytest.mark.parametrize(

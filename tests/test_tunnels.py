@@ -28,12 +28,14 @@ from ghlab import (
     passage_from_json,
     passage_to_json,
     pointed,
+    pointed_from_json,
     propinquity,
     propinquity_bracket,
     smallest_admissible,
     validate_metric,
     verify_fundamental,
 )
+from ghlab import tunnels
 from ghlab.numerics import INF, SQRT2_OVER_4, is_inf
 from ghlab.tunnels import (
     Infeasible,
@@ -236,8 +238,8 @@ def _composed(rng, depth):
 
 def test_composed_lift_bounds_match_the_lp_oracle():
     # the McShane envelope on a composed carrier against an LP over the
-    # composed seminorm's own functionals, on the witness family and on
-    # random K, once and twice composed
+    # composed seminorm's functionals, built from the legs by definition, on
+    # the witness family and on random K, once and twice composed
     rng = random.Random(3)
     outcomes = []
     for case in range(8):
@@ -254,7 +256,7 @@ def test_composed_lift_bounds_match_the_lp_oracle():
         pins = {z: F(0) for z in _zero_set(p, r, eps, K, 0)}
         clash = any(pins.get(h, a(i)) != a(i) for i, h in enumerate(p.embed_x))
         pins.update((h, a(i)) for i, h in enumerate(p.embed_x))
-        ok, lo, hi = (False, None, None) if clash else oracles.lift_bounds_lp(p.seminorm, l, pins)
+        ok, lo, hi = (False, None, None) if clash else oracles.lift_bounds_lp(oracles.composed_seminorm(p), l, pins)
         assert tb.feasible == ok
         if ok:
             assert list(tb.lo) == lo and list(tb.hi) == hi
@@ -367,6 +369,37 @@ def test_propinquity_bracket_orders_and_certifies():
     assert hi > 0
     val, witness = local_propinquity(x, y, F(1) / hi)
     assert val < hi  # hi is certified by some passage beating it at radius 1/hi
+
+
+def test_propinquity_bracket_skips_a_passage_that_fails_at_the_running_upper_end(monkeypatch):
+    x = pointed_from_json({"points": ["0", "1"], "dist": [[0, 4], [4, 0]], "basepoint": 0})
+    y = pointed_from_json({
+        "points": ["0", "1", "2"],
+        "dist": [[0, "9/2", "5/2"], ["9/2", 0, 2], ["5/2", 2, 0]],
+        "basepoint": 0,
+    })
+    streamed, answers = [], {}
+    gluing_passages, passage_pred = tunnels._gluing_passages, tunnels._passage_pred
+
+    def recorded_stream(*args):
+        for p in gluing_passages(*args):
+            streamed.append(p)
+            yield p
+
+    def recorded_pred(p, tol):
+        pred, seen = passage_pred(p, tol), answers.setdefault(id(p), [])
+
+        def wrapped(e):
+            seen.append(pred(e))
+            return seen[-1]
+
+        return wrapped
+
+    monkeypatch.setattr(tunnels, "_gluing_passages", recorded_stream)
+    monkeypatch.setattr(tunnels, "_passage_pred", recorded_pred)
+    assert propinquity_bracket(x, y) == (F(5, 4), F(687194767361, 549755813888))
+    # a later streamed passage is asked once, at the upper end, and dropped
+    assert any(answers[id(p)] == [False] for p in streamed[1:])
 
 
 def test_passage_json_round_trip_for_metric_passages():
