@@ -57,7 +57,16 @@ from .metric_core import (
     min_plus_closure,
     validate_metric,
 )
-from .numerics import INF, Scalar, half as _half, inv, leq, quarter, truncate_floor
+from .numerics import (
+    INF,
+    Scalar,
+    grid_unit,
+    half as _half,
+    inv,
+    leq,
+    quarter,
+    truncate_floor,
+)
 
 
 class Infeasible(MetricError):
@@ -458,56 +467,61 @@ def _extent_scan(
     admissible probe.
 
     Every probe lies below cutoff and must reach the basepoint gap, so a gap
-    beyond cutoff answers at once.  Scans sharing ``context`` evaluate the
-    clauses once per eps and ball-membership signature of the probe, which
-    is exact since the clauses read the radius through those memberships
-    alone (the memo key of ``check_admissible``)."""
+    beyond cutoff answers at once.  The probes ascend, and basepoint
+    proximity rejects every eps with not leq(gap, eps, tol), so the scan
+    starts at the first candidate that meets it, after the interior probe of
+    the gap below that candidate if that probe meets it.  At tol 0 with a
+    positive gap that candidate is the gap itself, a carrier distance, so it
+    is tried before the list is built.  Scans sharing ``context`` evaluate
+    the clauses once per eps and ball-membership signature of the probe,
+    which is exact since the clauses read the radius through those
+    memberships alone (the memo key of ``check_admissible``)."""
     ctx = context if context is not None else ScanContext(p, tol)
     gap = ctx.gap
-    if not leq(gap, cutoff, tol):
+
+    def meets(e: Scalar) -> bool:
+        return leq(gap, e, tol)
+
+    def admissible(e: Scalar) -> bool:
+        return check_admissible(p, r, e, tol=tol, context=ctx)[0]
+
+    if not meets(cutoff):
         return INF, None
     tried = tol == 0 and gap > 0
     if tried:
-        # basepoint proximity forces eps >= gap, and gap (a carrier distance)
-        # is a candidate: the first probe, tried before the list is built
         if gap >= cutoff:
             return INF, None
-        ok, _ = check_admissible(p, r, gap, tol=tol, context=ctx)
-        if ok:
+        if admissible(gap):
             return gap, gap
     cands = ctx.candidates(r)
     if not cands:  # only when r <= 0
         return INF, None
-    if tried:
-        start = bisect_left(cands, gap)
+    start = bisect_left(cands, True, key=meets)
+    if start:
+        prev = cands[start - 1]
+        nxt = cands[start] if start < len(cands) else 2 * prev + 1
+        probe = _half(prev + min(nxt, cutoff))
+        if probe > prev and meets(probe) and admissible(probe):
+            return prev, probe
     else:
-        start = 0
-        probe0 = _half(cands[0])
-        if probe0 < cutoff:
-            ok, _ = check_admissible(p, r, probe0, tol=tol, context=ctx)
-            if ok:
-                return 0, probe0
+        probe = _half(cands[0])
+        if probe < cutoff and meets(probe) and admissible(probe):
+            return 0, probe
     for i in range(start, len(cands)):
         c = cands[i]
         if c >= cutoff:
             if i > start:
                 prev = cands[i - 1]
                 probe = _half(prev + cutoff)
-                if probe > prev:
-                    ok, _ = check_admissible(p, r, probe, tol=tol, context=ctx)
-                    if ok:
-                        return prev, probe
+                if probe > prev and admissible(probe):
+                    return prev, probe
             return INF, None
-        if i > start or not tried:
-            ok, _ = check_admissible(p, r, c, tol=tol, context=ctx)
-            if ok:
-                return c, c
+        if (i > start or not tried) and admissible(c):
+            return c, c
         nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c + 1
         mid = _half(c + min(nxt, cutoff))
-        if mid > c:
-            ok, _ = check_admissible(p, r, mid, tol=tol, context=ctx)
-            if ok:
-                return c, mid
+        if mid > c and admissible(mid):
+            return c, mid
     return INF, None
 
 
@@ -887,8 +901,9 @@ def local_propinquity(
 
 
 def _tau_bisect(pred: Callable[[Scalar], bool], hi: Scalar, iters: int) -> tuple:
-    """Bracket inf{e > 0 : pred(e)} for a monotone predicate true at hi."""
-    lo: Scalar = 0
+    """Bracket inf{e > 0 : pred(e)} for a monotone predicate true at hi, in
+    hi's scalar type: float midpoints from a float hi, exact ones otherwise."""
+    lo: Scalar = 0.0 if isinstance(hi, float) else 0
     for _ in range(iters):
         m = _half(lo + hi)
         if pred(m):
@@ -943,17 +958,22 @@ def propinquity_bracket(
     iters: int = 40,
     tol: Scalar = 0,
 ) -> tuple:
-    """Rational bracket [lo, hi] around inf{e : some searched passage has
-    extent below e at radius 1/e}; (0, 0) exactly for isometric pairs.
+    """A bracket [lo, hi] in the inputs' scalar type around inf{e : some
+    searched passage has extent below e at radius 1/e}; (0, 0) exactly for
+    isometric pairs.
 
     The infimum commutes with the passage search, so each passage gets its
     own monotone threshold bisection, pruned by the best upper end so far;
-    hi is always certified by a concrete passage.
+    hi is always certified by a concrete passage.  The first finite upper
+    end is 1 on rational rows and 1.0 when either space has a float row
+    entry, so every bisection runs on the rows' scalar type.
     """
     A = _as_classical(a)
     B = _as_classical(b)
     if _find_base_isometry(A, B) is not None:
         return 0, 0
+    rows = (v for s in (A, B) for row in s.space.dist for v in row)
+    one: Scalar = 1 if grid_unit(rows) is not None else 1.0
     hi: Scalar = INF
     best: Passage | None = None
     lows = []
@@ -961,7 +981,7 @@ def propinquity_bracket(
         pred = _passage_pred(p, tol)
         if best is None:
             # the first passage sets the first finite upper end
-            hi = 1
+            hi = one
             for _ in range(64):
                 if pred(hi):
                     break

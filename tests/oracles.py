@@ -463,7 +463,8 @@ def extent_scan_reference(p, r, cutoff=math.inf, tol=0, context=None) -> tuple:
 # metric validation
 #
 # ``validate_metric`` as it stood before the integer grid: every check on the
-# caller's own entries, the triangle scan in their own arithmetic.
+# caller's own entries, the triangle scan in their own arithmetic, with a
+# finite float tol on rational rows taken at its exact value.
 
 
 def validate_metric_reference(points, dist, require_strict=False, tol=0):
@@ -476,6 +477,11 @@ def validate_metric_reference(points, dist, require_strict=False, tol=0):
     if len(dist) != n or any(len(row) != n for row in dist):
         raise NotSquare(f"need a {n}x{n} matrix, got rows {[len(r) for r in dist]}")
     rows = tuple(tuple(row) for row in dist)
+    if isinstance(tol, float) and math.isfinite(tol):
+        # on rational rows a float tol counts at its exact value, so adding
+        # it to an exact sum does not round the sum
+        if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+            tol = Fraction(tol)
     strict = True
     for i in range(n):
         if rows[i][i] != 0:

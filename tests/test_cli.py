@@ -396,3 +396,24 @@ def test_run_config_direct_validation():
         run_config(backend="rational", tolerance="-1/2")
     cfg = run_config(backend="rational")
     assert cfg.tolerance == 0
+
+
+def test_float_propinquity_answers_in_floats(tmp_path, capsys):
+    # a pair whose rational bracket ends in p/q; the float backend bisects
+    # on floats, so every number it prints is a float
+    x = write_json(tmp_path, "x.json", {"points": ["0", "1"], "dist": [[0, 4], [4, 0]],
+                                        "basepoint": 0})
+    y = write_json(tmp_path, "y.json", {
+        "points": ["0", "1", "2"],
+        "dist": [[0, "9/2", "5/2"], ["9/2", 0, 2], ["5/2", 2, 0]],
+        "basepoint": 0,
+    })
+    pair = ["propinquity", "--x", x, "--y", y]
+    rc, exact, _ = run(capsys, pair + ["--backend", "rational"])
+    assert rc == EXIT_OK and exact["bracket"] == ["5/4", "687194767361/549755813888"]
+    rc, report, captured = run(capsys, pair)
+    assert rc == EXIT_OK
+    assert "/" not in captured.out
+    numbers = report["bracket"] + [report["raw"], report["truncated"], report["value"]]
+    assert all(isinstance(v, float) for v in numbers)
+    assert report["bracket"][0] <= 687194767361 / 549755813888 and 5 / 4 <= report["raw"]

@@ -183,3 +183,27 @@ def test_simplex_iteration_budget_raises_its_own_error():
     with pytest.raises(IterationBudgetExceeded):
         solve_lp(c, a_rows, b, max_iter=1)
     assert issubclass(IterationBudgetExceeded, RuntimeError)
+
+
+def test_solve_lp_switches_to_blands_rule_on_beales_cycling_example():
+    # Beale's example: min c.x subject to A x = b, x >= 0, whose degenerate
+    # pivots cycle under the most-negative entering rule
+    c = [F(-3, 4), 20, F(-1, 2), 6, 0, 0, 0]
+    a_rows = [
+        [F(1, 4), -8, -1, 9, 1, 0, 0],
+        [F(1, 2), -12, F(-1, 2), 3, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, 1],
+    ]
+    b = [0, 0, 1]
+    x = [1, 0, 1, 0, F(3, 4), 0, 0]
+    y = [0, F(-3, 2), F(-5, 4)]
+    # in this column order the run never stalls long enough to switch rules,
+    # so this pins only the answer
+    assert solve_lp(c, a_rows, b) == (F(-5, 4), x, y)
+    # with the last two slack columns swapped the degenerate pivots cycle,
+    # and the switch to Bland's rule is what ends the run: with the switch
+    # disabled it exceeds the iteration budget.  This pins the answer of the
+    # Bland path.
+    swap = [0, 1, 2, 3, 4, 6, 5]
+    swapped = [[row[k] for k in swap] for row in a_rows]
+    assert solve_lp([c[k] for k in swap], swapped, b) == (F(-5, 4), [x[k] for k in swap], y)

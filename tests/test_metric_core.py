@@ -278,6 +278,13 @@ def test_validate_metric_on_the_grid_matches_the_rational_scan():
     assert raised == {
         "labels", "NotSquare", "diagonal", "symmetry", "negative", "separation", "triangle"
     }
+    # a float tol on rational rows counts at its exact value in both: on this
+    # tight line adding 1e-9 to an exact sum would round it and reject it
+    a = 10**17 + F(1, 3)
+    rows = [[0, a, 2 * a], [a, 0, a], [2 * a, a, 0]]
+    want = _outcome(oracles.validate_metric_reference, ("a", "b", "c"), rows, False, 1e-9)
+    assert _outcome(validate_metric, ("a", "b", "c"), rows, False, 1e-9) == want
+    assert want.dist[0][2] == 2 * a
 
 
 def test_validate_metric_on_float_rows_matches_the_full_scan():

@@ -169,6 +169,41 @@ def test_metric_passages_match_the_uncached_scan(backend):
         _assert_checks_match(p, radii[:2], tol)
 
 
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_scans_at_a_positive_tol_skip_the_probes_below_the_basepoint_gap(backend, monkeypatch):
+    # the reference walks every candidate from the bottom, and those below
+    # the basepoint gap fail at once on the basepoint clause; the library
+    # starts at the first probe that meets it, with the same answers
+    rng = random.Random(19)
+    tol = F(1, 10) if backend == "rational" else TOL
+    twins = _metric_passages(rng, pairs=4, per_pair=3) + _subspace_passages(rng, 20)
+    reasons = {"library": [], "reference": []}
+
+    def recording(name, check):
+        def wrapped(*args, **kwargs):
+            got = check(*args, **kwargs)
+            reasons[name].append(got[1].get("reason"))
+            return got
+
+        return wrapped
+
+    monkeypatch.setattr(tunnels, "check_admissible", recording("library", check_admissible))
+    monkeypatch.setattr(
+        oracles,
+        "check_admissible_reference",
+        recording("reference", oracles.check_admissible_reference),
+    )
+    for exact, floating in twins:
+        p = exact if backend == "rational" else floating
+        context = ScanContext(p, tol)
+        for r, cutoff in _radii(rng):
+            r, cutoff = _as_backend(r, backend), _as_backend(cutoff, backend)
+            expected = oracles.extent_scan_reference(p, r, cutoff, tol)
+            assert _extent_scan(p, r, cutoff, tol, context) == expected
+    assert reasons["library"] and "basepoint" not in reasons["library"]
+    assert reasons["reference"].count("basepoint") > len(twins)
+
+
 def test_composed_and_existence_passages_match_the_uncached_scan():
     rng = random.Random(37)
     passages = _composed_passages(rng, 3) + _existence_passages(rng, 4)
@@ -197,6 +232,25 @@ def test_propinquity_brackets_match_the_uncached_scan(backend, monkeypatch):
     got = [propinquity_bracket(x, y, tol=tol) for x, y in cases]
     monkeypatch.setattr(tunnels, "_extent_scan", oracles.extent_scan_reference)
     assert got == [propinquity_bracket(x, y, tol=tol) for x, y in cases]
+
+
+def test_float_brackets_are_floats_that_overlap_the_rational_ones():
+    # float rows bisect on floats: both ends are floats, and the float
+    # bracket overlaps the exact one up to the float tolerance
+    rng = random.Random(23)
+    shapes = [(nx, ny) for nx in (1, 2, 3) for ny in (1, 2, 3)]
+    floated = 0
+    for nx, ny in shapes:
+        x, y = random_pointed_space(rng, nx, nx), random_pointed_space(rng, ny, ny)
+        lo, hi = propinquity_bracket(x, y)
+        f_lo, f_hi = propinquity_bracket(_float_copy(x), _float_copy(y), tol=TOL)
+        if (lo, hi) == (0, 0):  # an isometric pair answers (0, 0) exactly on both
+            assert (f_lo, f_hi) == (0, 0)
+            continue
+        assert type(f_lo) is float and type(f_hi) is float
+        assert f_lo <= hi + TOL and lo <= f_hi + TOL
+        floated += 1
+    assert floated >= 6
 
 
 def _existence_pred_per_probe(A, B, tol):

@@ -36,6 +36,7 @@ from ghlab import (
     verify_fundamental,
 )
 from ghlab import tunnels
+from ghlab.local_gh import refine_gluing_cross
 from ghlab.numerics import INF, SQRT2_OVER_4, is_inf
 from ghlab.tunnels import (
     Infeasible,
@@ -349,6 +350,37 @@ def test_existence_tunnel_cases():
     # the uncovered middle band errors
     with pytest.raises(RadiusGap):
         existence_tunnel(x, y, F(3, 2))
+
+
+def _json_pointed(rows, base):
+    return pointed_from_json({"points": [str(i) for i in range(len(rows))], "dist": rows,
+                              "basepoint": base})
+
+
+@pytest.mark.parametrize(
+    "x_rows, x_base, y_rows, y_base, r, value, won_by",
+    [
+        # seeded draws (random.Random(5), 1-3 point pairs, r = a/b with a in
+        # 1..12 and b in 1..4), tries 103 and 742
+        ([[0, "3/2"], ["3/2", 0]], 1, [[0, 12, 10], [12, 0, "5/2"], [10, "5/2", 0]], 1,
+         F(1, 2), F(5, 2), "existence"),
+        ([[0, 1], [1, 0]], 0, [[0, 1, 3], [1, 0, 2], [3, 2, 0]], 1, F(3, 4), 0, "refined"),
+    ],
+)
+def test_local_propinquity_wins_beyond_the_gluing_passages(
+    x_rows, x_base, y_rows, y_base, r, value, won_by
+):
+    x, y = _json_pointed(x_rows, x_base), _json_pointed(y_rows, y_base)
+    val, witness = local_propinquity(x, y, r)
+    assert val == value == extent(witness, r)
+    streamed = list(tunnels._gluing_passages(x, y, "exact", 12, 0, 64, lambda: INF))
+    assert all(val < extent(p, r) for p in streamed)
+    assert all(witness.carrier != p.carrier for p in streamed)
+    if won_by == "existence":
+        assert witness.carrier == existence_tunnel(x, y, r).carrier
+    else:
+        refined = [passage_from_gluing(refine_gluing_cross(p.glued)) for p in streamed]
+        assert witness in refined
 
 
 def test_propinquity_isometric_pair_hits_the_floor():
