@@ -41,7 +41,9 @@ def half(v: Scalar) -> Scalar:
 
 
 def quarter(v: Scalar) -> Scalar:
-    """v / 4, exact on rationals."""
+    """v / 4, exact on rationals; an int divisible by 4 stays an int."""
+    if isinstance(v, int) and not v % 4:
+        return v // 4
     return v / 4 if isinstance(v, float) else Fraction(v, 4)
 
 
@@ -72,12 +74,12 @@ def on_grid(v: Scalar, unit: int) -> int:
 
 
 def leq(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
-    """a <= b up to an additive tolerance."""
+    """a <= b up to an additive tolerance (tol 0 adds nothing)."""
     if is_inf(b):
         return True
     if is_inf(a):
         return False
-    return a <= b + tol
+    return a <= b + tol if tol else a <= b
 
 
 def close(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:

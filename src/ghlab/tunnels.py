@@ -15,12 +15,24 @@ A pointed space enters as (C0(X), Lip, C0(X), x0).  Every finite metric
 space satisfies the proper-quantum-metric clauses (properness, approximate
 unit, seminorm domain, ...) automatically, so ``_as_classical`` adds only
 separation to the boundary's metric check.
+
+On rational input ``extent``, ``smallest_admissible`` and ``gh extent`` scan
+one integer grid, as ``local_gh``'s searches do: L = 8 * lcm of the
+denominators of r, tol and every number of the passage (``_passage_scalars``)
+scales it into an ``int`` copy (the 8 keeps halves of quarters ints), the
+unchanged scan runs on it, and its value and probe are divided by L.  Every
+comparison is then between sums of L-scaled numbers, the sentinel past the
+last candidate (2c) included, except the bump family's scale-free Lipschitz
+ratio: it meets 1 + tol in the caller's numbers through ``unit``.  Brackets
+stay off the grid, since their radius 1/e moves at every bisection step.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -33,7 +45,6 @@ from .gluing import (
     correspondence_stream,
     glue_from_correspondence,
     glued_from_json,
-    glued_to_json,
 )
 from .lipschitz import (
     RealFunction,
@@ -44,7 +55,7 @@ from .lipschitz import (
     real_function,
     sup_norm,
 )
-from .local_gh import NonPositiveRadius, refine_gluing_cross
+from .local_gh import NonPositiveRadius, _pointed_on_grid, refine_gluing_cross
 from .metric_core import (
     FiniteMetricSpace,
     MetricError,
@@ -64,6 +75,7 @@ from .numerics import (
     half as _half,
     inv,
     leq,
+    on_grid,
     quarter,
     truncate_floor,
 )
@@ -162,11 +174,6 @@ def passage_from_isometry(a, b, mapping: Sequence[int]) -> Passage:
     return Passage(carrier=A.space, embed_x=tuple(range(A.n)), embed_y=m, domain=A, codomain=B)
 
 
-def identity_passage(a) -> Passage:
-    A = _as_classical(a)
-    return passage_from_isometry(A, A, tuple(range(A.n)))
-
-
 def inverse(p: Passage) -> Passage:
     return Passage(
         carrier=p.carrier,
@@ -232,7 +239,7 @@ def _zero_set(p: Passage, r: Scalar, eps: Scalar, K: frozenset, tol: Scalar) -> 
 
 
 def check_left_admissible(
-    p: Passage, r: Scalar, eps: Scalar, K: Iterable[int], tol: Scalar = 0
+    p: Passage, r: Scalar, eps: Scalar, K: Iterable[int], tol: Scalar = 0, unit: int = 1
 ) -> tuple:
     """Evaluate the one-sided admissibility clauses; returns (ok, certificate).
 
@@ -241,6 +248,7 @@ def check_left_admissible(
     escape distance is dominated by its carrier distance to the zero region
     (the universal-lift criterion; checked on the bump family for composed
     carriers).  Clauses (4) and (5) hold by construction and are asserted.
+    ``unit`` is the factor by which p's numbers scale the caller's.
     """
     if r <= 0:
         raise PreconditionFailed("radius", f"radius must be positive, got {r}")
@@ -272,13 +280,13 @@ def check_left_admissible(
             if not leq(lhs, rhs, tol):
                 return False, {"clause": 3, "witness": X.points[i], "mode": mode}
     else:
-        ok, witness = _bump_family_feasible(p, complement, zero, tol)
+        ok, witness = _bump_family_feasible(p, complement, zero, tol, unit)
         if not ok:
             return False, {"clause": 3, "witness": witness, "mode": mode}
     return True, {"clauses": "1-3 checked, 4-5 automatic", "mode": mode, "zero_size": len(zero)}
 
 
-def _bump_family_feasible(p: Passage, complement: list, zero: tuple, tol: Scalar) -> tuple:
+def _bump_family_feasible(p: Passage, complement: list, zero: tuple, tol: Scalar, unit: int) -> tuple:
     """Lift feasibility of the maximal bump at each domain point.
 
     For edge-difference seminorms the carrier matrix is the induced metric,
@@ -311,7 +319,8 @@ def _bump_family_feasible(p: Passage, complement: list, zero: tuple, tol: Scalar
         if conflict:
             return False, X.points[pidx]
         try:
-            if _partial_lip(carrier, anchors, tol) > 1 + tol:
+            # the ratio is scale-free; 1 + tol in the caller's numbers
+            if _partial_lip(carrier, anchors, tol) * unit > unit + tol:
                 return False, X.points[pidx]
         except MetricError:
             return False, X.points[pidx]
@@ -351,10 +360,11 @@ def _halves(values: Iterable) -> set:
 class ScanContext:
     """What the checks and scans of one passage at one ``tol`` share across
     radii: the inverse passage, basepoint gap and rows, radius-free tolerance
-    candidates, and per eps the probe cells, witness family and probe memo."""
+    candidates, and per eps the probe cells, witness family and probe memo.
+    ``unit`` is the factor by which p's numbers scale the caller's."""
 
-    def __init__(self, p: Passage, tol: Scalar = 0):
-        self.p, self.tol, self.base = p, tol, _base_rows(p)
+    def __init__(self, p: Passage, tol: Scalar = 0, unit: int = 1):
+        self.p, self.tol, self.unit, self.base = p, tol, unit, _base_rows(p)
         self.rows = sorted(self.base)
         self.gap = p.carrier.d(p.x0_host, p.y0_host)
         self._per_eps: dict = {}
@@ -443,10 +453,10 @@ def check_admissible(
         hit = memo.get(key)
         if hit is None:
             K = frozenset(kf(t)) if canonical else K
-            ok, cert = check_left_admissible(p, t, eps, K, tol)
+            ok, cert = check_left_admissible(p, t, eps, K, tol, ctx.unit)
             side = "left"
             if ok:
-                ok, cert = check_left_admissible(ctx.inverse, t, eps, K, tol)
+                ok, cert = check_left_admissible(ctx.inverse, t, eps, K, tol, ctx.unit)
                 side = "right"
             hit = memo[key] = (ok, side, cert)
         if not hit[0]:
@@ -499,7 +509,7 @@ def _extent_scan(
     start = bisect_left(cands, True, key=meets)
     if start:
         prev = cands[start - 1]
-        nxt = cands[start] if start < len(cands) else 2 * prev + 1
+        nxt = cands[start] if start < len(cands) else 2 * prev
         probe = _half(prev + min(nxt, cutoff))
         if probe > prev and meets(probe) and admissible(probe):
             return prev, probe
@@ -518,17 +528,47 @@ def _extent_scan(
             return INF, None
         if (i > start or not tried) and admissible(c):
             return c, c
-        nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c + 1
+        nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c
         mid = _half(c + min(nxt, cutoff))
         if mid > c and admissible(mid):
             return c, mid
     return INF, None
 
 
-def _checked_scan(p: Passage, r: Scalar, tol: Scalar, context: ScanContext | None = None) -> tuple:
+def _passage_scalars(p: Passage) -> Iterator[Scalar]:
+    """Every number of p: its rows, and a composition's width and eps."""
+    yield from itertools.chain(*p.carrier.dist, *p.domain.space.dist, *p.codomain.space.dist)
+    if p.info is not None:
+        yield from (p.info.alpha, p.info.eps1, p.info.eps2)
+        yield from itertools.chain(*map(_passage_scalars, (p.info.first, p.info.second)))
+
+
+def _passage_on_grid(p: Passage, unit: int) -> Passage:
+    """p with every number of ``_passage_scalars`` times unit, as ints."""
+    info = None if p.info is None else ComposedInfo(
+        *(_passage_on_grid(q, unit) for q in (p.info.first, p.info.second)),
+        *(on_grid(v, unit) for v in (p.info.alpha, p.info.eps1, p.info.eps2)),
+        p.info.offset,
+    )
+    c, x, y = (_pointed_on_grid(s, unit) for s in (PointedSpace(p.carrier, 0), p.domain, p.codomain))
+    return Passage(c.space, p.embed_x, p.embed_y, x, y, p.kind, info)
+
+
+def _checked_scan(p: Passage, r: Scalar, tol: Scalar) -> tuple:
+    """``_extent_scan`` at r > 0 with no cutoff; rational input scans a grid."""
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
-    return _extent_scan(p, r, INF, tol, context)
+    unit = grid_unit(itertools.chain((r, tol), _passage_scalars(p)))
+    if unit is None:
+        return _extent_scan(p, r, INF, tol)
+    unit *= 8
+    grid, tol = _passage_on_grid(p, unit), on_grid(tol, unit)
+    found = _extent_scan(grid, on_grid(r, unit), INF, tol, ScanContext(grid, tol, unit))
+    gap = p.carrier.d(p.x0_host, p.y0_host)  # the usual answer, handed back as the caller's
+    return tuple(
+        v if v in (0, INF, None) else gap if v == on_grid(gap, unit) else Fraction(v, unit)
+        for v in found
+    )
 
 
 def extent(p: Passage, r: Scalar, tol: Scalar = 0) -> Scalar:
@@ -779,15 +819,15 @@ def composed_k_family(p: Passage, tol: Scalar = 0) -> Callable[[Scalar], frozens
     return kf
 
 
-def _existence_case(A: PointedSpace, B: PointedSpace, r: Scalar, tol: Scalar) -> tuple | None:
-    """What ``existence_tunnel``'s passage at radius r depends on: None for
-    the compact collapse, else the complements of the two basepoint r-balls,
-    which alone fix the bridge passage; raises where neither case applies."""
+def _existence_case(A: PointedSpace, B: PointedSpace, r: Scalar, tol: Scalar, dx, dy) -> tuple | None:
+    """What ``existence_tunnel``'s passage at radius r depends on, given the
+    diameters dx, dy of A and B: None for the compact collapse, else the
+    complements of the two basepoint r-balls, which alone fix the bridge
+    passage; raises where neither case applies."""
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     X, x0 = A.space, A.base
     Y, y0 = B.space, B.base
-    dx, dy = diameter(X), diameter(Y)
     if leq(max(dx, dy), r, tol):
         return None
     if not (r < dx and r < dy):
@@ -806,8 +846,8 @@ def existence_tunnel(a, b, r: Scalar, tol: Scalar = 0) -> Passage:
     both escape radii), whose extent at r is at most the bridge width D."""
     A = _as_classical(a)
     B = _as_classical(b)
-    case = _existence_case(A, B, r, tol)
     X, Y = A.space, B.space
+    case = _existence_case(A, B, r, tol, diameter(X), diameter(Y))
     if case is None:
         total = correspondence(
             [(i, j) for i in range(X.n) for j in range(Y.n)], X.n, Y.n
@@ -931,11 +971,12 @@ def _existence_pred(A: PointedSpace, B: PointedSpace, tol: Scalar) -> Callable[[
     where it does not exist).  Each distinct passage (``_existence_case``)
     is built once, and its scans share one ``ScanContext``."""
     built: dict = {}
+    diameters = diameter(A.space), diameter(B.space)
 
     def pred(e: Scalar) -> bool:
         r = inv(e)
         try:
-            case = _existence_case(A, B, r, tol)
+            case = _existence_case(A, B, r, tol, *diameters)
         except MetricError:
             return False
         if case not in built:
@@ -960,7 +1001,8 @@ def propinquity_bracket(
 ) -> tuple:
     """A bracket [lo, hi] in the inputs' scalar type around inf{e : some
     searched passage has extent below e at radius 1/e}; (0, 0) exactly for
-    isometric pairs.
+    isometric pairs.  lo is the bisection's lower end for the searched
+    passage family, not a lower bound on the propinquity.
 
     The infimum commutes with the passage search, so each passage gets its
     own monotone threshold bisection, pruned by the best upper end so far;
@@ -1020,15 +1062,10 @@ def propinquity(
 ) -> tuple:
     """(truncated, raw) radius-threshold propinquity; raw is the certified
     upper end of the bisection bracket (exact for isometric pairs), and
-    truncated applies the sqrt(2)/4 floor."""
+    truncated applies the sqrt(2)/4 floor.  The bracket's lo, the bisection's
+    lower end for the searched family, is no lower bound on the propinquity."""
     _, raw = propinquity_bracket(a, b, search, budget, seed, samples, iters, tol)
     return truncate_floor(raw), raw
-
-
-def passage_to_json(p: Passage) -> dict:
-    if p.glued is None:
-        raise MetricError("only gluing-backed passages serialize to JSON")
-    return {"gluing": glued_to_json(p.glued)}
 
 
 def passage_from_json(obj, backend: str = "rational", tol: Scalar = 0) -> Passage:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+import oracles
 from ghlab.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main, run_config
 from ghlab.gluing import glued_from_json
 from ghlab.metric_core import MetricError
@@ -351,6 +353,49 @@ def test_extent_report_matches_library(tmp_path, capsys):
     p = passage_from_json(doc, "rational")
     assert report["value"] == format_scalar(extent(p, 2))
     assert report["certificate"]["admissible"] is True
+
+
+# two points and a line of three glued at width 5/7: sevenths, thirds and
+# halves, so a rational extent scans a grid of unit 8 * 42
+SEVENTHS_PASSAGE = {
+    "gluing": {
+        "host": {
+            "points": ["X:x0", "X:x1", "X:x2", "Y:y0", "Y:y1"],
+            "dist": [
+                [0, "3/2", "5/2", "5/7", "43/21"],
+                ["3/2", 0, 1, "43/21", "5/7"],
+                ["5/2", 1, 0, "43/21", "5/7"],
+                ["5/7", "43/21", "43/21", 0, "4/3"],
+                ["43/21", "5/7", "5/7", "4/3", 0],
+            ],
+        },
+        "embedX": [0, 1, 2],
+        "embedY": [3, 4],
+        "X": {
+            "points": ["x0", "x1", "x2"],
+            "dist": [[0, "3/2", "5/2"], ["3/2", 0, 1], ["5/2", 1, 0]],
+            "basepoint": 0,
+        },
+        "Y": {"points": ["y0", "y1"], "dist": [[0, "4/3"], ["4/3", 0]], "basepoint": 0},
+    }
+}
+
+
+@pytest.mark.parametrize("tol, eps, probes", [("0", "5/7", 6), ("1/10", "5/8", 7)])
+def test_rational_extent_prints_its_certificate_off_the_grid(tmp_path, capsys, tol, eps, probes):
+    # the report as it printed before extents scanned an integer grid: eps
+    # in the caller's numbers, and the certificate of the reference scan
+    path = write_json(tmp_path, "passage.json", SEVENTHS_PASSAGE)
+    argv = ["extent", "--passage", path, "-r", "2", "--backend", "rational", "--tol", tol]
+    rc, report, _ = run(capsys, argv)
+    assert rc == EXIT_OK
+    certificate = {"admissible": True, "eps": eps, "family": "canonical", "probes": probes}
+    assert report == {"certificate": certificate, "command": "extent", "r": 2, "value": eps}
+    p = passage_from_json(SEVENTHS_PASSAGE, "rational")
+    value, probe = oracles.extent_scan_reference(p, 2, tol=Fraction(tol))
+    assert format_scalar(value) == format_scalar(probe) == eps
+    ok, cert = oracles.check_admissible_reference(p, 2, probe, tol=Fraction(tol))
+    assert ok and {"eps": eps, "admissible": ok, **cert} == certificate
 
 
 def test_verify_deterministic_bytes_and_shape(capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -183,6 +185,54 @@ def test_simplex_iteration_budget_raises_its_own_error():
     with pytest.raises(IterationBudgetExceeded):
         solve_lp(c, a_rows, b, max_iter=1)
     assert issubclass(IterationBudgetExceeded, RuntimeError)
+
+
+def _run_lines(fn, *args):
+    """fn(*args) and the numbers of the lines of fn that it ran."""
+    code, ran, previous = fn.__code__, set(), sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        return fn(*args), ran
+    finally:
+        sys.settrace(previous)
+
+
+def _line_of(fn, text):
+    lines, start = inspect.getsourcelines(fn)
+    return start + next(k for k, line in enumerate(lines) if text in line)
+
+
+def test_transportation_simplex_switches_to_blands_rule_after_a_degenerate_stall():
+    # two units from row 6 to columns 2 and 4 of an 8 x 5 cost matrix: once
+    # the mass is placed, the most-negative rule makes more than m * n = 40
+    # degenerate pivots in a row, so the run switches to Bland's rule, which
+    # enters two more cells before it finds no negative reduced cost
+    cost = [[0, 2, 4, 0, 1]] * 4 + [
+        [0, 2, 4, 0, 2],
+        [0, 2, 4, 1, 0],
+        [0, 2, 1, 3, 2],
+        [0, 3, 0, 0, 4],
+    ]
+    supply, demand = [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 1, 0, 1]
+    (value, flow), ran = _run_lines(transportation_simplex, cost, supply, demand)
+    switch = _line_of(transportation_simplex, "bland = True")
+    bland_entry = _line_of(transportation_simplex, "cost[i][j] - u[i] - v[j] < -tol") + 1
+    assert {switch, bland_entry} <= ran
+    assert (value, flow) == (3, {(6, 2): 1, (6, 4): 1})
+    # the coupling LP on solve_lp: one column per cell, row and column sums
+    cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+    a_rows = [[int(c[0] == i) for c in cells] for i in range(len(supply))]
+    a_rows += [[int(c[1] == j) for c in cells] for j in range(len(demand))]
+    lp_value, x, _ = solve_lp([cost[i][j] for i, j in cells], a_rows, supply + demand)
+    assert lp_value == value and {c: v for c, v in zip(cells, x) if v} == flow
 
 
 def test_solve_lp_switches_to_blands_rule_on_beales_cycling_example():

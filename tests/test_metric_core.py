@@ -29,7 +29,7 @@ from ghlab import (
     validate_metric,
 )
 from ghlab.metric_core import NotSquare, dist_to_set
-from ghlab.numerics import INF, half, inv
+from ghlab.numerics import INF, half, inv, leq, quarter
 from ghlab.verify import random_pointed_space
 
 
@@ -191,6 +191,9 @@ def test_half_keeps_even_ints_and_inv_takes_a_unit():
     assert half(-6) == -3 and type(half(-6)) is int
     assert half(3) == F(3, 2) and half(F(5, 3)) == F(5, 6)
     assert half(3.0) == 1.5
+    assert quarter(12) == 3 and type(quarter(12)) is int and quarter(-8) == -2
+    assert quarter(6) == F(3, 2) and quarter(F(2, 3)) == F(1, 6) and quarter(3.0) == 0.75
+    assert leq(1, 1) and not leq(F(3, 2), 1) and leq(F(3, 2), 1, F(1, 2)) and not leq(1, 1, -0.5)
     assert inv(F(2, 3)) == F(3, 2) and inv(4, 36) == 9 and inv(8, 36) == F(9, 2)
     assert inv(INF) == 0 and inv(INF, 36) == 0 and inv(0.5, 4) == 8.0
 

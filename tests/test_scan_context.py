@@ -24,12 +24,15 @@ from ghlab import (
     correspondence_distortion,
     enumerate_correspondences,
     existence_tunnel,
+    extent,
     glue_from_correspondence,
     inverse,
     k_family,
     passage_from_gluing,
+    passage_from_isometry,
     pointed,
     propinquity_bracket,
+    smallest_admissible,
     validate_metric,
 )
 from ghlab import tunnels
@@ -87,15 +90,15 @@ def _subspace_passages(rng, count):
     return out
 
 
-def _composed_passages(rng, count):
+def _composed_passages(rng, count, eps1=F(1, 4), eps2=F(1, 4)):
     """Bridged compositions, each composed once more with an inverse leg."""
     out = []
     for _ in range(count):
         x, y, z = (random_pointed_space(rng, 1, 3) for _ in range(3))
         p1, p2 = random_passage(rng, x, y), random_passage(rng, y, z)
         alpha = F(1, rng.randint(2, 5))
-        comp = compose(p1, p2, alpha, F(1), r=F(3), eps1=F(1, 4), eps2=F(1, 4))
-        back = compose(comp, inverse(p2), alpha, F(1), r=F(3), eps1=F(1, 4), eps2=F(1, 4))
+        comp = compose(p1, p2, alpha, F(1), r=F(3), eps1=eps1, eps2=eps2)
+        back = compose(comp, inverse(p2), alpha, F(1), r=F(3), eps1=eps1, eps2=eps2)
         out += [comp, back]
     return out
 
@@ -348,3 +351,58 @@ def test_context_memo_is_shared_across_radii(monkeypatch):
     context = ScanContext(p)
     assert [_extent_scan(p, 1 / e, e, 0, context) for e in tolerances] == expected
     assert 0 < len(calls) < len(tolerances)
+
+
+def _grid_passages(rng):
+    """Rational passages of every kind, plus identity passages (extent 0)."""
+    passages = [p for p, _ in _metric_passages(rng, pairs=4, per_pair=2)]
+    passages += [p for p, _ in _subspace_passages(rng, 12)]
+    # eps of denominators no row has, so the grid unit must take them in
+    passages += _composed_passages(rng, 2, F(2, 7), F(3, 11)) + _existence_passages(rng, 4)
+    for _ in range(2):
+        x = random_pointed_space(rng, 1, 3)
+        passages.append(passage_from_isometry(x, x, range(x.n)))
+    return passages
+
+
+def _numbers(p):
+    """Every number of a passage, nested compositions included."""
+    out = [v for s in (p.carrier, p.domain.space, p.codomain.space) for row in s.dist for v in row]
+    if p.info is not None:
+        out += [p.info.alpha, p.info.eps1, p.info.eps2]
+        out += _numbers(p.info.first) + _numbers(p.info.second)
+    return out
+
+
+@pytest.mark.parametrize("tol", [0, F(1, 10), F(-1, 10)])
+def test_rational_extents_scan_an_integer_grid_and_match_the_uncached_scan(tol, monkeypatch):
+    # extent and smallest_admissible scan an int copy of the passage, r and
+    # tol, each number the caller's times the context's unit; their answers,
+    # divided back, are the reference scan's on the caller's numbers, down to
+    # the Python type of a returned 0 or inf
+    rng = random.Random(29)
+    passages = _grid_passages(rng)
+    assert any(p.info is not None and p.info.first.info is not None for p in passages)
+    caller, exact_copies = [], []
+    original = tunnels._extent_scan
+
+    def recording(q, r, cutoff, tol, context=None):
+        scaled = [r, tol, *_numbers(q)]
+        exact_copies.append(len(scaled) == len(caller) and all(
+            type(v) is int and F(v, context.unit) == w for v, w in zip(scaled, caller)
+        ))
+        return original(q, r, cutoff, tol, context)
+
+    monkeypatch.setattr(tunnels, "_extent_scan", recording)
+    answers = []
+    for p in passages:
+        for r, _ in _radii(rng)[:4]:
+            caller[:] = [r, tol, *_numbers(p)]
+            want = oracles.extent_scan_reference(p, r, INF, tol)
+            got = (extent(p, r, tol), smallest_admissible(p, r, tol))
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            answers.append(got[0])
+    assert exact_copies and all(exact_copies)
+    assert any(type(v) is int and v == 0 for v in answers)
+    assert INF in answers
