@@ -86,6 +86,7 @@ from .tunnels import (
     compose,
     existence_tunnel,
     extent,
+    identity_passage,
     inverse,
     k_family,
     lift_target_bounds,
@@ -93,6 +94,7 @@ from .tunnels import (
     passage_from_gluing,
     passage_from_isometry,
     passage_from_json,
+    passage_to_json,
     propinquity,
     propinquity_bracket,
     smallest_admissible,

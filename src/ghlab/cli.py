@@ -41,6 +41,7 @@ from .numerics import (
     truncate_floor,
 )
 from .tunnels import (
+    ScanContext,
     _checked_scan,
     check_admissible,
     passage_from_json,
@@ -286,12 +287,13 @@ def _run_w1(args, config: RunConfig) -> dict:
 def _run_extent(args, config: RunConfig) -> dict:
     p = passage_from_json(_load_document(args.passage), config.backend, tol=config.tolerance)
     r = parse_scalar(args.r, config.backend)
-    value, attained = _checked_scan(p, r, config.tolerance)
+    context = ScanContext(p, config.tolerance)
+    value, attained = _checked_scan(p, r, config.tolerance, context)
     report = {"command": "extent", "r": format_scalar(r), "value": format_scalar(value)}
     if attained is None:
         report["certificate"] = None
     else:
-        ok, cert = check_admissible(p, r, attained, tol=config.tolerance)
+        ok, cert = check_admissible(p, r, attained, tol=config.tolerance, context=context)
         report["certificate"] = _jsonable({"eps": attained, "admissible": ok, **cert})
     return report
 

@@ -17,14 +17,15 @@ unit, seminorm domain, ...) automatically, so ``_as_classical`` adds only
 separation to the boundary's metric check.
 
 On rational input ``extent``, ``smallest_admissible`` and ``gh extent`` scan
-one integer grid, as ``local_gh``'s searches do: L = 8 * lcm of the
-denominators of r, tol and every number of the passage (``_passage_scalars``)
-scales it into an ``int`` copy (the 8 keeps halves of quarters ints), the
-unchanged scan runs on it, and its value and probe are divided by L.  Every
-comparison is then between sums of L-scaled numbers, the sentinel past the
-last candidate (2c) included, except the bump family's scale-free Lipschitz
-ratio: it meets 1 + tol in the caller's numbers through ``unit``.  Brackets
-stay off the grid, since their radius 1/e moves at every bisection step.
+a metric passage on one integer grid, as ``local_gh``'s searches do: L = 8 *
+lcm of the denominators of r, tol and the passage's rows scales it into an
+``int`` copy (the 8 keeps halves of quarters ints), the unchanged scan runs on
+it, and its value and probe are divided by L.  Every comparison of the
+metric clauses is then between sums of L-scaled numbers, and the sentinel
+past the last candidate, 2c + unit, is 2c + 1 in the caller's numbers.
+Composed passages keep the caller's numbers: their bump family's Lipschitz
+ratio divides, so its test against 1 + tol is not scale-free.  Brackets stay
+off the grid too, since their radius 1/e moves at every bisection step.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .gluing import (
     correspondence_stream,
     glue_from_correspondence,
     glued_from_json,
+    glued_to_json,
 )
 from .lipschitz import (
     RealFunction,
@@ -174,6 +176,11 @@ def passage_from_isometry(a, b, mapping: Sequence[int]) -> Passage:
     return Passage(carrier=A.space, embed_x=tuple(range(A.n)), embed_y=m, domain=A, codomain=B)
 
 
+def identity_passage(a) -> Passage:
+    A = _as_classical(a)
+    return passage_from_isometry(A, A, tuple(range(A.n)))
+
+
 def inverse(p: Passage) -> Passage:
     return Passage(
         carrier=p.carrier,
@@ -239,7 +246,7 @@ def _zero_set(p: Passage, r: Scalar, eps: Scalar, K: frozenset, tol: Scalar) -> 
 
 
 def check_left_admissible(
-    p: Passage, r: Scalar, eps: Scalar, K: Iterable[int], tol: Scalar = 0, unit: int = 1
+    p: Passage, r: Scalar, eps: Scalar, K: Iterable[int], tol: Scalar = 0
 ) -> tuple:
     """Evaluate the one-sided admissibility clauses; returns (ok, certificate).
 
@@ -248,7 +255,6 @@ def check_left_admissible(
     escape distance is dominated by its carrier distance to the zero region
     (the universal-lift criterion; checked on the bump family for composed
     carriers).  Clauses (4) and (5) hold by construction and are asserted.
-    ``unit`` is the factor by which p's numbers scale the caller's.
     """
     if r <= 0:
         raise PreconditionFailed("radius", f"radius must be positive, got {r}")
@@ -280,13 +286,13 @@ def check_left_admissible(
             if not leq(lhs, rhs, tol):
                 return False, {"clause": 3, "witness": X.points[i], "mode": mode}
     else:
-        ok, witness = _bump_family_feasible(p, complement, zero, tol, unit)
+        ok, witness = _bump_family_feasible(p, complement, zero, tol)
         if not ok:
             return False, {"clause": 3, "witness": witness, "mode": mode}
     return True, {"clauses": "1-3 checked, 4-5 automatic", "mode": mode, "zero_size": len(zero)}
 
 
-def _bump_family_feasible(p: Passage, complement: list, zero: tuple, tol: Scalar, unit: int) -> tuple:
+def _bump_family_feasible(p: Passage, complement: list, zero: tuple, tol: Scalar) -> tuple:
     """Lift feasibility of the maximal bump at each domain point.
 
     For edge-difference seminorms the carrier matrix is the induced metric,
@@ -319,8 +325,7 @@ def _bump_family_feasible(p: Passage, complement: list, zero: tuple, tol: Scalar
         if conflict:
             return False, X.points[pidx]
         try:
-            # the ratio is scale-free; 1 + tol in the caller's numbers
-            if _partial_lip(carrier, anchors, tol) * unit > unit + tol:
+            if _partial_lip(carrier, anchors, tol) > 1 + tol:
                 return False, X.points[pidx]
         except MetricError:
             return False, X.points[pidx]
@@ -361,7 +366,7 @@ class ScanContext:
     """What the checks and scans of one passage at one ``tol`` share across
     radii: the inverse passage, basepoint gap and rows, radius-free tolerance
     candidates, and per eps the probe cells, witness family and probe memo.
-    ``unit`` is the factor by which p's numbers scale the caller's."""
+    p's numbers are the caller's times ``unit`` (1 off the grid)."""
 
     def __init__(self, p: Passage, tol: Scalar = 0, unit: int = 1):
         self.p, self.tol, self.unit, self.base = p, tol, unit, _base_rows(p)
@@ -453,10 +458,10 @@ def check_admissible(
         hit = memo.get(key)
         if hit is None:
             K = frozenset(kf(t)) if canonical else K
-            ok, cert = check_left_admissible(p, t, eps, K, tol, ctx.unit)
+            ok, cert = check_left_admissible(p, t, eps, K, tol)
             side = "left"
             if ok:
-                ok, cert = check_left_admissible(ctx.inverse, t, eps, K, tol, ctx.unit)
+                ok, cert = check_left_admissible(ctx.inverse, t, eps, K, tol)
                 side = "right"
             hit = memo[key] = (ok, side, cert)
         if not hit[0]:
@@ -509,7 +514,7 @@ def _extent_scan(
     start = bisect_left(cands, True, key=meets)
     if start:
         prev = cands[start - 1]
-        nxt = cands[start] if start < len(cands) else 2 * prev
+        nxt = cands[start] if start < len(cands) else 2 * prev + ctx.unit
         probe = _half(prev + min(nxt, cutoff))
         if probe > prev and meets(probe) and admissible(probe):
             return prev, probe
@@ -528,41 +533,26 @@ def _extent_scan(
             return INF, None
         if (i > start or not tried) and admissible(c):
             return c, c
-        nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c
+        nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c + ctx.unit
         mid = _half(c + min(nxt, cutoff))
         if mid > c and admissible(mid):
             return c, mid
     return INF, None
 
 
-def _passage_scalars(p: Passage) -> Iterator[Scalar]:
-    """Every number of p: its rows, and a composition's width and eps."""
-    yield from itertools.chain(*p.carrier.dist, *p.domain.space.dist, *p.codomain.space.dist)
-    if p.info is not None:
-        yield from (p.info.alpha, p.info.eps1, p.info.eps2)
-        yield from itertools.chain(*map(_passage_scalars, (p.info.first, p.info.second)))
-
-
-def _passage_on_grid(p: Passage, unit: int) -> Passage:
-    """p with every number of ``_passage_scalars`` times unit, as ints."""
-    info = None if p.info is None else ComposedInfo(
-        *(_passage_on_grid(q, unit) for q in (p.info.first, p.info.second)),
-        *(on_grid(v, unit) for v in (p.info.alpha, p.info.eps1, p.info.eps2)),
-        p.info.offset,
-    )
-    c, x, y = (_pointed_on_grid(s, unit) for s in (PointedSpace(p.carrier, 0), p.domain, p.codomain))
-    return Passage(c.space, p.embed_x, p.embed_y, x, y, p.kind, info)
-
-
-def _checked_scan(p: Passage, r: Scalar, tol: Scalar) -> tuple:
-    """``_extent_scan`` at r > 0 with no cutoff; rational input scans a grid."""
+def _checked_scan(p: Passage, r: Scalar, tol: Scalar, context: ScanContext | None = None) -> tuple:
+    """``_extent_scan`` at r > 0 with no cutoff.  A rational metric passage
+    scans a grid; any other passage scans the caller's numbers, in
+    ``context`` when one is given."""
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
-    unit = grid_unit(itertools.chain((r, tol), _passage_scalars(p)))
+    rows = itertools.chain((r, tol), *p.carrier.dist, *p.domain.space.dist, *p.codomain.space.dist)
+    unit = grid_unit(rows) if p.kind == "metric" else None
     if unit is None:
-        return _extent_scan(p, r, INF, tol)
+        return _extent_scan(p, r, INF, tol, context)
     unit *= 8
-    grid, tol = _passage_on_grid(p, unit), on_grid(tol, unit)
+    c, x, y = (_pointed_on_grid(s, unit) for s in (PointedSpace(p.carrier, 0), p.domain, p.codomain))
+    grid, tol = Passage(c.space, p.embed_x, p.embed_y, x, y), on_grid(tol, unit)
     found = _extent_scan(grid, on_grid(r, unit), INF, tol, ScanContext(grid, tol, unit))
     gap = p.carrier.d(p.x0_host, p.y0_host)  # the usual answer, handed back as the caller's
     return tuple(
@@ -1066,6 +1056,12 @@ def propinquity(
     lower end for the searched family, is no lower bound on the propinquity."""
     _, raw = propinquity_bracket(a, b, search, budget, seed, samples, iters, tol)
     return truncate_floor(raw), raw
+
+
+def passage_to_json(p: Passage) -> dict:
+    if p.glued is None:
+        raise MetricError("only gluing-backed passages serialize to JSON")
+    return {"gluing": glued_to_json(p.glued)}
 
 
 def passage_from_json(obj, backend: str = "rational", tol: Scalar = 0) -> Passage:

@@ -452,7 +452,7 @@ def extent_scan_reference(p, r, cutoff=math.inf, tol=0, context=None) -> tuple:
             return math.inf, None
         if admissible(c):
             return c, c
-        nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c
+        nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c + 1
         mid = _half(c + min(nxt, cutoff))
         if mid > c and admissible(mid):
             return c, mid

@@ -353,56 +353,67 @@ def test_context_memo_is_shared_across_radii(monkeypatch):
     assert 0 < len(calls) < len(tolerances)
 
 
+def _scaled(x, s):
+    rows = [[v * s for v in row] for row in x.space.dist]
+    return pointed(validate_metric(x.space.points, rows), x.base)
+
+
 def _grid_passages(rng):
     """Rational passages of every kind, plus identity passages (extent 0)."""
     passages = [p for p, _ in _metric_passages(rng, pairs=4, per_pair=2)]
     passages += [p for p, _ in _subspace_passages(rng, 12)]
-    # eps of denominators no row has, so the grid unit must take them in
     passages += _composed_passages(rng, 2, F(2, 7), F(3, 11)) + _existence_passages(rng, 4)
     for _ in range(2):
         x = random_pointed_space(rng, 1, 3)
         passages.append(passage_from_isometry(x, x, range(x.n)))
+    # rows of denominator 3**37 + 2, so their grid ints pass 2**53
+    for _ in range(3):
+        x, y = (_scaled(random_pointed_space(rng, 1, 3), F(3**37 + 1, 3**37 + 2)) for _ in "xy")
+        passages.append(random_passage(rng, x, y))
     return passages
 
 
-def _numbers(p):
-    """Every number of a passage, nested compositions included."""
-    out = [v for s in (p.carrier, p.domain.space, p.codomain.space) for row in s.dist for v in row]
-    if p.info is not None:
-        out += [p.info.alpha, p.info.eps1, p.info.eps2]
-        out += _numbers(p.info.first) + _numbers(p.info.second)
-    return out
+def _rows(p):
+    return [v for s in (p.carrier, p.domain.space, p.codomain.space) for row in s.dist for v in row]
 
 
 @pytest.mark.parametrize("tol", [0, F(1, 10), F(-1, 10)])
 def test_rational_extents_scan_an_integer_grid_and_match_the_uncached_scan(tol, monkeypatch):
-    # extent and smallest_admissible scan an int copy of the passage, r and
-    # tol, each number the caller's times the context's unit; their answers,
-    # divided back, are the reference scan's on the caller's numbers, down to
-    # the Python type of a returned 0 or inf
+    # extent and smallest_admissible scan a metric passage as an int copy of
+    # its rows, r and tol, each number the caller's times the context's unit,
+    # and a composed one in the caller's numbers; their answers, divided
+    # back, are the reference scan's on the caller's numbers, down to the
+    # Python type of a returned 0 or inf
     rng = random.Random(29)
     passages = _grid_passages(rng)
     assert any(p.info is not None and p.info.first.info is not None for p in passages)
-    caller, exact_copies = [], []
+    scans, largest = [], 0
     original = tunnels._extent_scan
 
     def recording(q, r, cutoff, tol, context=None):
-        scaled = [r, tol, *_numbers(q)]
-        exact_copies.append(len(scaled) == len(caller) and all(
-            type(v) is int and F(v, context.unit) == w for v, w in zip(scaled, caller)
-        ))
+        unit = 1 if context is None else context.unit
+        numbers = [r, tol, *_rows(q)]
+        scans.append((q, unit, all(type(v) is int for v in numbers), [F(v, unit) for v in numbers]))
         return original(q, r, cutoff, tol, context)
 
     monkeypatch.setattr(tunnels, "_extent_scan", recording)
     answers = []
     for p in passages:
         for r, _ in _radii(rng)[:4]:
-            caller[:] = [r, tol, *_numbers(p)]
+            scans.clear()
             want = oracles.extent_scan_reference(p, r, INF, tol)
             got = (extent(p, r, tol), smallest_admissible(p, r, tol))
             assert got == want
             assert [type(v) for v in got] == [type(v) for v in want]
             answers.append(got[0])
-    assert exact_copies and all(exact_copies)
+            assert len(scans) == 2
+            for q, unit, ints, numbers in scans:
+                assert numbers == [r, tol, *_rows(p)]
+                if p.kind == "metric":
+                    assert ints and unit > 1
+                    largest = max(largest, max(abs(v) * unit for v in numbers))
+                else:
+                    assert q is p and unit == 1
+    assert largest > 2**53
     assert any(type(v) is int and v == 0 for v in answers)
     assert INF in answers

@@ -17,7 +17,7 @@ from ghlab import (
     diameter,
     existence_tunnel,
     extent,
-    glued_to_json,
+    identity_passage,
     inverse,
     k_family,
     lift_target_bounds,
@@ -26,6 +26,7 @@ from ghlab import (
     passage_from_gluing,
     passage_from_isometry,
     passage_from_json,
+    passage_to_json,
     pointed,
     pointed_from_json,
     propinquity,
@@ -150,7 +151,7 @@ def test_extent_is_nondecreasing_in_radius():
 
 def test_identity_passage_has_zero_extent_everywhere():
     x = pointed(line_space([F(0), F(1), F(3)]), 0)
-    p = passage_from_isometry(x, x, range(x.n))
+    p = identity_passage(x)
     for r in (F(1, 2), F(1), F(7)):
         assert extent(p, r) == 0
 
@@ -441,15 +442,16 @@ def test_passage_json_round_trip_for_metric_passages():
     assert p.kind == "metric" and passage_from_gluing(p.glued) == p
     g = random_glued(rng)
     assert passage_from_gluing(g).glued == g
-    back = passage_from_json({"gluing": glued_to_json(p.glued)})
+    back = passage_from_json(passage_to_json(p))
     assert back.carrier.dist == p.carrier.dist
     assert back.embed_x == p.embed_x and back.embed_y == p.embed_y
     r = F(2)
     assert extent(back, r) == extent(p, r)
     comp_x = pointed(line_space([F(0), F(1), F(6)]), 0)
     comp_y = pointed(line_space([F(0), F(2), F(7)]), 0)
-    # a composed passage is no gluing, so it has no JSON form
-    assert existence_tunnel(comp_x, comp_y, F(3)).glued is None
+    composed = existence_tunnel(comp_x, comp_y, F(3))
+    with pytest.raises(MetricError):
+        passage_to_json(composed)
 
 
 def test_isometry_passage_requires_a_real_isometry():
