@@ -79,33 +79,34 @@ def _row_search(nx: int, ny: int, x=None, y=None, prune=None) -> Iterator[Corres
     along and each leaf is measured; with a ``prune`` callback too, a row
     prefix is cut once ``prune(partial_dis / 2)`` holds, a leaf once
     ``prune(base gap)`` holds."""
+    rows = [(mask, [j for j in range(ny) if mask >> j & 1]) for mask in range(1, 1 << ny)]
+    return _rows_from(0, 0, [], 0, nx, ny, rows, x, y, prune)
+
+
+def _rows_from(row, covered, pairs, dis, nx, ny, rows, x, y, prune) -> Iterator[Correspondence]:
+    """``_row_search`` below the rows chosen in ``pairs``; no closure, so no cycle."""
     full = (1 << ny) - 1
-    rows = [(mask, [j for j in range(ny) if mask >> j & 1]) for mask in range(1, full + 1)]
-
-    def rec(row: int, covered: int, pairs: list, dis: Scalar):
-        if row == nx:
-            if covered == full and (prune is None or not prune(_base_gap(x, y, pairs, dis))):
-                measured = None if x is None else (x.space, y.space, dis)
-                yield Correspondence(tuple(pairs), nx, ny, measured)
-            return
-        for mask, cols in rows:
-            if row + 1 == nx and covered | mask != full:
+    if row == nx:
+        if covered == full and (prune is None or not prune(_base_gap(x, y, pairs, dis))):
+            measured = None if x is None else (x.space, y.space, dis)
+            yield Correspondence(tuple(pairs), nx, ny, measured)
+        return
+    for mask, cols in rows:
+        if row + 1 == nx and covered | mask != full:
+            continue
+        grown = pairs + [(row, j) for j in cols]
+        grown_dis = dis
+        if x is not None:
+            x_row = x.space.dist[row]
+            for b in cols:
+                y_row = y.space.dist[b]
+                for i, j in grown:
+                    gap = abs(x_row[i] - y_row[j])
+                    if gap > grown_dis:
+                        grown_dis = gap
+            if prune is not None and prune(half(grown_dis)):
                 continue
-            grown = pairs + [(row, j) for j in cols]
-            grown_dis = dis
-            if x is not None:
-                x_row = x.space.dist[row]
-                for b in cols:
-                    y_row = y.space.dist[b]
-                    for i, j in grown:
-                        gap = abs(x_row[i] - y_row[j])
-                        if gap > grown_dis:
-                            grown_dis = gap
-                if prune is not None and prune(half(grown_dis)):
-                    continue
-            yield from rec(row + 1, covered | mask, grown, grown_dis)
-
-    yield from rec(0, 0, [], 0)
+        yield from _rows_from(row + 1, covered | mask, grown, grown_dis, nx, ny, rows, x, y, prune)
 
 
 def _base_gap(x: PointedSpace, y: PointedSpace, pairs, dis: Scalar) -> Scalar:

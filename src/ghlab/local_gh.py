@@ -355,8 +355,8 @@ def _inframetric_search(x, y, search, budget, seed, samples, slack):
     prune = lambda lower: lower >= best_raw  # first found wins ties
     for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
         lim = _base_gap(x, y, rel.pairs, _distortion(rel, x, y)) + slack
-        # the inverse of the threshold radius 1/lim, rounded as that radius is
-        raw = 0 if lim <= 0 else inv(inv(lim))
+        # the inverse of the threshold radius 1/lim, rounded as a float radius is
+        raw = 0 if lim <= 0 else inv(inv(lim)) if isinstance(lim, float) else lim
         if raw < best_raw:
             best_raw, best = raw, rel
     if best is None:

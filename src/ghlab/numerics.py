@@ -53,7 +53,7 @@ def inv(v: Scalar, unit: Scalar = 1) -> Scalar:
         return 0
     if isinstance(v, float) or isinstance(unit, float):
         return unit / v
-    return Fraction(unit) / Fraction(v)
+    return Fraction(unit) / v
 
 
 def grid_unit(values: Iterable) -> int | None:
@@ -74,11 +74,7 @@ def on_grid(v: Scalar, unit: int) -> int:
 
 
 def leq(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
-    """a <= b up to an additive tolerance (tol 0 adds nothing)."""
-    if is_inf(b):
-        return True
-    if is_inf(a):
-        return False
+    """a <= b up to an additive tolerance (tol 0 adds nothing; inf + tol is inf)."""
     return a <= b + tol if tol else a <= b
 
 

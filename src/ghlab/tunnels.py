@@ -220,9 +220,8 @@ def _find_base_isometry(x: PointedSpace, y: PointedSpace) -> tuple | None:
             used[cand] = False
         return False
 
-    if rec(0):
-        return tuple(assign[j] for j in range(n))
-    return None
+    found, rec = rec(0), None  # rec's cell held rec itself: a cycle for the collector
+    return tuple(assign[j] for j in range(n)) if found else None
 
 
 def k_family(p: Passage, eps: Scalar, tol: Scalar = 0) -> Callable[[Scalar], frozenset]:
@@ -427,12 +426,14 @@ def check_admissible(
 
     So both sides' clauses at probe t read only eps, K_t, and which
     basepoint-row values d satisfy leq(d, t, tol) and leq(d, t + 4 eps, tol);
-    each is a prefix of the sorted rows (``_base_rows``), fixed by its length.  Results are
-    memoised on eps, both lengths and K_t in ``context`` (a ``ScanContext``
-    of p at this tol; a fresh one when omitted).  The canonical K_t is the
-    leq(d, t + 2 eps, tol) prefix, so its length stands in for it; a supplied
-    or composed K_t enters as computed.  The key is exact on both backends:
-    each length comes from the very comparison the clauses make.
+    each is a prefix of the sorted rows (``_base_rows``), fixed by its length.
+    Results are memoised on eps, both lengths and K_t in ``context`` (a
+    ``ScanContext`` of p at this tol; a fresh one when omitted).  The
+    canonical K_t is the leq(d, t + 2 eps, tol) prefix, so its length stands
+    in for it; a supplied or composed K_t enters as computed.  The key is
+    exact on both backends: each length comes from the comparison ``leq``
+    makes (d <= t + s at tol 0), and as eps > 0 and rounding is monotone the
+    thresholds ascend in s, so each search starts where the one below ended.
     """
     if r <= 0 or eps <= 0:
         return False, {"reason": "nonpositive radius or tolerance"}
@@ -449,15 +450,16 @@ def check_admissible(
     rows, two, four = ctx.rows, 2 * eps, 4 * eps
     canonical = family == "canonical"
     for t in probes:
-        K = None if canonical else frozenset(kf(t))
-        key = (
-            bisect_right(rows, t + tol),
-            bisect_right(rows, t + four + tol),
-            bisect_right(rows, t + two + tol) if canonical else K,
-        )
+        lo = bisect_right(rows, t + tol if tol else t)
+        if canonical:
+            K = mid = bisect_right(rows, t + two + tol if tol else t + two, lo)
+        else:
+            K, mid = frozenset(kf(t)), lo
+        key = (lo, bisect_right(rows, t + four + tol if tol else t + four, mid), K)
         hit = memo.get(key)
         if hit is None:
-            K = frozenset(kf(t)) if canonical else K
+            if canonical:
+                K = frozenset(kf(t))
             ok, cert = check_left_admissible(p, t, eps, K, tol)
             side = "left"
             if ok:

@@ -353,6 +353,20 @@ def lift_bounds_lp(seminorm, l, pins: dict):
 
 
 # ---------------------------------------------------------------------------
+# tolerant comparison
+
+
+def leq_reference(a, b, tol=0) -> bool:
+    """``numerics.leq`` with +inf read off before comparing (its former
+    definition)."""
+    if isinstance(b, float) and math.isinf(b):
+        return True
+    if isinstance(a, float) and math.isinf(a):
+        return False
+    return a <= b + tol if tol else a <= b
+
+
+# ---------------------------------------------------------------------------
 # uncached extent scan
 #
 # The extent scan as it stood before probe results were shared: the full

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from conftest import ball_only_embedding, random_correspondence_pairs
 from ghlab import (
     AxiomViolation,
     BudgetExceeded,
+    Delta_r,
     EtaTooSmall,
     MetricError,
     compose,
@@ -22,6 +24,7 @@ from ghlab import (
     enumerate_correspondences,
     enumerate_gluings,
     existence_tunnel,
+    gh_inframetric,
     glue_from_correspondence,
     glue_triple_w,
     glued_from_json,
@@ -33,6 +36,7 @@ from ghlab import (
     passage_from_gluing,
     passage_from_isometry,
     pointed,
+    propinquity_bracket,
     restrict_to_images,
     space_to_json,
     subspace,
@@ -373,3 +377,27 @@ def test_stream_distortion_is_reused_only_on_its_own_spaces():
                                 glue_from_correspondence(a, b, c, eta=dis / 2 - tiny)
                         checked += 1
     assert checked > 0
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # every exact stream used to leave its self-recursive row search behind as
+    # a reference cycle, and a bracket on equal sizes its isometry search;
+    # with the collector off, none may be left to collect
+    x = pointed(line_space([F(0), F(1)]), 0)
+    y = pointed(line_space([F(0), F(1), F(3)]), 1)
+    y2 = pointed(line_space([F(0), F(2)]), 0)
+    calls = (
+        lambda: propinquity_bracket(x, y),
+        lambda: propinquity_bracket(x, y2),
+        lambda: Delta_r(x, y, F(1)),
+        lambda: Delta_r(x, y, F(1), search="heuristic", samples=8),
+        lambda: gh_inframetric(x, y),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

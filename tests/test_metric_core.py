@@ -198,6 +198,20 @@ def test_half_keeps_even_ints_and_inv_takes_a_unit():
     assert inv(INF) == 0 and inv(INF, 36) == 0 and inv(0.5, 4) == 8.0
 
 
+@pytest.mark.parametrize("tol", [0, 0.0, F(1, 10), F(-1, 10), 1e-9])
+def test_leq_agrees_with_its_inf_checked_reference(tol):
+    values = [0, 3, -2, F(1, 3), F(-7, 10), F(3, 1), 0.0, -0.0, 0.1, 1 / 3, -2.5, 3.0, INF]
+    for a in values:
+        for b in values:
+            assert leq(a, b, tol) == oracles.leq_reference(a, b, tol), (a, b, tol)
+
+
+def test_leq_orders_minus_inf_below_every_value():
+    # -inf never reaches leq (parse_scalar maps it to +inf); it is ordered as
+    # Python orders it
+    assert leq(-INF, 0) and leq(-INF, F(-5)) and not leq(0, -INF)
+
+
 # pairwise coprime, and large enough that the grid unit of one matrix is huge
 PRIMES = (10**9 + 7, 10**9 + 9, 998244353, 2**31 - 1)
 CLAUSES = (
