@@ -16,16 +16,17 @@ space satisfies the proper-quantum-metric clauses (properness, approximate
 unit, seminorm domain, ...) automatically, so ``_as_classical`` adds only
 separation to the boundary's metric check.
 
-On rational input ``extent``, ``smallest_admissible`` and ``gh extent`` scan
-a metric passage on one integer grid, as ``local_gh``'s searches do: L = 8 *
-lcm of the denominators of r, tol and the passage's rows scales it into an
+On rational input every scan of a metric passage (``_grid_scan``) runs on
+one integer grid, as ``local_gh``'s searches do: L = 8 * lcm of the
+denominators of tol, any fixed r and the passage's rows scales it into an
 ``int`` copy (the 8 keeps halves of quarters ints), the unchanged scan runs on
-it, and its value and probe are divided by L.  Every comparison of the
-metric clauses is then between sums of L-scaled numbers, and the sentinel
-past the last candidate, 2c + unit, is 2c + 1 in the caller's numbers.
-Composed passages keep the caller's numbers: their bump family's Lipschitz
-ratio divides, so its test against 1 + tol is not scale-free.  Brackets stay
-off the grid too, since their radius 1/e moves at every bisection step.
+it, and its value and probe are divided by L.  So do ``extent``, ``gh
+extent``, ``local_propinquity`` and each bisection step of a bracket, at
+radius L/e and cutoff e * L.  Every comparison of the metric clauses is then
+between sums of L-scaled numbers; the sentinel past the last candidate, 2c +
+unit, is 2c + 1 in the caller's numbers.  Composed passages keep the caller's
+numbers: their bump family's Lipschitz ratio divides, so its test against 1 +
+tol is not scale-free.
 """
 
 from __future__ import annotations
@@ -542,25 +543,40 @@ def _extent_scan(
     return INF, None
 
 
-def _checked_scan(p: Passage, r: Scalar, tol: Scalar, context: ScanContext | None = None) -> tuple:
-    """``_extent_scan`` at r > 0 with no cutoff.  A rational metric passage
-    scans a grid; any other passage scans the caller's numbers, in
-    ``context`` when one is given."""
-    if r <= 0:
-        raise NonPositiveRadius(f"radius must be positive, got {r}")
-    rows = itertools.chain((r, tol), *p.carrier.dist, *p.domain.space.dist, *p.codomain.space.dist)
+def _grid_scan(p: Passage, tol: Scalar, r: Scalar | None = None) -> tuple:
+    """(scan, unit, out), the one caller of ``_extent_scan``: scan(radius,
+    cutoff) scans p at tol in one ``ScanContext``, radius (default: the fixed
+    r) and cutoff (default: inf) given as the caller's numbers times unit,
+    and out(v) maps a value or probe back.  A rational metric passage scans
+    ``_pointed_on_grid`` copies at unit L; out passes 0, inf and None, gives
+    the basepoint gap as the caller's gap object and divides the rest by L.
+    Any other passage scans the caller's numbers at unit 1."""
+    fixed = (tol,) if r is None else (tol, r)
+    rows = itertools.chain(fixed, *p.carrier.dist, *p.domain.space.dist, *p.codomain.space.dist)
     unit = grid_unit(rows) if p.kind == "metric" else None
     if unit is None:
-        return _extent_scan(p, r, INF, tol, context)
-    unit *= 8
-    c, x, y = (_pointed_on_grid(s, unit) for s in (PointedSpace(p.carrier, 0), p.domain, p.codomain))
-    grid, tol = Passage(c.space, p.embed_x, p.embed_y, x, y), on_grid(tol, unit)
-    found = _extent_scan(grid, on_grid(r, unit), INF, tol, ScanContext(grid, tol, unit))
-    gap = p.carrier.d(p.x0_host, p.y0_host)  # the usual answer, handed back as the caller's
-    return tuple(
-        v if v in (0, INF, None) else gap if v == on_grid(gap, unit) else Fraction(v, unit)
-        for v in found
-    )
+        unit, out = 1, lambda v: v
+    else:
+        unit *= 8
+        c, x, y = (_pointed_on_grid(s, unit) for s in (PointedSpace(p.carrier, 0), p.domain, p.codomain))
+        gap, p = p.carrier.d(p.x0_host, p.y0_host), Passage(c.space, p.embed_x, p.embed_y, x, y)
+        grid_gap, tol = on_grid(gap, unit), on_grid(tol, unit)
+        r = None if r is None else on_grid(r, unit)
+        out = lambda v: v if v in (0, INF, None) else gap if v == grid_gap else Fraction(v, unit)
+    context = ScanContext(p, tol, unit)
+
+    def scan(radius: Scalar = r, cutoff: Scalar = INF) -> tuple:
+        return _extent_scan(p, radius, cutoff, tol, context)
+
+    return scan, unit, out
+
+
+def _checked_scan(p: Passage, r: Scalar, tol: Scalar) -> tuple:
+    """``_extent_scan`` at a fixed r > 0 with no cutoff, in the caller's numbers."""
+    if r <= 0:
+        raise NonPositiveRadius(f"radius must be positive, got {r}")
+    scan, _, out = _grid_scan(p, tol, r)
+    return tuple(map(out, scan()))
 
 
 def extent(p: Passage, r: Scalar, tol: Scalar = 0) -> Scalar:
@@ -756,9 +772,9 @@ def compose(
     if r is None:
         r = 2 * t
     if eps1 is None:
-        _, eps1 = _extent_scan(p1, r, INF, tol)
+        eps1 = _checked_scan(p1, r, tol)[1]
     if eps2 is None:
-        _, eps2 = _extent_scan(p2, r, INF, tol)
+        eps2 = _checked_scan(p2, r, tol)[1]
     if eps1 is None or eps2 is None:
         raise RadiusConditionViolated(f"no admissible tolerance at radius {r}")
     if not t + 4 * max(eps1, eps2) < r:
@@ -910,25 +926,23 @@ def local_propinquity(
         return 0, passage_from_isometry(A, B, iso)
     best_val: Scalar = INF
     best: Passage | None = None
-    for p in _gluing_passages(A, B, search, budget, seed, samples, lambda: best_val):
-        val, _ = _extent_scan(p, r, best_val, tol)
+
+    def passages() -> Iterator[Passage]:
+        yield from _gluing_passages(A, B, search, budget, seed, samples, lambda: best_val)
+        try:
+            yield existence_tunnel(A, B, r, tol)
+        except MetricError:
+            pass
+        if best is not None and best.glued is not None:
+            refined = refine_gluing_cross(best.glued, tol=tol)
+            if refined.host != best.carrier:
+                yield passage_from_gluing(refined)
+
+    for p in passages():
+        scan, unit, out = _grid_scan(p, tol, r)
+        val = out(scan(cutoff=best_val * unit)[0])
         if val < best_val:
             best_val, best = val, p
-    try:
-        p_ex = existence_tunnel(A, B, r, tol)
-    except MetricError:
-        p_ex = None
-    if p_ex is not None:
-        val, _ = _extent_scan(p_ex, r, best_val, tol)
-        if val < best_val:
-            best_val, best = val, p_ex
-    if best is not None and best.glued is not None:
-        refined = refine_gluing_cross(best.glued, tol=tol)
-        if refined.host != best.carrier:
-            p_ref = passage_from_gluing(refined)
-            val, _ = _extent_scan(p_ref, r, best_val, tol)
-            if val < best_val:
-                best_val, best = val, p_ref
     return best_val, best
 
 
@@ -948,12 +962,14 @@ def _tau_bisect(pred: Callable[[Scalar], bool], hi: Scalar, iters: int) -> tuple
 def _passage_pred(p: Passage, tol: Scalar) -> Callable[[Scalar], bool]:
     """e -> does p beat tolerance e at radius 1/e.  Monotone: the extent is
     nondecreasing in the radius, so shrinking 1/e only helps.  Its scans
-    share one ``ScanContext``."""
-    context = ScanContext(p, tol)
+    share one ``_grid_scan``: a rational metric passage is scaled to the
+    grid once, and each step scans it at radius L/e below cutoff e * L; e
+    itself stays in the caller's numbers."""
+    scan, unit, _ = _grid_scan(p, tol)
 
     def pred(e: Scalar) -> bool:
-        val, _ = _extent_scan(p, inv(e), e, tol, context)
-        return val < e
+        cutoff = e * unit
+        return scan(inv(e, unit), cutoff)[0] < cutoff
 
     return pred
 
@@ -961,7 +977,8 @@ def _passage_pred(p: Passage, tol: Scalar) -> Callable[[Scalar], bool]:
 def _existence_pred(A: PointedSpace, B: PointedSpace, tol: Scalar) -> Callable[[Scalar], bool]:
     """e -> does the existence passage at radius 1/e beat tolerance e (False
     where it does not exist).  Each distinct passage (``_existence_case``)
-    is built once, and its scans share one ``ScanContext``."""
+    is built once with its own ``_passage_pred``, so the compact collapse, a
+    metric passage, scans the grid, and the bridge the caller's numbers."""
     built: dict = {}
     diameters = diameter(A.space), diameter(B.space)
 
@@ -972,11 +989,8 @@ def _existence_pred(A: PointedSpace, B: PointedSpace, tol: Scalar) -> Callable[[
         except MetricError:
             return False
         if case not in built:
-            p = existence_tunnel(A, B, r, tol)
-            built[case] = p, ScanContext(p, tol)
-        p, context = built[case]
-        val, _ = _extent_scan(p, r, e, tol, context)
-        return val < e
+            built[case] = _passage_pred(existence_tunnel(A, B, r, tol), tol)
+        return built[case](e)
 
     return pred
 

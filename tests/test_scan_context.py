@@ -28,6 +28,7 @@ from ghlab import (
     glue_from_correspondence,
     inverse,
     k_family,
+    local_propinquity,
     passage_from_gluing,
     passage_from_isometry,
     pointed,
@@ -37,7 +38,7 @@ from ghlab import (
 )
 from ghlab import tunnels
 from ghlab.gluing import validate_gluing
-from ghlab.metric_core import MetricError, subspace
+from ghlab.metric_core import MetricError, _trusted_space, subspace
 from ghlab.numerics import DEFAULT_FLOAT_TOL, INF, inv
 from ghlab.tunnels import ScanContext, _extent_scan
 from ghlab.verify import random_pointed_space, random_passage
@@ -233,7 +234,7 @@ def test_propinquity_brackets_match_the_uncached_scan(backend, monkeypatch):
     tol = 0 if backend == "rational" else TOL
     cases = [_pair(rng, nx, ny, backend) for nx, ny in ((1, 2), (2, 1), (2, 2), (1, 2), (2, 2))]
     got = [propinquity_bracket(x, y, tol=tol) for x, y in cases]
-    monkeypatch.setattr(tunnels, "_extent_scan", oracles.extent_scan_reference)
+    monkeypatch.setattr(tunnels, "_grid_scan", _reference_grid_scan)
     assert got == [propinquity_bracket(x, y, tol=tol) for x, y in cases]
 
 
@@ -309,7 +310,10 @@ def test_existence_predicate_scans_the_passage_a_rebuild_makes(monkeypatch):
     original = tunnels._extent_scan
 
     def recording(p, r, cutoff, tol, context=None):
-        scanned.append((p.carrier, r))
+        # the compact collapse scans a grid copy: divide it back by its unit
+        unit = context.unit
+        rows = [[F(v, unit) for v in row] for row in p.carrier.dist]
+        scanned.append((_trusted_space(p.carrier.points, rows), r / unit))
         return original(p, r, cutoff, tol, context)
 
     most = 0
@@ -417,3 +421,99 @@ def test_rational_extents_scan_an_integer_grid_and_match_the_uncached_scan(tol, 
     assert largest > 2**53
     assert any(type(v) is int and v == 0 for v in answers)
     assert INF in answers
+
+
+def _bracket_cases(rng):
+    """Pairs of 1-3 point spaces, then pairs with rows of denominator
+    3**37 + 2, as in ``_grid_passages``."""
+    shapes = ((1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2))
+    cases = [(random_pointed_space(rng, nx, nx), random_pointed_space(rng, ny, ny)) for nx, ny in shapes]
+    big = F(3**37 + 1, 3**37 + 2)
+    for _ in range(2):
+        cases.append(tuple(_scaled(random_pointed_space(rng, 1, 3), big) for _ in "xy"))
+    return cases
+
+
+def _reference_grid_scan(p, tol, r=None):
+    """``tunnels._grid_scan`` with no grid: the uncached reference scan of
+    the caller's own passage, at unit 1."""
+
+    def scan(radius=r, cutoff=INF):
+        return oracles.extent_scan_reference(p, radius, cutoff, tol)
+
+    return scan, 1, lambda v: v
+
+
+def _caller_key(q, unit):
+    return tuple(F(v, unit) for v in _rows(q)), q.embed_x, q.embed_y, q.domain.base, q.codomain.base
+
+
+@pytest.mark.parametrize("tol", [0, F(1, 10)])
+def test_rational_brackets_and_local_propinquity_scan_an_integer_grid_and_match_the_uncached_scan(
+    tol, monkeypatch
+):
+    # every bisection step and every local_propinquity scan of a metric
+    # passage runs on an int copy of its rows and tol, each the caller's
+    # number times the context's unit, at radius L/e and cutoff e * L for a
+    # bracket and at r * L for local_propinquity; composed passages are
+    # scanned as the caller's own, at unit 1.  The answers equal those of
+    # every predicate evaluated by the reference scan on the caller's
+    # passages, down to their Python types.
+    rng = random.Random(31)
+    cases = _bracket_cases(rng)
+    radii = [F(rng.randint(1, 8), 2) for _ in cases]
+    asked, scans = [], []
+    grid_scan, extent_scan, check = tunnels._grid_scan, tunnels._extent_scan, tunnels.check_admissible
+
+    def asking(p, tol, r=None):
+        asked.append(p)
+        return grid_scan(p, tol, r)
+
+    def scanning(q, r, cutoff, tol, context=None):
+        scans.append((q, r, cutoff, tol, context.unit, context.gap, []))
+        return extent_scan(q, r, cutoff, tol, context)
+
+    def checking(p, r, eps, k_of_t=None, tol=0, context=None):
+        got = check(p, r, eps, k_of_t, tol, context)
+        scans[-1][-1].append((eps, got[0]))
+        return got
+
+    monkeypatch.setattr(tunnels, "_grid_scan", asking)
+    monkeypatch.setattr(tunnels, "_extent_scan", scanning)
+    monkeypatch.setattr(tunnels, "check_admissible", checking)
+    brackets = [propinquity_bracket(x, y, tol=tol) for x, y in cases]
+    bracket_scans = len(scans)
+    local = []
+    for (x, y), r in zip(cases, radii):
+        first = len(scans)
+        local.append(local_propinquity(x, y, r, tol=tol))
+        for _, radius, _, _, unit, _, _ in scans[first:]:
+            assert radius == r * unit and (unit == 1 or type(radius) is int)
+
+    metric = {_caller_key(p, 1) for p in asked if p.kind == "metric"}
+    composed = {id(p) for p in asked if p.kind == "composed"}
+    largest, kinds, rejected = 0, set(), False
+    for k, (q, radius, cutoff, q_tol, unit, gap, checks) in enumerate(scans):
+        if unit > 1:
+            numbers = [q_tol, *_rows(q)]
+            assert all(type(v) is int for v in numbers) and F(q_tol, unit) == tol
+            assert _caller_key(q, unit) in metric
+            largest = max(largest, *numbers)
+            kinds.add("metric")
+        else:
+            assert q.kind == "composed" and id(q) in composed and q_tol is tol
+            kinds.add("composed")
+        if k < bracket_scans:
+            assert radius * cutoff == unit * unit
+            if len(checks) > 1 and not checks[0][1]:
+                rejected = rejected or tol != 0 or checks[0][0] == gap
+    assert kinds == {"metric", "composed"} and largest > 2**53
+    assert rejected  # a bisection step rejected its first probe and scanned on
+
+    monkeypatch.setattr(tunnels, "_grid_scan", _reference_grid_scan)
+    want = [propinquity_bracket(x, y, tol=tol) for x, y in cases]
+    want_local = [local_propinquity(x, y, r, tol=tol) for (x, y), r in zip(cases, radii)]
+    assert brackets == want and local == want_local
+    got = [v for pair in brackets for v in pair] + [v for v, _ in local]
+    want = [v for pair in want for v in pair] + [v for v, _ in want_local]
+    assert [type(v) for v in got] == [type(v) for v in want]

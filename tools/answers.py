@@ -1,0 +1,156 @@
+"""Digests of the package's answers, to show that a change keeps them.
+
+Run from the root of a checkout (the directory holding ``src/ghlab`` and
+``perfbench``), once on the parent commit and once on the change, then diff
+the two outputs; a speed-up that keeps every answer prints the same lines:
+
+    python3 tools/answers.py > /tmp/parent.txt      # in the parent's checkout
+    python3 tools/answers.py > /tmp/change.txt      # in the change's checkout
+    diff /tmp/parent.txt /tmp/change.txt
+
+``python3 tools/answers.py tunnel cli`` runs only the named families.  Each
+family prints one line: its name, how many answers it saw, and a sha256 of
+every answer's repr with its Python type, in order.  The queries are the
+benchmark's own pools (``perfbench/workloads.py``), regenerated from their
+seeds; nothing is written under ``perfbench``.  The families are:
+
+- ``tunnel``: every answer of the ``tunnel`` pools of input sets 0-7;
+- ``admissible``: ``smallest_admissible`` of their extent queries and the
+  ``check_admissible`` certificate of that tolerance, at tol 0 and 1/10;
+- ``brackets``: their ``propinquity_bracket`` queries at tol 1/10;
+- ``search``: the ``search`` values and witnesses of input sets 0-3;
+- ``cli``: exit code and standard output of every ``gh`` query of the
+  ``cli-float`` pools 0-3, on the float and the rational backend, each run
+  with its documents under the same relative names in a scratch directory;
+- ``verify``: ``gh verify --suite all`` on both backends.
+
+Standard library only; ``GHLAB_*`` variables are cleared so that they do not
+change a ``gh`` default.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from fractions import Fraction
+
+ROOT = os.getcwd()
+for sub in ("perfbench", "src"):
+    sys.path.insert(0, os.path.join(ROOT, sub))
+if not os.path.isfile(os.path.join(ROOT, "src", "ghlab", "__init__.py")):
+    sys.exit("answers: no src/ghlab under the working directory; run from a checkout root")
+for name in [k for k in os.environ if k.startswith("GHLAB_")]:
+    del os.environ[name]
+
+import workloads  # noqa: E402
+from ghlab import cli, local_gh, tunnels  # noqa: E402
+
+TUNNEL_SETS = range(8)
+SEARCH_SETS = range(4)
+CLI_SETS = range(4)
+TOLS = (0, Fraction(1, 10))
+
+
+def typed(v):
+    """v with the Python type of every scalar inside a tuple, list or dict;
+    anything else is its type name and repr (a dataclass repr shows the
+    types of its numbers)."""
+    if isinstance(v, (tuple, list)):
+        return type(v).__name__, [typed(x) for x in v]
+    if isinstance(v, dict):
+        return "dict", [(typed(k), typed(x)) for k, x in v.items()]
+    return type(v).__name__, repr(v)
+
+
+def _prepared(workload: str, sets) -> list:
+    return [workloads.prepare_api(q) for s in sets for q in workloads.pool(workload, s)]
+
+
+def tunnel() -> list:
+    return [workloads.execute(op, args) for op, args in _prepared("tunnel", TUNNEL_SETS)]
+
+
+def admissible() -> list:
+    out = []
+    for op, args in _prepared("tunnel", TUNNEL_SETS):
+        if op != "extent":
+            continue
+        p, r = args
+        for tol in TOLS:
+            eps = tunnels.smallest_admissible(p, r, tol)
+            out.append((eps, None if eps is None else tunnels.check_admissible(p, r, eps, tol=tol)))
+    return out
+
+
+def brackets() -> list:
+    return [
+        tunnels.propinquity_bracket(*args, tol=TOLS[1])
+        for op, args in _prepared("tunnel", TUNNEL_SETS)
+        if op == "propinquity_bracket"
+    ]
+
+
+def search() -> list:
+    out = []
+    for op, args in _prepared("search", SEARCH_SETS):
+        if op == "Delta_r":
+            x, y, r, how = args
+            out.append(local_gh.Delta_r(x, y, r, **how))
+        else:
+            x, y, how = args
+            found = local_gh.gh_inframetric(x, y, **how)
+            out.append((found.raw, found.witness))
+    return out
+
+
+def _gh(argv: list) -> tuple:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, stdout.getvalue()
+
+
+def cli_outputs() -> list:
+    out = []
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for s in CLI_SETS:
+                for i, query in enumerate(workloads.pool("cli-float", s)):
+                    _, (argv,) = workloads.write_cli_docs(query, i, ".")
+                    out.append(_gh(argv))
+                    out.append(_gh(argv + ["--backend", "rational"]))
+        finally:
+            os.chdir(ROOT)
+    return out
+
+
+def verify() -> list:
+    return [_gh(["verify", "--suite", "all", "--backend", b]) for b in ("float", "rational")]
+
+
+FAMILIES = {
+    "tunnel": tunnel,
+    "admissible": admissible,
+    "brackets": brackets,
+    "search": search,
+    "cli": cli_outputs,
+    "verify": verify,
+}
+
+
+def main(names: list) -> None:
+    for name in names or FAMILIES:
+        answers = FAMILIES[name]()
+        digest = hashlib.sha256()
+        for answer in answers:
+            digest.update(repr(typed(answer)).encode() + b"\n")
+        print(name, len(answers), digest.hexdigest(), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
