@@ -64,6 +64,10 @@ class NonPositiveRadius(MetricError):
     pass
 
 
+class NoBreakpoint(MetricError):
+    """At a negative tol, no breakpoint of delta_r is within tol of its sup."""
+
+
 def _balls(glued: GluedSpace, r: Scalar, tol: Scalar = 0) -> tuple:
     """Host indices of the X copy's and the Y copy's closed r-balls about
     their basepoints."""
@@ -104,7 +108,9 @@ def delta_r(glued: GluedSpace, r: Scalar, strict: bool = False, tol: Scalar = 0)
     eps-inside the other copy: the first one at or above the sup formula
     within tol (the sup is itself a breakpoint)."""
     sup_form = delta_r_def_form(glued, r, tol)
-    value = next(eps for eps in delta_candidates(glued, r) if leq(sup_form, eps, tol))
+    value = next((eps for eps in delta_candidates(glued, r) if leq(sup_form, eps, tol)), None)
+    if value is None:  # only at a negative tol
+        raise NoBreakpoint(f"no breakpoint is within tol {tol} above the sup formula {sup_form}")
     if strict:
         alt_form = delta_r_alt_form(glued, r, tol)
         if not (value == sup_form == alt_form):
@@ -192,7 +198,9 @@ def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> G
     """Lower cross distances toward their triangle lower bounds.
 
     delta_r is nonincreasing in every cross entry, so each sweep can only
-    improve the gluing while keeping both embeddings isometric.
+    improve the gluing while keeping both embeddings isometric.  The host is
+    validated at max(tol, 0): a negative tol would reject every host on its
+    trivial triples d(x, x) <= d(x, x) + d(x, x).
     """
     host = glued.host
     rows = [list(row) for row in host.dist]
@@ -211,7 +219,7 @@ def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> G
                     changed = True
         if not changed:
             break
-    new_host = validate_metric(host.points, rows, tol=tol)
+    new_host = validate_metric(host.points, rows, tol=max(tol, 0))
     return GluedSpace(
         host=new_host,
         embed_x=glued.embed_x,
@@ -258,16 +266,21 @@ def Delta_r(
     if unit is None:
         return _Delta_r_search(x, y, r, search, budget, seed, samples, tol)
     unit *= 4
-    value, glued = _Delta_r_search(
-        _pointed_on_grid(x, unit),
-        _pointed_on_grid(y, unit),
-        on_grid(r, unit),
-        search,
-        budget,
-        seed,
-        samples,
-        on_grid(tol, unit),
-    )
+    try:
+        value, glued = _Delta_r_search(
+            _pointed_on_grid(x, unit),
+            _pointed_on_grid(y, unit),
+            on_grid(r, unit),
+            search,
+            budget,
+            seed,
+            samples,
+            on_grid(tol, unit),
+        )
+    except NoBreakpoint:  # its message holds grid numbers
+        raise NoBreakpoint(
+            f"no breakpoint of a searched gluing is within tol {tol} above its sup formula"
+        ) from None
     return Fraction(value, unit), _off_grid(glued, unit, x, y)
 
 

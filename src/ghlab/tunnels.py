@@ -26,7 +26,10 @@ radius L/e and cutoff e * L.  Every comparison of the metric clauses is then
 between sums of L-scaled numbers; the sentinel past the last candidate, 2c +
 unit, is 2c + 1 in the caller's numbers.  Composed passages keep the caller's
 numbers: their bump family's Lipschitz ratio divides, so its test against 1 +
-tol is not scale-free.
+tol is not scale-free.  On the grid a bisection step's radius L/e is a
+``Fraction``; at an int eps ``check_admissible`` probes it at its floor,
+which every clause reads alike since rows and tol are ints there, so the
+whole check runs on ints and a failure certificate's t may be that floor.
 """
 
 from __future__ import annotations
@@ -366,11 +369,14 @@ class ScanContext:
     """What the checks and scans of one passage at one ``tol`` share across
     radii: the inverse passage, basepoint gap and rows, radius-free tolerance
     candidates, and per eps the probe cells, witness family and probe memo.
-    p's numbers are the caller's times ``unit`` (1 off the grid)."""
+    p's numbers are the caller's times ``unit`` (1 off the grid).  ``ints``:
+    p is a metric passage whose basepoint rows and tol are all ints, so
+    ``check_admissible`` may probe an int eps at integer radii."""
 
     def __init__(self, p: Passage, tol: Scalar = 0, unit: int = 1):
         self.p, self.tol, self.unit, self.base = p, tol, unit, _base_rows(p)
         self.rows = sorted(self.base)
+        self.ints = p.info is None and type(tol) is int and all(type(d) is int for d in self.rows)
         self.gap = p.carrier.d(p.x0_host, p.y0_host)
         self._per_eps: dict = {}
 
@@ -410,6 +416,11 @@ class ScanContext:
         return got
 
 
+def _int_floor(t: Scalar) -> Scalar:
+    """The floor of a ``Fraction`` t >= 1 as an int; any other t as it is."""
+    return t // 1 if type(t) is Fraction and t >= 1 else t
+
+
 def check_admissible(
     p: Passage,
     r: Scalar,
@@ -435,6 +446,19 @@ def check_admissible(
     exact on both backends: each length comes from the comparison ``leq``
     makes (d <= t + s at tol 0), and as eps > 0 and rounding is monotone the
     thresholds ascend in s, so each search starts where the one below ended.
+
+    On ints (``ScanContext.ints``, an int eps, the canonical K_t) a
+    ``Fraction`` radius r >= 1 is probed at its floor, and so is a
+    ``Fraction`` sub-minimal probe >= 1.  Every membership the clauses read
+    is d <= t + k + tol with d a basepoint row and k one of 0, 2 eps and 4
+    eps, all ints here, and that holds at t exactly when it holds at
+    floor(t).  So the cells up to r are the cells up to floor(r), the
+    sub-minimal probe keeps its memberships (floor(floor(r) / 2) = floor(r /
+    2)), and the verdict is the same at every tol; a failure certificate's
+    t may be floor(t), which fails the same way.  At tol != 0 the cells are
+    d - s, not the breakpoints d - s - tol, so a clause that fails only
+    between the two can go unseen (``tests/oracles.py``'s
+    ``check_admissible_continuum`` probes every breakpoint).
     """
     if r <= 0 or eps <= 0:
         return False, {"reason": "nonpositive radius or tolerance"}
@@ -442,8 +466,12 @@ def check_admissible(
     if not leq(ctx.gap, eps, tol):
         return False, {"reason": "basepoint", "gap": ctx.gap}
     cells, kf, family, memo = ctx.at_eps(eps)
+    floor = ctx.ints and type(eps) is int and k_of_t is None
+    if floor:
+        r = _int_floor(r)
     probes = cells[: bisect_right(cells, r)]
-    probes = [_half(probes[0] if probes else r)] + probes
+    low = _half(probes[0] if probes else r)
+    probes = [_int_floor(low) if floor else low] + probes
     if r not in probes:
         probes.append(r)
     if k_of_t is not None:

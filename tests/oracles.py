@@ -437,6 +437,42 @@ def check_admissible_reference(p, r, eps, k_of_t=None, tol=0) -> tuple:
     return True, {"probes": len(probes), "family": family}
 
 
+def check_admissible_continuum(p, r, eps, tol=0) -> tuple:
+    """Admissibility of eps at radius r by brute force over (0, r].  The
+    clauses read t only through memberships d <= t + s + tol, d a basepoint
+    row and s a family shift, and each flips at the breakpoint d - s - tol;
+    so probing every breakpoint in (0, r], the midpoint of each gap between
+    consecutive ones (0 among them) and r meets every membership pattern of
+    the continuum.  ``check_admissible`` probes the cells d - s instead."""
+    from ghlab.numerics import leq
+    from ghlab.tunnels import (
+        _base_rows,
+        _family_shifts,
+        check_left_admissible,
+        composed_k_family,
+        inverse,
+        k_family,
+    )
+
+    if r <= 0 or eps <= 0:
+        return False, {"reason": "nonpositive radius or tolerance"}
+    gap = p.carrier.d(p.x0_host, p.y0_host)
+    if not leq(gap, eps, tol):
+        return False, {"reason": "basepoint", "gap": gap}
+    shifts = {0, 2 * eps, 4 * eps} | _family_shifts(p, eps)
+    points = {d - s - tol for d in _base_rows(p) for s in shifts}
+    points = sorted({t for t in points if 0 < t <= r} | {r})
+    probes = sorted(set(points) | {_half(a + b) for a, b in zip([0] + points, points)})
+    kf = composed_k_family(p, tol) if p.info is not None else k_family(p, eps, tol)
+    for t in probes:
+        K = frozenset(kf(t))
+        for side, q in (("left", p), ("right", inverse(p))):
+            ok, cert = check_left_admissible(q, t, eps, K, tol)
+            if not ok:
+                return False, {"t": t, "side": side, **cert}
+    return True, {"probes": len(probes)}
+
+
 def extent_scan_reference(p, r, cutoff=math.inf, tol=0, context=None) -> tuple:
     """(value, attained probe); ``context`` is accepted and ignored, so the
     reference can stand in for ``tunnels._extent_scan``."""

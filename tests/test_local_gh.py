@@ -33,7 +33,8 @@ from ghlab.gluing import (
     correspondence_stream,
     glue_from_correspondence,
 )
-from ghlab.local_gh import NonPositiveRadius
+from ghlab.local_gh import NoBreakpoint, NonPositiveRadius
+from ghlab.metric_core import MetricError
 from ghlab.verify import random_pointed_space
 
 
@@ -59,6 +60,32 @@ def test_rejects_nonpositive_radius():
     for bad in (F(0), F(-1)):
         with pytest.raises(NonPositiveRadius):
             delta_r(g, bad)
+
+
+def test_no_breakpoint_within_a_negative_tol_raises_a_metric_error_naming_it():
+    # on one point the sup formula and the only breakpoint are both 0, and 0
+    # is not within tol -1/10 above 0; Delta_r names the caller's tol, not
+    # its grid copy
+    assert issubclass(NoBreakpoint, MetricError)
+    x = pointed(line_space([F(0)]), 0)
+    g = identity_gluing(x)
+    for tol in (F(-1, 10), -0.1):
+        with pytest.raises(NoBreakpoint, match=f"tol {tol} "):
+            delta_r(g, 1, tol=tol)
+        with pytest.raises(NoBreakpoint, match=f"tol {tol} "):
+            Delta_r(x, x, 1, tol=tol)
+    # random pairs at tol -1/10 answer or raise it, never StopIteration
+    rng = random.Random(61)
+    raised = 0
+    for _ in range(40):
+        x, y = random_pointed_space(rng, 1, 3), random_pointed_space(rng, 1, 2)
+        try:
+            value, _ = Delta_r(x, y, F(rng.randint(1, 8), 2), tol=F(-1, 10))
+        except NoBreakpoint:
+            raised += 1
+        else:
+            assert value >= 0
+    assert 0 < raised < 40
 
 
 def test_both_routes_match_both_oracles_on_random_gluings():

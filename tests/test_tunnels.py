@@ -403,6 +403,27 @@ def test_propinquity_bracket_orders_and_certifies():
     assert val < hi  # hi is certified by some passage beating it at radius 1/hi
 
 
+def test_brackets_and_local_propinquity_answer_at_a_negative_tol():
+    # refine_gluing_cross validates its host at max(tol, 0): a negative tol
+    # would reject the trivial triple d(x, x) <= d(x, x) + d(x, x)
+    tol = F(-1, 10)
+    x = pointed(line_space([F(0)]), 0)
+    y = pointed(validate_metric(("0", "1"), [[0, 2], [2, 0]]), 0)
+    lo, hi = propinquity_bracket(x, y, tol=tol)
+    assert (lo, hi) == (F(659706976665, 549755813888), F(329853488333, 274877906944))
+    assert hi > propinquity_bracket(x, y)[1]  # a negative tol asks for more
+    assert local_propinquity(x, y, 1 / hi, tol=tol)[0] < hi
+    assert local_propinquity(x, y, F(1), tol=tol)[0] == 1
+    glued = tunnels._gluing_passages(x, y, "exact", 12, 0, 64, lambda: INF).__next__().glued
+    assert refine_gluing_cross(glued, tol=tol).host == refine_gluing_cross(glued).host
+    rng = random.Random(67)
+    for _ in range(12):
+        a, b = random_pointed_space(rng, 1, 3), random_pointed_space(rng, 1, 2)
+        lo, hi = propinquity_bracket(a, b, tol=tol)
+        assert 0 <= lo <= hi
+        assert local_propinquity(a, b, F(rng.randint(1, 8), 2), tol=tol)[0] >= 0
+
+
 def test_propinquity_bracket_skips_a_passage_that_fails_at_the_running_upper_end(monkeypatch):
     x = pointed_from_json({"points": ["0", "1"], "dist": [[0, 4], [4, 0]], "basepoint": 0})
     y = pointed_from_json({

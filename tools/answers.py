@@ -17,7 +17,9 @@ seeds; nothing is written under ``perfbench``.  The families are:
 - ``tunnel``: every answer of the ``tunnel`` pools of input sets 0-7;
 - ``admissible``: ``smallest_admissible`` of their extent queries and the
   ``check_admissible`` certificate of that tolerance, at tol 0 and 1/10;
-- ``brackets``: their ``propinquity_bracket`` queries at tol 1/10;
+- ``brackets``, ``brackets-1/3`` and ``brackets--1/10``: their
+  ``propinquity_bracket`` queries at tol 1/10, 1/3 and -1/10, a raised
+  exception recorded by its type name;
 - ``search``: the ``search`` values and witnesses of input sets 0-3;
 - ``cli``: exit code and standard output of every ``gh`` query of the
   ``cli-float`` pools 0-3, on the float and the rational backend, each run
@@ -31,6 +33,7 @@ change a ``gh`` default.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import os
@@ -86,12 +89,15 @@ def admissible() -> list:
     return out
 
 
-def brackets() -> list:
-    return [
-        tunnels.propinquity_bracket(*args, tol=TOLS[1])
-        for op, args in _prepared("tunnel", TUNNEL_SETS)
-        if op == "propinquity_bracket"
-    ]
+def brackets(tol) -> list:
+    out = []
+    for op, args in _prepared("tunnel", TUNNEL_SETS):
+        if op == "propinquity_bracket":
+            try:
+                out.append(tunnels.propinquity_bracket(*args, tol=tol))
+            except Exception as err:
+                out.append(type(err).__name__)
+    return out
 
 
 def search() -> list:
@@ -136,7 +142,9 @@ def verify() -> list:
 FAMILIES = {
     "tunnel": tunnel,
     "admissible": admissible,
-    "brackets": brackets,
+    "brackets": functools.partial(brackets, Fraction(1, 10)),
+    "brackets-1/3": functools.partial(brackets, Fraction(1, 3)),
+    "brackets--1/10": functools.partial(brackets, Fraction(-1, 10)),
     "search": search,
     "cli": cli_outputs,
     "verify": verify,
