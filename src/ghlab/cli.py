@@ -167,7 +167,7 @@ def _certificate_for(mode: str) -> str:
 
 
 def _search(config: RunConfig) -> dict:
-    return dict(search=config.mode, budget=config.budget, seed=config.seed, tol=config.tolerance)
+    return dict(search=config.mode, budget=config.budget, seed=config.seed)
 
 
 def _load_pair(args: argparse.Namespace, config: RunConfig) -> tuple:
@@ -236,7 +236,7 @@ def _run_delta_r(args, config: RunConfig) -> dict:
 def _run_Delta_r(args, config: RunConfig) -> dict:
     x, y = _load_pair(args, config)
     r = parse_scalar(args.r, config.backend)
-    value, witness = Delta_r(x, y, r, **_search(config))
+    value, witness = Delta_r(x, y, r, tol=config.tolerance, **_search(config))
     return {
         "command": "Delta-r",
         "certificate": _certificate_for(config.mode),
@@ -298,7 +298,8 @@ def _run_extent(args, config: RunConfig) -> dict:
 
 @_command("propinquity", "radius-threshold propinquity of two pointed spaces", *_XY, *_BASES)
 def _run_propinquity(args, config: RunConfig) -> dict:
-    lo, hi = propinquity_bracket(*_load_pair(args, config), **_search(config))
+    x, y = _load_pair(args, config)
+    lo, hi = propinquity_bracket(x, y, tol=config.tolerance, **_search(config))
     truncated = truncate_floor(hi)
     return {
         "command": "propinquity",

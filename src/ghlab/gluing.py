@@ -229,6 +229,14 @@ def glue_from_correspondence(
     rel: Correspondence,
     eta: Scalar | None = None,
 ) -> GluedSpace:
+    """The gluing along rel at bridge width eta, by default dis(rel)/2.
+
+    An explicit eta is compared, at no tolerance, with half the distortion
+    of the spaces passed, float rounding included.  On float spaces the
+    exact minimal width rounded to a float can fall below that half and is
+    refused: a host glued narrower can break the triangle inequality by a
+    rounding amount.
+    """
     if rel.nx != x.n or rel.ny != y.n:
         raise MetricError(f"correspondence shape {rel.nx}x{rel.ny} does not match spaces")
     least = half(_distortion(rel, x, y))

@@ -14,13 +14,19 @@ correspondence stream skips every correspondence whose basepoint-gap lower
 bound cannot beat the best value so far, so an exact search still returns
 the family minimum, with the witness a full enumeration would pick.
 
-The inframetric needs no gluing per correspondence.  In the gluing along R
-at eta = dis(R)/2 every point has a partner at exactly eta (the cross entry
-of a related pair is 0 + eta + 0), and the basepoint gap d(x0, y0), a min of
-sums d(x0, i) + eta + d(j, y0), is at least eta, on floats too since
-rounding is monotone.  So delta at every radius equals that gap, the
-stream's own lower bound, and the raw threshold of the constant profile is
-the gap plus slack.
+Neither search needs a gluing per correspondence at tol 0.  In the gluing
+along R at eta = dis(R)/2 every point has a partner at exactly eta (the
+cross entry of a related pair is 0 + eta + 0), and the basepoint gap
+d(x0, y0), a min of sums d(x0, i) + eta + d(j, y0), is at least eta, on
+floats too since rounding is monotone (Burago-Burago-Ivanov, section 7.3).
+So delta at every radius equals that gap, the stream's own lower bound.
+The raw inframetric threshold of the constant profile is the gap plus
+slack, and ``Delta_r`` at tol 0 scores each correspondence by its gap and
+glues only the winner.  At tol != 0 delta_r snaps to the first breakpoint
+of the whole host within tol below the gap; correspondences with equal
+gaps have different hosts, and a larger gap can snap lower, so the gap
+alone can pick another value or witness, and ``Delta_r`` glues each
+correspondence the stream yields.
 
 On rational input both searches run on one integer grid per query.  With L
 = 4 * lcm of the denominators of both distance matrices and of the query's
@@ -258,7 +264,11 @@ def Delta_r(
     result is a certified upper bound; ties break by the lexicographically
     smallest correspondence encoding.  The search prunes correspondences
     whose basepoint gap exceeds the best value (delta_r is at least that
-    gap), and still returns the family minimum with the same witness.
+    gap), and still returns the family minimum with the same witness.  At
+    tol 0 a correspondence's delta_r is its basepoint gap, so the gap is
+    its score and only the winner is glued; at tol != 0 delta_r snaps to
+    breakpoints of the host that the gap does not see, so each surviving
+    correspondence is glued and evaluated (module docstring).
     """
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
@@ -294,14 +304,21 @@ def _Delta_r_search(x, y, r, search, budget, seed, samples, tol):
         return best is not None and lower > best[0] + tol
 
     for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
-        glued = glue_from_correspondence(x, y, rel)
-        value = delta_r(glued, r, tol=tol)
+        if tol == 0:  # delta_r is the gap (module docstring); glue the winner only
+            glued = None
+            value = _base_gap(x, y, rel.pairs, _distortion(rel, x, y))
+        else:
+            glued = glue_from_correspondence(x, y, rel)
+            value = delta_r(glued, r, tol=tol)
         key = (value, rel.pairs)
-        if best is None or key < (best[0], best[2]):
-            best = (value, glued, rel.pairs)
+        if best is None or key < (best[0], best[2].pairs):
+            best = (value, glued, rel)
     if best is None:
         raise MetricError("no gluing was generated")
-    value, glued, _ = best
+    value, glued, rel = best
+    if glued is None:
+        glued = glue_from_correspondence(x, y, rel)
+        value = delta_r(glued, r)  # the gap again, in delta_r's own type
     refined = refine_gluing_cross(glued, tol=tol)
     refined_value = delta_r(refined, r, tol=tol)
     if refined_value < value:
@@ -326,7 +343,6 @@ def gh_inframetric(
     seed: int = 0,
     samples: int = 64,
     slack: Scalar = 0,
-    tol: Scalar = 0,
 ) -> InframetricResult:
     """max(inf{r : Delta_{1/r} < r}, 1/2) over the searched gluing family.
 

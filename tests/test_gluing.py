@@ -45,7 +45,7 @@ from ghlab import (
 )
 from ghlab.gluing import NotDistancePreserving, correspondence_stream
 from ghlab.metric_core import PreconditionFailed
-from ghlab.numerics import DEFAULT_FLOAT_TOL
+from ghlab.numerics import DEFAULT_FLOAT_TOL, half
 from ghlab.verify import random_correspondence, random_pointed_space
 
 
@@ -99,6 +99,23 @@ def _assert_metric_as_built(space, tol=0):
 def _float_copy(p):
     rows = [[float(v) for v in row] for row in p.space.dist]
     return pointed(validate_metric(p.space.points, rows, tol=DEFAULT_FLOAT_TOL), p.base)
+
+
+def test_an_explicit_eta_is_checked_against_the_float_distortion():
+    # float(8/3) rounds down, so on the float twins dis(R) = 4.5 - float(8/3)
+    # is 1.8333333333333335, and float(11/12), the exact dis(R)/2 rounded, is
+    # below its half: refused, since that narrow a host can break a triangle
+    # by a rounding amount.  The half of the float distortion is accepted.
+    x = pointed(validate_metric("abc", [[0, F(9, 2), 1], [F(9, 2), 0, 4], [1, 4, 0]]), 1)
+    y = pointed(validate_metric("uv", [[0, F(8, 3)], [F(8, 3), 0]]), 1)
+    rel = correspondence(((0, 0), (1, 1), (2, 0)), 3, 2)
+    assert correspondence_distortion(rel, x.space, y.space) == F(11, 6)
+    fx, fy = _float_copy(x), _float_copy(y)
+    with pytest.raises(EtaTooSmall):
+        glue_from_correspondence(fx, fy, rel, float(F(11, 12)))
+    eta = half(correspondence_distortion(rel, fx.space, fy.space))
+    g = glue_from_correspondence(fx, fy, rel, eta)
+    validate_gluing(g.host, fx, g.embed_x, fy, g.embed_y)
 
 
 def _passage_pair(rng, x, y, fx, fy):

@@ -22,6 +22,7 @@ from ghlab import (
     delta_r,
     gh_inframetric,
     glue_from_correspondence,
+    local_gh,
     pointed,
     refine_gluing_cross,
     validate_metric,
@@ -39,6 +40,7 @@ from ghlab.verify import random_pointed_space
 
 RATIONAL = ("rational", 0)
 FLOAT = ("float", DEFAULT_FLOAT_TOL)
+FLOAT_EXACT = ("float", 0)
 
 
 def _backend(p, backend):
@@ -66,11 +68,10 @@ def _glue(x, y, pairs):
 
 
 def _delta(g, r, tol):
-    """The closed form; in float mode delta_r may stop at a breakpoint up to
-    tol below it, and that is the value the search minimizes."""
+    """delta_r, in its own scalar type, checked against the closed form; in
+    float mode it may stop at a breakpoint up to tol below it, and that is
+    the value the search minimizes."""
     exact = oracles.delta_r_closed_form(g, r)
-    if tol == 0:
-        return exact
     value = delta_r(g, r, tol=tol)
     assert exact - tol <= value <= exact
     return value
@@ -78,12 +79,17 @@ def _delta(g, r, tol):
 
 def brute_Delta_r(x, y, r, family, tol):
     """(value, witness) by the (value, encoding) argmin over the whole family,
-    then the search's refinement of the winner."""
+    then the search's refinement of the winner.  The value has delta_r's
+    type, made a Fraction on rational input, which Delta_r answers off its
+    integer grid."""
     value, pairs = min((_delta(_glue(x, y, pairs), r, tol), pairs) for pairs in family)
     glued = _glue(x, y, pairs)
     refined = refine_gluing_cross(glued, steps=2, tol=tol)
     refined_value = _delta(refined, r, tol)
-    return (refined_value, refined) if refined_value < value else (value, glued)
+    if refined_value < value:
+        value, glued = refined_value, refined
+    rows = (v for p in (x, y) for row in p.space.dist for v in row)
+    return (F(value) if _no_floats(r, tol, *rows) else value), glued
 
 
 def _threshold_raw(g, slack=0):
@@ -144,12 +150,24 @@ def brute_local_propinquity(x, y, r, family, tol):
     return best
 
 
+def _answer(run, *args, **kw):
+    """run's (value, witness), or the type of the MetricError it raises.
+    A float twin may break a triangle by a rounding amount; at tol 0 both
+    searches then refuse it when the refined winner's host is validated."""
+    try:
+        return run(*args, **kw)
+    except MetricError as err:
+        return type(err), None
+
+
 def _assert_searches_match(x, y, r, family, tol, search="exact", **kw):
-    value, witness = Delta_r(x, y, r, search=search, tol=tol, **kw)
-    want_value, want_witness = brute_Delta_r(x, y, r, family, tol)
+    value, witness = _answer(Delta_r, x, y, r, search=search, tol=tol, **kw)
+    want_value, want_witness = _answer(brute_Delta_r, x, y, r, family, tol)
     assert value == want_value
-    assert witness.host == want_witness.host
-    res = gh_inframetric(x, y, search=search, tol=tol, **kw)
+    assert type(value) is type(want_value)
+    if witness is not None:
+        assert witness.host == want_witness.host
+    res = gh_inframetric(x, y, search=search, **kw)
     want_raw, want_glued = brute_inframetric(x, y, family)
     assert res.raw == want_raw
     assert res.witness.host == want_glued.host
@@ -166,7 +184,7 @@ def _pairs(rng, shapes, per_shape):
 SMALL = [(nx, ny) for nx in (1, 2, 3) for ny in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("backend,tol", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("backend,tol", [RATIONAL, FLOAT, FLOAT_EXACT])
 def test_exact_searches_match_brute_force_on_small_pairs(backend, tol):
     rng = random.Random(11)
     for x, y, r in _pairs(rng, SMALL, 4):
@@ -175,7 +193,7 @@ def test_exact_searches_match_brute_force_on_small_pairs(backend, tol):
         _assert_searches_match(x, y, r, _exact_family(x.n, y.n), tol)
 
 
-@pytest.mark.parametrize("backend,tol", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("backend,tol", [RATIONAL, FLOAT, FLOAT_EXACT])
 def test_exact_searches_match_brute_force_on_4x2_and_2x4(backend, tol):
     rng = random.Random(12)
     for x, y, r in _pairs(rng, [(4, 2), (2, 4)], 2):
@@ -184,7 +202,7 @@ def test_exact_searches_match_brute_force_on_4x2_and_2x4(backend, tol):
         _assert_searches_match(x, y, r, _exact_family(x.n, y.n), tol)
 
 
-@pytest.mark.parametrize("backend,tol", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("backend,tol", [RATIONAL, FLOAT, FLOAT_EXACT])
 def test_heuristic_searches_match_the_unbounded_stream_on_5x6(backend, tol):
     rng = random.Random(13)
     for seed, (x, y, r) in enumerate(_pairs(rng, [(5, 6), (6, 5)], 2)):
@@ -232,7 +250,7 @@ def test_rational_searches_on_mixed_denominators_match_brute_force():
             assert witness.origin_x is x and witness.origin_y is y
             assert _no_floats(value, *(v for row in witness.host.dist for v in row))
         for s in (0, F(1, 4), F(2, 13)):
-            res = gh_inframetric(x, y, slack=s, tol=F(1, 10))
+            res = gh_inframetric(x, y, slack=s)
             want_raw, want_glued = brute_inframetric(x, y, family, s)
             assert res.raw == want_raw
             assert res.truncated == max(want_raw, F(1, 2))
@@ -254,6 +272,37 @@ def test_a_tie_keeps_the_smaller_encoding():
     want_value, want_witness = brute_Delta_r(x, y, r, _exact_family(3, 2), 0)
     assert value == want_value == F(1, 3)
     assert witness.host == want_witness.host
+
+
+def test_exact_Delta_r_glues_only_its_winner_at_tol_0(monkeypatch):
+    # At tol 0 delta_r of a correspondence gluing is its basepoint gap, so
+    # the search scores the stream by the gap and glues one correspondence.
+    # At tol 1/10 delta_r snaps to the host's breakpoints, so every
+    # correspondence the stream yields is still glued: 17 on this pair.
+    rng = random.Random(15)
+    x = random_pointed_space(rng, 3, 3)
+    y = random_pointed_space(rng, 3, 3)
+    glued, streamed = [], []
+
+    def glue(*args):
+        glued.append(args[2].pairs)
+        return glue_from_correspondence(*args)
+
+    def stream(*args):
+        for rel in correspondence_stream(*args):
+            streamed.append(rel.pairs)
+            yield rel
+
+    monkeypatch.setattr(local_gh, "glue_from_correspondence", glue)
+    monkeypatch.setattr(local_gh, "correspondence_stream", stream)
+    want = {tol: brute_Delta_r(x, y, F(2), _exact_family(3, 3), tol) for tol in (0, F(1, 10))}
+    for tol, count in ((0, 1), (F(1, 10), 17)):
+        glued.clear()
+        streamed.clear()
+        value, witness = Delta_r(x, y, F(2), tol=tol)
+        assert (value, witness.host) == (want[tol][0], want[tol][1].host)
+        assert len(glued) == count
+        assert len(streamed) == 17
 
 
 def test_bounded_stream_yields_fewer_and_keeps_the_winner():

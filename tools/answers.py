@@ -21,6 +21,10 @@ seeds; nothing is written under ``perfbench``.  The families are:
   ``propinquity_bracket`` queries at tol 1/10, 1/3 and -1/10, a raised
   exception recorded by its type name;
 - ``search``: the ``search`` values and witnesses of input sets 0-3;
+- ``search-1/10``: ``Delta_r`` of their ``Delta_r`` queries at tol 1/10;
+- ``search-float``: the same queries on float twins of both spaces
+  (validated at ``DEFAULT_FLOAT_TOL``) at a float radius, at tol 0 and at
+  1e-9, a raised exception recorded by its type name;
 - ``cli``: exit code and standard output of every ``gh`` query of the
   ``cli-float`` pools 0-3, on the float and the rational backend, each run
   with its documents under the same relative names in a scratch directory;
@@ -50,7 +54,8 @@ for name in [k for k in os.environ if k.startswith("GHLAB_")]:
     del os.environ[name]
 
 import workloads  # noqa: E402
-from ghlab import cli, local_gh, tunnels  # noqa: E402
+from ghlab import cli, local_gh, metric_core, tunnels  # noqa: E402
+from ghlab.numerics import DEFAULT_FLOAT_TOL  # noqa: E402
 
 TUNNEL_SETS = range(8)
 SEARCH_SETS = range(4)
@@ -113,6 +118,28 @@ def search() -> list:
     return out
 
 
+def _float_twin(p):
+    rows = [[float(v) for v in row] for row in p.space.dist]
+    space = metric_core.validate_metric(p.space.points, rows, tol=DEFAULT_FLOAT_TOL)
+    return metric_core.PointedSpace(space, p.base)
+
+
+def search_delta(tols, floats: bool) -> list:
+    out = []
+    for op, args in _prepared("search", SEARCH_SETS):
+        if op != "Delta_r":
+            continue
+        x, y, r, how = args
+        if floats:
+            x, y, r = _float_twin(x), _float_twin(y), float(r)
+        for tol in tols:
+            try:
+                out.append(local_gh.Delta_r(x, y, r, tol=tol, **how))
+            except Exception as err:
+                out.append(type(err).__name__)
+    return out
+
+
 def _gh(argv: list) -> tuple:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -146,6 +173,8 @@ FAMILIES = {
     "brackets-1/3": functools.partial(brackets, Fraction(1, 3)),
     "brackets--1/10": functools.partial(brackets, Fraction(-1, 10)),
     "search": search,
+    "search-1/10": functools.partial(search_delta, (Fraction(1, 10),), False),
+    "search-float": functools.partial(search_delta, (0, 1e-9), True),
     "cli": cli_outputs,
     "verify": verify,
 }
