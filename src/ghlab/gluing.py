@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .metric_core import (
-    AxiomViolation,
     BudgetExceeded,
     FiniteMetricSpace,
     MetricError,
@@ -387,12 +386,24 @@ def correspondence_stream(
 def _heuristic_correspondences(
     x: PointedSpace, y: PointedSpace, rng: random.Random, samples: int
 ) -> Iterator[Correspondence]:
+    """The seeded candidates of heuristic mode, in a fixed draw order.
+
+    The greedy basepoint-profile matching comes first, then the total
+    correspondence; neither draws from rng.  Each sample then draws one
+    ``randrange(ny)`` per row and one ``randrange(nx)`` per column, and
+    repairs its pairs in descending (profile cost, pair) order: a pair is
+    removable when its row and its column each hold another pair, and each
+    removable pair draws one ``rng.random()`` and is dropped below 1/2.
+    Repair thus never uncovers a row or a column, so a repaired sample
+    skips ``correspondence()``'s re-validation.  The byte pins
+    ``*/Delta-r-heuristic/*`` and ``*/inframetric-heuristic/*`` of
+    ``tests/cli_bytes.json`` depend on this contract, draw for draw.
+    """
     nx, ny = x.n, y.n
 
     def profile_cost(i: int, j: int) -> Scalar:
         return abs(x.space.d(x.base, i) - y.space.d(y.base, j))
 
-    # Greedy basepoint-profile matching, then the total correspondence.
     greedy = set()
     for i in range(nx):
         j = min(range(ny), key=lambda jj: (profile_cost(i, jj), jj))
@@ -405,16 +416,16 @@ def _heuristic_correspondences(
     for _ in range(samples):
         pairs = {(i, rng.randrange(ny)) for i in range(nx)}
         pairs.update((rng.randrange(nx), j) for j in range(ny))
-        # Local repair: drop removable pairs with the worst profile cost.
-        removable = sorted(pairs, key=lambda p: (profile_cost(*p), p), reverse=True)
-        for pair in removable:
-            trial = pairs - {pair}
-            if trial and {i for i, _ in trial} == set(range(nx)) and {j for _, j in trial} == set(
-                range(ny)
-            ):
-                if rng.random() < 0.5:
-                    pairs = trial
-        yield correspondence(pairs, nx, ny)
+        rows, cols = [0] * nx, [0] * ny
+        for i, j in pairs:
+            rows[i] += 1
+            cols[j] += 1
+        for i, j in sorted(pairs, key=lambda p: (profile_cost(*p), p), reverse=True):
+            if rows[i] > 1 and cols[j] > 1 and rng.random() < 0.5:
+                pairs.remove((i, j))
+                rows[i] -= 1
+                cols[j] -= 1
+        yield Correspondence(tuple(sorted(pairs)), nx, ny)
 
 
 def glued_to_json(glued: GluedSpace) -> dict:

@@ -42,6 +42,33 @@ def all_full_relations(nx: int, ny: int):
     return out
 
 
+def heuristic_correspondences_reference(x, y, rng, samples):
+    """The seeded heuristic candidates with the repair as first written: it
+    rebuilds both coverage sets for every pair it tries.  The greedy
+    basepoint-profile matching, then the total correspondence, then per
+    sample one draw per row and per column and the repair in descending
+    (profile cost, pair) order, one ``rng.random()`` per pair whose removal
+    keeps both sides covered.  Yields sorted pair tuples."""
+    nx, ny = x.n, y.n
+
+    def cost(i, j):
+        return abs(x.space.d(x.base, i) - y.space.d(y.base, j))
+
+    greedy = {(i, min(range(ny), key=lambda j: (cost(i, j), j))) for i in range(nx)}
+    greedy |= {(min(range(nx), key=lambda i: (cost(i, j), i)), j) for j in range(ny)}
+    yield tuple(sorted(greedy))
+    yield tuple(itertools.product(range(nx), range(ny)))
+    for _ in range(samples):
+        pairs = {(i, rng.randrange(ny)) for i in range(nx)}
+        pairs.update((rng.randrange(nx), j) for j in range(ny))
+        for pair in sorted(pairs, key=lambda p: (cost(*p), p), reverse=True):
+            trial = pairs - {pair}
+            rows, cols = {i for i, _ in trial}, {j for _, j in trial}
+            if rows == set(range(nx)) and cols == set(range(ny)) and rng.random() < 0.5:
+                pairs = trial
+        yield tuple(sorted(pairs))
+
+
 # ---------------------------------------------------------------------------
 # local distances on a gluing
 

@@ -43,7 +43,7 @@ from ghlab import (
     validate_gluing,
     validate_metric,
 )
-from ghlab.gluing import NotDistancePreserving, correspondence_stream
+from ghlab.gluing import NotDistancePreserving, _heuristic_correspondences, correspondence_stream
 from ghlab.metric_core import PreconditionFailed
 from ghlab.numerics import DEFAULT_FLOAT_TOL, half
 from ghlab.verify import random_correspondence, random_pointed_space
@@ -368,6 +368,26 @@ def test_heuristic_stream_is_deterministic_under_seed():
     assert a == b
     assert len(a) > 0
     assert a != c or len(set(a)) == len(set(c))  # different seed may legitimately coincide on tiny spaces
+
+
+def test_heuristic_candidates_keep_the_draws_of_the_set_rebuilding_repair():
+    # the repair decides removability by coverage counts; it must make the
+    # same draws and keep the same pairs as the oracle that rebuilds both
+    # coverage sets per pair, so every seeded candidate and the rng's end
+    # state stay as they were
+    checked = 0
+    for nx, ny in itertools.product(range(1, 8), repeat=2):
+        for seed in range(6):
+            rng = random.Random(100 * nx + 10 * ny + seed)
+            x, y = random_pointed_space(rng, nx, nx), random_pointed_space(rng, ny, ny)
+            for samples in (0, 1, 5, 24):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = [rel.pairs for rel in _heuristic_correspondences(x, y, got_rng, samples)]
+                want = list(oracles.heuristic_correspondences_reference(x, y, want_rng, samples))
+                assert got == want
+                assert got_rng.getstate() == want_rng.getstate()
+                checked += len(got)
+    assert checked == 49 * 6 * (4 * 2 + 0 + 1 + 5 + 24)
 
 
 def test_stream_distortion_is_reused_only_on_its_own_spaces():

@@ -25,6 +25,9 @@ seeds; nothing is written under ``perfbench``.  The families are:
 - ``search-float``: the same queries on float twins of both spaces
   (validated at ``DEFAULT_FLOAT_TOL``) at a float radius, at tol 0 and at
   1e-9, a raised exception recorded by its type name;
+- ``heuristic``: the pairs of every candidate of the unpruned heuristic
+  ``correspondence_stream`` on the heuristic pairs of the ``search`` pools
+  of input sets 0-7, at their seeds and samples;
 - ``cli``: exit code and standard output of every ``gh`` query of the
   ``cli-float`` pools 0-3, on the float and the rational backend, each run
   with its documents under the same relative names in a scratch directory;
@@ -54,11 +57,12 @@ for name in [k for k in os.environ if k.startswith("GHLAB_")]:
     del os.environ[name]
 
 import workloads  # noqa: E402
-from ghlab import cli, local_gh, metric_core, tunnels  # noqa: E402
+from ghlab import cli, gluing, local_gh, metric_core, tunnels  # noqa: E402
 from ghlab.numerics import DEFAULT_FLOAT_TOL  # noqa: E402
 
 TUNNEL_SETS = range(8)
 SEARCH_SETS = range(4)
+HEURISTIC_SETS = range(8)
 CLI_SETS = range(4)
 TOLS = (0, Fraction(1, 10))
 
@@ -140,6 +144,17 @@ def search_delta(tols, floats: bool) -> list:
     return out
 
 
+def heuristic() -> list:
+    return [
+        rel.pairs
+        for op, (x, y, *_, how) in _prepared("search", HEURISTIC_SETS)
+        if op == "Delta_r" and how["search"] == "heuristic"
+        for rel in gluing.correspondence_stream(
+            x, y, "heuristic", seed=how["seed"], samples=how["samples"]
+        )
+    ]
+
+
 def _gh(argv: list) -> tuple:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -175,6 +190,7 @@ FAMILIES = {
     "search": search,
     "search-1/10": functools.partial(search_delta, (Fraction(1, 10),), False),
     "search-float": functools.partial(search_delta, (0, 1e-9), True),
+    "heuristic": heuristic,
     "cli": cli_outputs,
     "verify": verify,
 }
