@@ -111,17 +111,38 @@ def _rows_from(row, covered, pairs, dis, nx, ny, rows, x, y, prune) -> Iterator[
 def _base_gap(x: PointedSpace, y: PointedSpace, pairs, dis: Scalar) -> Scalar:
     """d(x0, y0) in the correspondence gluing at eta = dis / 2."""
     eta = half(dis)
-    return min(x.space.d(x.base, i) + eta + y.space.d(j, y.base) for i, j in pairs)
+    x_row, y_rows, y0 = x.space.dist[x.base], y.space.dist, y.base
+    return min(x_row[i] + eta + y_rows[j][y0] for i, j in pairs)
 
 
 def correspondence_distortion(
-    rel: Correspondence, x_space: FiniteMetricSpace, y_space: FiniteMetricSpace
-) -> Scalar:
+    rel: Correspondence,
+    x_space: FiniteMetricSpace,
+    y_space: FiniteMetricSpace,
+    prune: Callable[[Scalar], bool] | None = None,
+) -> Scalar | None:
+    """dis(R), the largest |d(x1, x2) - d(y1, y2)| over pairs (x1, y1) and
+    (x2, y2) of R, read one row of each side per pair of R.
+
+    A pair with itself adds a term 0, which never raises the max, so only
+    the later pairs are read.  With ``prune``, it calls ``prune(max / 2)``
+    on the starting max 0 and each time the max grows, and returns None once
+    that holds: the max only grows, so dis(R)/2 is at least that bound, and
+    None comes back exactly when ``prune(dis(R) / 2)`` holds.
+    """
+    pairs = rel.pairs
+    xd, yd = x_space.dist, y_space.dist
     dis = 0
-    for (x1, y1), (x2, y2) in itertools.combinations_with_replacement(rel.pairs, 2):
-        gap = abs(x_space.d(x1, x2) - y_space.d(y1, y2))
-        if gap > dis:
-            dis = gap
+    if prune is not None and prune(dis):
+        return None
+    for k, (x1, y1) in enumerate(pairs, 1):
+        x_row, y_row = xd[x1], yd[y1]
+        for x2, y2 in pairs[k:]:
+            gap = abs(x_row[x2] - y_row[y2])
+            if gap > dis:
+                dis = gap
+                if prune is not None and prune(half(dis)):
+                    return None
     return dis
 
 
@@ -360,7 +381,11 @@ def correspondence_stream(
     is at least dis(R)/2, and distortion only grows as rows are added, so
     the whole subtree goes) and, on each correspondence, the gap itself:
     min over (i, j) in R of d(x0, i) + dis(R)/2 + d(j, y0).  Heuristic mode
-    tests only the gap, after deduplication, so its seeded draws stay put.
+    measures each deduplicated candidate with ``correspondence_distortion``
+    under the same prune, so the bound is half the distortion read so far,
+    and tests a candidate measured in full on its gap.  A candidate dropped
+    early has a gap at least that bound, so the gap test would have dropped
+    it too; the yielded candidates and the seeded draws stay put.
     Yielded correspondences carry dis(R), so gluings need not recompute it.
     """
     if search == "exact":
@@ -376,8 +401,8 @@ def correspondence_stream(
             if rel.pairs in seen:
                 continue
             seen.add(rel.pairs)
-            dis = correspondence_distortion(rel, x.space, y.space)
-            if prune is None or not prune(_base_gap(x, y, rel.pairs, dis)):
+            dis = correspondence_distortion(rel, x.space, y.space, prune)
+            if dis is not None and (prune is None or not prune(_base_gap(x, y, rel.pairs, dis))):
                 yield Correspondence(rel.pairs, rel.nx, rel.ny, (x.space, y.space, dis))
     else:
         raise MetricError(f"unknown search mode {search!r}")
@@ -398,18 +423,22 @@ def _heuristic_correspondences(
     skips ``correspondence()``'s re-validation.  The byte pins
     ``*/Delta-r-heuristic/*`` and ``*/inframetric-heuristic/*`` of
     ``tests/cli_bytes.json`` depend on this contract, draw for draw.
+
+    The profile cost |d(x0, i) - d(y0, j)| of every pair is computed once
+    per stream into one table.  The sort keys and the greedy ``min``s read
+    it there, with the same value as a fresh computation, so the table
+    keeps every draw.
     """
     nx, ny = x.n, y.n
-
-    def profile_cost(i: int, j: int) -> Scalar:
-        return abs(x.space.d(x.base, i) - y.space.d(y.base, j))
+    x0_row, y0_row = x.space.dist[x.base], y.space.dist[y.base]
+    cost = {(i, j): abs(x0_row[i] - y0_row[j]) for i in range(nx) for j in range(ny)}
 
     greedy = set()
     for i in range(nx):
-        j = min(range(ny), key=lambda jj: (profile_cost(i, jj), jj))
+        j = min(range(ny), key=lambda jj: (cost[i, jj], jj))
         greedy.add((i, j))
     for j in range(ny):
-        i = min(range(nx), key=lambda ii: (profile_cost(ii, j), ii))
+        i = min(range(nx), key=lambda ii: (cost[ii, j], ii))
         greedy.add((i, j))
     yield correspondence(greedy, nx, ny)
     yield correspondence(itertools.product(range(nx), range(ny)), nx, ny)
@@ -420,7 +449,7 @@ def _heuristic_correspondences(
         for i, j in pairs:
             rows[i] += 1
             cols[j] += 1
-        for i, j in sorted(pairs, key=lambda p: (profile_cost(*p), p), reverse=True):
+        for i, j in sorted(pairs, key=lambda p: (cost[p], p), reverse=True):
             if rows[i] > 1 and cols[j] > 1 and rng.random() < 0.5:
                 pairs.remove((i, j))
                 rows[i] -= 1

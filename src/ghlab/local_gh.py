@@ -211,8 +211,9 @@ def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> G
     host = glued.host
     rows = [list(row) for row in host.dist]
     n = host.n
-    x_only = [h for h in glued.embed_x if h not in set(glued.embed_y)]
-    y_only = [h for h in glued.embed_y if h not in set(glued.embed_x)]
+    in_x, in_y = set(glued.embed_x), set(glued.embed_y)
+    x_only = [h for h in glued.embed_x if h not in in_y]
+    y_only = [h for h in glued.embed_y if h not in in_x]
     for _ in range(max(steps, 0)):
         changed = False
         for i in x_only:
@@ -368,7 +369,8 @@ def gh_inframetric(
             on_grid(slack, unit),
         )
         raw, witness = Fraction(raw, unit), _off_grid(glued, unit, x, y)
-    half = 0.5 if isinstance(raw, float) else Fraction(1, 2)
+    # the floor in the backend's type, since off the grid a zero raw is the int 0
+    half = 0.5 if unit is None else Fraction(1, 2)
     truncated = raw if raw > half else half
     certificate = "family-minimum" if search == "exact" else "upper-bound"
     return InframetricResult(

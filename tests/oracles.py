@@ -42,6 +42,18 @@ def all_full_relations(nx: int, ny: int):
     return out
 
 
+def correspondence_distortion_reference(rel, x_space, y_space):
+    """dis(R) as first written: every pair of R with every later pair and
+    with itself, through ``d``, in ``combinations_with_replacement`` order,
+    the max kept from an int 0 on a strict ``>``."""
+    dis = 0
+    for (x1, y1), (x2, y2) in itertools.combinations_with_replacement(rel.pairs, 2):
+        gap = abs(x_space.d(x1, x2) - y_space.d(y1, y2))
+        if gap > dis:
+            dis = gap
+    return dis
+
+
 def heuristic_correspondences_reference(x, y, rng, samples):
     """The seeded heuristic candidates with the repair as first written: it
     rebuilds both coverage sets for every pair it tries.  The greedy

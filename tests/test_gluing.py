@@ -44,8 +44,9 @@ from ghlab import (
     validate_metric,
 )
 from ghlab.gluing import NotDistancePreserving, _heuristic_correspondences, correspondence_stream
+from ghlab.local_gh import _pointed_on_grid
 from ghlab.metric_core import PreconditionFailed
-from ghlab.numerics import DEFAULT_FLOAT_TOL, half
+from ghlab.numerics import DEFAULT_FLOAT_TOL, grid_unit, half
 from ghlab.verify import random_correspondence, random_pointed_space
 
 
@@ -86,6 +87,42 @@ def test_distortion_matches_brute_force():
             for (c, d) in rel.pairs
         )
         assert correspondence_distortion(rel, x.space, y.space) == expected
+
+
+def _distortion_terms(rel, x_space, y_space):
+    return {abs(x_space.d(a, c) - y_space.d(b, e)) for a, b in rel.pairs for c, e in rel.pairs}
+
+
+def test_distortion_kernel_matches_the_reference_bounded_and_unbounded():
+    # the row-read kernel keeps the value and type of the combinations form;
+    # with a threshold prune it answers None exactly when the prune holds at
+    # half the full distortion, and the full distortion otherwise
+    rng = random.Random(21)
+    checked = 0
+    for nx, ny in itertools.product((1, 2, 3), repeat=2):
+        for _ in range(2):
+            x, y = random_pointed_space(rng, nx, nx), random_pointed_space(rng, ny, ny)
+            unit = 4 * grid_unit(itertools.chain(*x.space.dist, *y.space.dist))
+            backends = (
+                (x, y),
+                (_pointed_on_grid(x, unit), _pointed_on_grid(y, unit)),
+                (_float_copy(x), _float_copy(y)),
+            )
+            for a, b in backends:
+                for rel in enumerate_correspondences(nx, ny):
+                    want = oracles.correspondence_distortion_reference(rel, a.space, b.space)
+                    got = correspondence_distortion(rel, a.space, b.space)
+                    assert got == want and type(got) is type(want)
+                    cuts = {half(t) for t in _distortion_terms(rel, a.space, b.space)} | {-1}
+                    for cut in cuts:
+                        for prune in (lambda lower: lower > cut, lambda lower: lower >= cut):
+                            bounded = correspondence_distortion(rel, a.space, b.space, prune)
+                            if prune(half(want)):
+                                assert bounded is None
+                            else:
+                                assert bounded == want and type(bounded) is type(want)
+                            checked += 1
+    assert checked > 10000
 
 
 def _assert_metric_as_built(space, tol=0):

@@ -9,6 +9,7 @@ pruned searches return the same values and the same witnesses.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -22,12 +23,13 @@ from ghlab import (
     delta_r,
     gh_inframetric,
     glue_from_correspondence,
+    gluing,
     local_gh,
     pointed,
     refine_gluing_cross,
     validate_metric,
 )
-from ghlab.gluing import correspondence_stream
+from ghlab.gluing import _base_gap, _distortion, correspondence_stream
 from ghlab.numerics import DEFAULT_FLOAT_TOL
 from ghlab.tunnels import (
     _find_base_isometry,
@@ -334,3 +336,57 @@ def test_bounded_stream_yields_fewer_and_keeps_the_winner():
     assert winner[1] in yielded
     assert best == winner[0]
     assert len(yielded) < 265
+
+
+def _gap_filtered_stream(x, y, search, budget, seed, samples, prune):
+    """The unbounded stream, each candidate then tested on its basepoint gap."""
+    for rel in correspondence_stream(x, y, search, budget, seed, samples):
+        if not prune(_base_gap(x, y, rel.pairs, _distortion(rel, x, y))):
+            yield rel
+
+
+def _traced_search(monkeypatch, stream, run):
+    """run's answer, the pairs its stream yields and the distortion terms
+    (``abs`` calls in ``correspondence_distortion``) it evaluates."""
+    yielded, terms = [], [0]
+    kernel = gluing.correspondence_distortion.__code__
+
+    def counting_abs(v):
+        if sys._getframe(1).f_code is kernel:
+            terms[0] += 1
+        return abs(v)
+
+    def recording(*args):
+        for rel in stream(*args):
+            yielded.append(rel.pairs)
+            yield rel
+
+    monkeypatch.setattr(gluing, "abs", counting_abs, raising=False)
+    monkeypatch.setattr(local_gh, "correspondence_stream", recording)
+    answer = run()
+    monkeypatch.undo()
+    return answer, yielded, terms[0]
+
+
+def test_heuristic_stream_cuts_candidates_on_their_partial_distortion(monkeypatch):
+    # the bounded stream stops measuring a candidate once prune holds at half
+    # its partial distortion; under each search's own prune it must yield
+    # what the gap test on the fully measured stream yields, in order
+    rng = random.Random(17)
+    terms = []
+    for seed, (x, y, r) in enumerate(_pairs(rng, [(5, 6), (6, 5)], 2)):
+        kw = {"search": "heuristic", "seed": seed, "samples": 16}
+        runs = (
+            lambda: Delta_r(x, y, r, **kw),
+            lambda: Delta_r(x, y, r, tol=F(1, 10), **kw),
+            lambda: gh_inframetric(x, y, **kw),
+        )
+        for run in runs:
+            got = _traced_search(monkeypatch, correspondence_stream, run)
+            want = _traced_search(monkeypatch, _gap_filtered_stream, run)
+            assert got[1] == want[1]
+            assert repr(got[0]) == repr(want[0])
+            assert got[2] <= want[2]
+            terms.append((got[2], want[2]))
+    # pinned: the first pair's Delta_r measures fewer terms than in full
+    assert terms[0][0] < terms[0][1]
