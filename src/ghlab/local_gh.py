@@ -28,13 +28,17 @@ gaps have different hosts, and a larger gap can snap lower, so the gap
 alone can pick another value or witness, and ``Delta_r`` glues each
 correspondence the stream yields.
 
-On rational input both searches run on one integer grid per query.  With L
-= 4 * lcm of the denominators of both distance matrices and of the query's
-scalars (r and tol, or slack), from ``numerics.grid_unit`` as in
-``validate_metric``, each space is scaled by L into an ``int`` copy (a
-positive multiple of a metric is a metric) and the unchanged search code
-runs on ``int`` rows; only the value and the witness are divided by L on
-the way out.  The factor 4 keeps every halving an ``int``: the grid
+On rational input both searches run on one integer grid per query, through
+one boundary, ``_on_grid``.  With L = 4 * lcm of both spaces' grid units
+and of the denominators of the query's scalars (r and tol, or slack;
+``metric_core.grid_unit_of``), each space's stored grid rows
+(``FiniteMetricSpace.grid``, left by ``validate_metric`` or computed once
+per space) are multiplied by L over their own unit into an ``int`` copy (a
+positive multiple of a metric is a metric), and the unchanged search code
+runs on ``int`` rows.  Only the value and the witness come back: the value
+as ``Fraction(value, L)``, the witness host with one ``Fraction(v, L)`` per
+distinct entry, under the grid host's labels and ``strict`` flag
+(``_off_grid``).  The factor 4 keeps every halving an ``int``: the grid
 distances are multiples of 4, so a distortion and eta = dis/2 are even,
 cross distances are even, and so are the delta_r candidate gaps d - r that
 get halved.  Input holding any float skips the grid.
@@ -58,12 +62,13 @@ from .metric_core import (
     FiniteMetricSpace,
     MetricError,
     PointedSpace,
-    _trusted_space,
     dist_to_set,
     eps_contained,
+    grid_unit_of,
+    scaled_rows,
     validate_metric,
 )
-from .numerics import INF, Scalar, grid_unit, half as _half, inv, leq, on_grid
+from .numerics import INF, Scalar, half as _half, inv, leq, on_grid
 
 
 class NonPositiveRadius(MetricError):
@@ -87,7 +92,7 @@ def _balls(glued: GluedSpace, r: Scalar, tol: Scalar = 0) -> tuple:
 def delta_candidates(glued: GluedSpace, r: Scalar) -> list:
     """Breakpoints where either feasibility predicate can change."""
     host = glued.host
-    values = {0, host.d(glued.x0_host, glued.y0_host)}
+    values = {host.d(glued.x0_host, glued.x0_host), host.d(glued.x0_host, glued.y0_host)}
     for i in range(host.n):
         for j in range(i + 1, host.n):
             values.add(host.d(i, j))
@@ -237,15 +242,19 @@ def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> G
 
 
 def _pointed_on_grid(p: PointedSpace, unit: int) -> PointedSpace:
-    rows = [[on_grid(v, unit) for v in row] for row in p.space.dist]
-    return PointedSpace(_trusted_space(p.space.points, rows), p.base)
+    """p's grid rows scaled to unit, a multiple of their L, under its labels
+    and ``strict`` flag."""
+    s, (L, rows) = p.space, p.space.grid
+    return PointedSpace(FiniteMetricSpace(s.points, scaled_rows(rows, unit // L), s.strict), p.base)
 
 
 def _off_grid(glued: GluedSpace, unit: int, x: PointedSpace, y: PointedSpace) -> GluedSpace:
-    """The grid witness divided by L, embedding the caller's spaces."""
+    """The grid witness divided by L, one ``Fraction`` per distinct value,
+    embedding the caller's spaces."""
     host = glued.host
-    rows = [[Fraction(v, unit) for v in row] for row in host.dist]
-    return GluedSpace(_trusted_space(host.points, rows), glued.embed_x, glued.embed_y, x, y)
+    back = {v: Fraction(v, unit) for v in set(itertools.chain(*host.dist))}
+    rows = tuple([tuple([back[v] for v in row]) for row in host.dist])
+    return GluedSpace(FiniteMetricSpace(host.points, rows, host.strict), glued.embed_x, glued.embed_y, x, y)
 
 
 def Delta_r(
@@ -273,29 +282,29 @@ def Delta_r(
     """
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
-    unit = grid_unit(itertools.chain((r, tol), *x.space.dist, *y.space.dist))
-    if unit is None:
-        return _Delta_r_search(x, y, r, search, budget, seed, samples, tol)
-    unit *= 4
     try:
-        value, glued = _Delta_r_search(
-            _pointed_on_grid(x, unit),
-            _pointed_on_grid(y, unit),
-            on_grid(r, unit),
-            search,
-            budget,
-            seed,
-            samples,
-            on_grid(tol, unit),
-        )
-    except NoBreakpoint:  # its message holds grid numbers
+        return _on_grid(_Delta_r_search, x, y, (r, tol), search, budget, seed, samples)[:2]
+    except NoBreakpoint:  # name the caller's tol: on the grid the message holds grid numbers
         raise NoBreakpoint(
             f"no breakpoint of a searched gluing is within tol {tol} above its sup formula"
         ) from None
-    return Fraction(value, unit), _off_grid(glued, unit, x, y)
 
 
-def _Delta_r_search(x, y, r, search, budget, seed, samples, tol):
+def _on_grid(run, x: PointedSpace, y: PointedSpace, scalars: tuple, *how) -> tuple:
+    """(value, witness, L) of the search run(x, y, *scalars, *how) ->
+    (value, gluing): on the integer grid at unit L when the spaces and the
+    scalars are rational, with the answer brought back (module docstring);
+    on the caller's numbers with L None otherwise."""
+    unit = grid_unit_of((x.space, y.space), scalars)
+    if unit is None:
+        return (*run(x, y, *scalars, *how), None)
+    unit *= 4
+    grid = (on_grid(v, unit) for v in scalars)
+    value, glued = run(_pointed_on_grid(x, unit), _pointed_on_grid(y, unit), *grid, *how)
+    return Fraction(value, unit), _off_grid(glued, unit, x, y), unit
+
+
+def _Delta_r_search(x, y, r, tol, search, budget, seed, samples):
     """``Delta_r`` on the spaces' own scale."""
     best = None
 
@@ -319,7 +328,6 @@ def _Delta_r_search(x, y, r, search, budget, seed, samples, tol):
     value, glued, rel = best
     if glued is None:
         glued = glue_from_correspondence(x, y, rel)
-        value = delta_r(glued, r)  # the gap again, in delta_r's own type
     refined = refine_gluing_cross(glued, tol=tol)
     refined_value = delta_r(refined, r, tol=tol)
     if refined_value < value:
@@ -354,21 +362,7 @@ def gh_inframetric(
     drops correspondences whose basepoint gap already reaches the current
     best.
     """
-    unit = grid_unit(itertools.chain((slack,), *x.space.dist, *y.space.dist))
-    if unit is None:
-        raw, witness = _inframetric_search(x, y, search, budget, seed, samples, slack)
-    else:
-        unit *= 4
-        raw, glued = _inframetric_search(
-            _pointed_on_grid(x, unit),
-            _pointed_on_grid(y, unit),
-            search,
-            budget,
-            seed,
-            samples,
-            on_grid(slack, unit),
-        )
-        raw, witness = Fraction(raw, unit), _off_grid(glued, unit, x, y)
+    raw, witness, unit = _on_grid(_inframetric_search, x, y, (slack,), search, budget, seed, samples)
     # the floor in the backend's type, since off the grid a zero raw is the int 0
     half = 0.5 if unit is None else Fraction(1, 2)
     truncated = raw if raw > half else half
@@ -378,7 +372,7 @@ def gh_inframetric(
     )
 
 
-def _inframetric_search(x, y, search, budget, seed, samples, slack):
+def _inframetric_search(x, y, slack, search, budget, seed, samples):
     """The ``gh_inframetric`` stream on the spaces' own scale; returns (raw,
     gluing of the first correspondence that attains it)."""
     best_raw: Scalar = INF

@@ -14,14 +14,15 @@ Internal builders whose rows are a metric by construction freeze them with
   - ``gluing.glue_triple_w``: X and Y sit isometrically in Z, and each
     bridge crossed adds eps, which keeps the triangle inequality;
   - ``tunnels.compose`` and ``tunnels.existence_tunnel``: the rows are only
-    edge weights, and their ``min_plus_closure`` is a shortest-path metric;
-- the integer-grid copies of ``local_gh`` (``_pointed_on_grid`` scales a
-  validated space by L, ``_off_grid`` a witness host back by 1/L): a
-  positive multiple of a metric is a metric.
+    edge weights, and their ``min_plus_closure`` is a shortest-path metric.
 
-Code that builds ``FiniteMetricSpace`` directly from unchecked rows bypasses
-the axioms on purpose (some negative tests do exactly that) and gets no
-guarantees.
+The integer-grid copies of ``local_gh`` (``_pointed_on_grid`` scales a
+space's grid rows, ``_off_grid`` a witness host back by 1/L) build
+``FiniteMetricSpace`` directly under the labels and ``strict`` flag of the
+space they scale: a positive multiple of a metric is a metric with the same
+zeros.  Other code that builds ``FiniteMetricSpace`` directly from unchecked
+rows bypasses the axioms on purpose (some negative tests do exactly that)
+and gets no guarantees.
 
 On rational rows (every entry an int or a Fraction) ``validate_metric``
 runs all its checks on one integer copy of the rows: each entry times L,
@@ -33,6 +34,15 @@ themselves, and the first failing clause, its indices and its message
 (printed from the caller's entries) are the same; the O(n^3) triangle scan
 then adds ints instead of Fractions.  The returned space holds the caller's
 entries.  A float or inf entry keeps the scan on the caller's own numbers.
+
+``validate_metric`` also leaves that integer copy on the space it returns:
+``FiniteMetricSpace.grid`` is (L, the rows times L as int tuples) with L the
+lcm of the rows' denominators (``tol``'s joins only the check's unit), None
+for a float or inf entry.  Rows that are all ints are their own grid, so no
+copy is built.  A space made any other way computes its grid on first read,
+once.  ``grid_unit_of`` gives the unit that puts several spaces and query
+scalars on one grid, which is where ``local_gh``'s searches and
+``tunnels``' scans start.
 
 ``gluing.glued_from_json`` checks its host once: ``space_from_json`` has
 validated it at tol 0, and passing at tol 0 implies passing the triangle
@@ -49,6 +59,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .numerics import (
@@ -110,6 +121,13 @@ class FiniteMetricSpace:
     def d(self, i: int, j: int) -> Scalar:
         return self.dist[i][j]
 
+    @cached_property
+    def grid(self) -> tuple | None:
+        """(L, the rows times L as int row tuples), L the lcm of the rows'
+        denominators; None when a row holds a float or inf.  Read once per
+        space: ``validate_metric`` hands over the copy its checks ran on."""
+        return _grid_of(self.dist)
+
     def index(self, label) -> int:
         try:
             return self.points.index(label)
@@ -144,13 +162,15 @@ def validate_metric(
     if len(dist) != n or any(len(row) != n for row in dist):
         raise NotSquare(f"need a {n}x{n} matrix, got rows {[len(r) for r in dist]}")
     rows = tuple(tuple(row) for row in dist)
+    grid = _grid_of(rows)
     # every check compares on g and t; messages print the caller's rows
     exact_tol = Fraction(tol) if isinstance(tol, float) and math.isfinite(tol) else tol
-    unit = grid_unit(itertools.chain((exact_tol,), *rows))
-    if unit is None:
+    tol_unit = grid_unit((exact_tol,))
+    if grid is None or tol_unit is None:
         g, t = rows, tol
     else:
-        g, t = [[on_grid(v, unit) for v in row] for row in rows], on_grid(exact_tol, unit)
+        unit = math.lcm(grid[0], tol_unit)
+        g, t = scaled_rows(grid[1], unit // grid[0]), on_grid(exact_tol, unit)
     strict = True
     for i in range(n):
         if g[i][i] != 0:
@@ -183,7 +203,32 @@ def validate_metric(
                         (i, k, j),
                         f"d({pts[i]!r},{pts[j]!r}) > d({pts[i]!r},{pts[k]!r}) + d({pts[k]!r},{pts[j]!r})",
                     )
-    return FiniteMetricSpace(points=pts, dist=rows, strict=strict)
+    space = FiniteMetricSpace(points=pts, dist=rows, strict=strict)
+    space.__dict__["grid"] = grid  # the value FiniteMetricSpace.grid caches
+    return space
+
+
+def _grid_of(rows: tuple) -> tuple | None:
+    """``FiniteMetricSpace.grid`` of these rows; int rows are their own copy."""
+    unit = grid_unit(itertools.chain(*rows))
+    if unit is None:
+        return None
+    if unit == 1 and all(type(v) is int for row in rows for v in row):
+        return 1, rows
+    return unit, tuple([tuple([on_grid(v, unit) for v in row]) for row in rows])
+
+
+def scaled_rows(rows: tuple, k: int) -> tuple:
+    """Int rows times the int k > 0; the rows themselves at k = 1."""
+    return rows if k == 1 else tuple([tuple([v * k for v in row]) for row in rows])
+
+
+def grid_unit_of(spaces: Iterable[FiniteMetricSpace], scalars: Iterable = ()) -> int | None:
+    """The lcm of the spaces' grid units and of the scalars' denominators,
+    so that each space's grid rows times unit / L and each scalar times unit
+    are ints; None when a space has no grid or a scalar is a float or inf."""
+    grids, unit = [s.grid for s in spaces], grid_unit(scalars)
+    return None if unit is None or None in grids else math.lcm(unit, *(g[0] for g in grids))
 
 
 def _trusted_space(points: Sequence, dist: Sequence[Sequence[Scalar]]) -> FiniteMetricSpace:

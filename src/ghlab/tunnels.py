@@ -17,10 +17,12 @@ unit, seminorm domain, ...) automatically, so ``_as_classical`` adds only
 separation to the boundary's metric check.
 
 On rational input every scan of a metric passage (``_grid_scan``) runs on
-one integer grid, as ``local_gh``'s searches do: L = 8 * lcm of the
-denominators of tol, any fixed r and the passage's rows scales it into an
-``int`` copy (the 8 keeps halves of quarters ints), the unchanged scan runs on
-it, and its value and probe are divided by L.  So do ``extent``, ``gh
+one integer grid, as ``local_gh``'s searches do: L = 8 * lcm of the grid
+units of the carrier, domain and codomain (``FiniteMetricSpace.grid``) and
+of the denominators of tol and any fixed r scales each space's stored grid
+rows into an ``int`` copy (the 8 keeps halves of quarters ints), the
+unchanged scan runs on it, and its value and probe come back divided by L,
+the basepoint gap as the caller's own entry.  So do ``extent``, ``gh
 extent``, ``local_propinquity`` and each bisection step of a bracket, at
 radius L/e and cutoff e * L.  Every comparison of the metric clauses is then
 between sums of L-scaled numbers; the sentinel past the last candidate, 2c +
@@ -34,7 +36,7 @@ whole check runs on ints and a failure certificate's t may be that floor.
 
 from __future__ import annotations
 
-import itertools
+import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,13 +73,13 @@ from .metric_core import (
     _trusted_space,
     diameter,
     dist_to_set,
+    grid_unit_of,
     min_plus_closure,
     validate_metric,
 )
 from .numerics import (
     INF,
     Scalar,
-    grid_unit,
     half as _half,
     inv,
     leq,
@@ -580,15 +582,15 @@ def _grid_scan(p: Passage, tol: Scalar, r: Scalar | None = None) -> tuple:
     the basepoint gap as the caller's gap object and divides the rest by L.
     Any other passage scans the caller's numbers at unit 1."""
     fixed = (tol,) if r is None else (tol, r)
-    rows = itertools.chain(fixed, *p.carrier.dist, *p.domain.space.dist, *p.codomain.space.dist)
-    unit = grid_unit(rows) if p.kind == "metric" else None
+    spaces = (p.carrier, p.domain.space, p.codomain.space)
+    unit = grid_unit_of(spaces, fixed) if p.kind == "metric" else None
     if unit is None:
         unit, out = 1, lambda v: v
     else:
         unit *= 8
         c, x, y = (_pointed_on_grid(s, unit) for s in (PointedSpace(p.carrier, 0), p.domain, p.codomain))
         gap, p = p.carrier.d(p.x0_host, p.y0_host), Passage(c.space, p.embed_x, p.embed_y, x, y)
-        grid_gap, tol = on_grid(gap, unit), on_grid(tol, unit)
+        grid_gap, tol = p.carrier.d(p.x0_host, p.y0_host), on_grid(tol, unit)
         r = None if r is None else on_grid(r, unit)
         out = lambda v: v if v in (0, INF, None) else gap if v == grid_gap else Fraction(v, unit)
     context = ScanContext(p, tol, unit)
@@ -1048,8 +1050,7 @@ def propinquity_bracket(
     B = _as_classical(b)
     if _find_base_isometry(A, B) is not None:
         return 0, 0
-    rows = (v for s in (A, B) for row in s.space.dist for v in row)
-    one: Scalar = 1 if grid_unit(rows) is not None else 1.0
+    one: Scalar = 1 if grid_unit_of((A.space, B.space)) is not None else 1.0
     hi: Scalar = INF
     best: Passage | None = None
     lows = []
@@ -1109,8 +1110,6 @@ def passage_to_json(p: Passage) -> dict:
 
 
 def passage_from_json(obj, backend: str = "rational", tol: Scalar = 0) -> Passage:
-    import json as _json
-
     if isinstance(obj, str):
-        obj = _json.loads(obj)
+        obj = json.loads(obj)
     return passage_from_gluing(glued_from_json(obj["gluing"], backend, tol))

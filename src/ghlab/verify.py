@@ -238,14 +238,22 @@ def suite_composition(rng: random.Random, cases: int = 25) -> list:
 
 def suite_inframetric(rng: random.Random, cases: int = 60) -> list:
     """Local-distance route agreement, the four-assertion threshold at the
-    computed delta, inframetric symmetry, truncation floor, and raw zero on
-    identical spaces."""
+    computed delta, inframetric symmetry, the witness's threshold, and raw
+    zero on identical spaces.
+
+    Witness threshold: the witness W of ``gh_inframetric`` glues one
+    correspondence at eta = dis/2, so its delta profile is constant at its
+    basepoint gap g (``local_gh``'s docstring), and inf{t : delta_{1/t}(W)
+    < t} is g, which is raw at slack 0.  So delta_{1/t}(W) at any t > 0, here
+    the truncated value, must equal raw: the sup formula on W's host against
+    the gap the search read off the stream without gluing.  (The truncated
+    value itself is max(raw, 1/2) by definition, so it is not checked.)"""
     tally = _Tally(
         (
             "delta-route-agreement",
             "delta-equivalents-threshold",
             "inframetric-symmetry",
-            "truncation-floor",
+            "witness-threshold",
             "isometric-raw-zero",
         )
     )
@@ -282,8 +290,8 @@ def suite_inframetric(rng: random.Random, cases: int = 60) -> list:
             sym_ok,
             {"xy": format_scalar(res_xy.raw), "yx": format_scalar(res_yx.raw)},
         )
-        floor_ok = res_xy.truncated == max(res_xy.raw, Fraction(1, 2))
-        tally.record("truncation-floor", floor_ok, {"raw": format_scalar(res_xy.raw)})
+        witness_ok = delta_r(res_xy.witness, 1 / res_xy.truncated) == res_xy.raw
+        tally.record("witness-threshold", witness_ok, {"raw": format_scalar(res_xy.raw)})
         self_res = gh_inframetric(x, x, budget=16)
         self_ok = self_res.raw == 0 and self_res.truncated == Fraction(1, 2)
         tally.record("isometric-raw-zero", self_ok, {"raw": format_scalar(self_res.raw)})

@@ -322,6 +322,17 @@ def test_float_inframetric_of_two_points_prints_a_float_floor(tmp_path, capsys):
     assert "1/2" not in captured.out
 
 
+def test_float_Delta_r_of_a_point_with_itself_prints_a_float_zero(tmp_path, capsys):
+    # the zero local distance takes the float host's own zero, not an int 0
+    doc = {"points": ["p"], "dist": [["0"]], "basepoint": 0}
+    x = write_json(tmp_path, "x.json", doc)
+    for search in ("exact", "heuristic"):
+        rc, report, captured = run(capsys, ["Delta-r", "--x", x, "--y", x, "-r", "1", "--mode", search])
+        assert rc == EXIT_OK
+        assert '"value": 0.0,' in captured.out
+        assert report["value"] == 0.0 and isinstance(report["value"], float)
+
+
 def test_simplex_budget_exhaustion_names_its_kind(tmp_path, capsys, monkeypatch):
     from ghlab import cli
     from ghlab.simplex import IterationBudgetExceeded

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,8 @@ from ghlab import (
     subspace,
     validate_metric,
 )
-from ghlab.metric_core import NotSquare, dist_to_set
+from ghlab import metric_core
+from ghlab.metric_core import FiniteMetricSpace, NotSquare, dist_to_set
 from ghlab.numerics import INF, half, inv, leq, quarter
 from ghlab.verify import random_pointed_space
 
@@ -278,6 +280,13 @@ def _outcome(validate, labels, rows, require_strict, tol):
         return type(exc), getattr(exc, "kind", None), getattr(exc, "witness", None), str(exc)
 
 
+def _grid_reference(rows):
+    if any(isinstance(v, float) for row in rows for v in row):
+        return None
+    unit = math.lcm(*(F(v).denominator for row in rows for v in row))
+    return unit, tuple(tuple(int(v * unit) for v in row) for row in rows)
+
+
 def test_validate_metric_on_the_grid_matches_the_rational_scan():
     rng = random.Random(29)
     raised = set()
@@ -290,8 +299,10 @@ def test_validate_metric_on_the_grid_matches_the_rational_scan():
         if isinstance(want, tuple):
             raised.add(want[1] or want[0].__name__)
         else:
-            # the space keeps the caller's own entries
+            # the space keeps the caller's own entries, and the grid its
+            # checks ran on scaled by the rows' own lcm, whatever the tol
             assert all(a is b for row, given in zip(got.dist, rows) for a, b in zip(row, given))
+            assert got.grid == _grid_reference(rows)
     assert raised == {
         "labels", "NotSquare", "diagonal", "symmetry", "negative", "separation", "triangle"
     }
@@ -320,3 +331,61 @@ def test_validate_metric_on_float_rows_matches_the_full_scan():
     assert raised == {
         "labels", "NotSquare", "diagonal", "symmetry", "negative", "separation", "triangle"
     }
+
+
+GRID_DOC = {
+    "points": ["a", "b", "c"],
+    "dist": [["0", "1/2", "5/6"], ["1/2", "0", "1/3"], ["5/6", "1/3", "0"]],
+    "basepoint": 1,
+}
+GRID_CSV = "a,b,c\n0,1/2,5/6\n1/2,0,1/3\n5/6,1/3,0\n"
+GRID_ROWS = [[0, F(1, 2), F(5, 6)], [F(1, 2), 0, F(1, 3)], [F(5, 6), F(1, 3), 0]]
+
+
+def test_ingested_rational_spaces_carry_their_grid_and_float_ones_none(monkeypatch):
+    # validation leaves the int copy its checks ran on, so reading the grid
+    # of an ingested space converts nothing; a tol's denominator stays out
+    converted = []
+    on_grid = metric_core.on_grid
+    monkeypatch.setattr(metric_core, "on_grid", lambda v, unit: converted.append(v) or on_grid(v, unit))
+    spaces = [
+        space_from_json(GRID_DOC),
+        pointed_from_json(GRID_DOC).space,
+        space_from_csv(GRID_CSV),
+        validate_metric("abc", GRID_ROWS),
+        validate_metric("abc", GRID_ROWS, tol=F(1, 7)),
+    ]
+    for space in spaces:
+        converted.clear()
+        assert space.grid == (6, ((0, 3, 5), (3, 0, 2), (5, 2, 0))) == _grid_reference(space.dist)
+        assert all(type(v) is int for row in space.grid[1] for v in row)
+        assert converted == []
+    # int rows are their own grid: no copy
+    ints = validate_metric("ab", [[0, 2], [2, 0]])
+    assert ints.grid == (1, ints.dist) and ints.grid[1] is ints.dist
+    # dyadic entries, so that float ingestion at tol 0 accepts the triangle
+    dyadic = {"points": ["a", "b"], "dist": [["0", "1/4"], ["1/4", "0"]]}
+    for space in (
+        space_from_json(dyadic, "float"),
+        space_from_csv("a,b\n0,1/4\n1/4,0\n", "float"),
+        validate_metric("ab", [[0, INF], [INF, 0]]),
+        validate_metric("ab", [[0, F(1, 2)], [0.5, 0]]),
+    ):
+        assert space.grid is None
+
+
+def test_a_space_built_without_validation_computes_its_grid_once(monkeypatch):
+    converted = []
+    on_grid = metric_core.on_grid
+    monkeypatch.setattr(metric_core, "on_grid", lambda v, unit: converted.append(v) or on_grid(v, unit))
+    rows = ((F(0), F(2, 3)), (F(2, 3), F(0)))
+    raw = FiniteMetricSpace(("a", "b"), rows, True)
+    assert raw.grid == (3, ((0, 2), (2, 0)))
+    assert len(converted) == 4
+    assert raw.grid == (3, ((0, 2), (2, 0)))
+    assert len(converted) == 4
+    # the grid takes no part in equality, hashing or repr
+    validated = validate_metric(("a", "b"), rows)
+    fresh = FiniteMetricSpace(("a", "b"), rows, True)
+    assert validated == raw == fresh and hash(validated) == hash(fresh)
+    assert repr(validated) == repr(raw) == repr(fresh)

@@ -39,9 +39,16 @@ from ghlab import (
 from ghlab import tunnels
 from ghlab.gluing import validate_gluing
 from ghlab.local_gh import _pointed_on_grid
-from ghlab.metric_core import MetricError, PointedSpace, _trusted_space, subspace
+from ghlab.metric_core import (
+    MetricError,
+    PointedSpace,
+    _trusted_space,
+    pointed_from_json,
+    space_to_json,
+    subspace,
+)
 from ghlab.numerics import DEFAULT_FLOAT_TOL, INF, grid_unit, inv, on_grid
-from ghlab.tunnels import Passage, ScanContext, _extent_scan
+from ghlab.tunnels import Passage, ScanContext, _extent_scan, passage_from_json, passage_to_json
 from ghlab.verify import random_pointed_space, random_passage
 
 TOL = DEFAULT_FLOAT_TOL
@@ -375,6 +382,8 @@ def _grid_passages(rng):
     for _ in range(3):
         x, y = (_scaled(random_pointed_space(rng, 1, 3), F(3**37 + 1, 3**37 + 2)) for _ in "xy")
         passages.append(random_passage(rng, x, y))
+    # and read back from JSON, so all three spaces carry validation's grid
+    passages += [passage_from_json(passage_to_json(p)) for p in passages[:4] + passages[-3:]]
     return passages
 
 
@@ -426,12 +435,14 @@ def test_rational_extents_scan_an_integer_grid_and_match_the_uncached_scan(tol, 
 
 def _bracket_cases(rng):
     """Pairs of 1-3 point spaces, then pairs with rows of denominator
-    3**37 + 2, as in ``_grid_passages``."""
+    3**37 + 2, as in ``_grid_passages``, then one pair read from JSON."""
     shapes = ((1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2))
     cases = [(random_pointed_space(rng, nx, nx), random_pointed_space(rng, ny, ny)) for nx, ny in shapes]
     big = F(3**37 + 1, 3**37 + 2)
     for _ in range(2):
         cases.append(tuple(_scaled(random_pointed_space(rng, 1, 3), big) for _ in "xy"))
+    # a 2x3 pair read back from JSON, as the command line reads it
+    cases.append(tuple(pointed_from_json(space_to_json(p.space, p.base)) for p in cases[5]))
     return cases
 
 

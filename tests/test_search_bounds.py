@@ -29,7 +29,9 @@ from ghlab import (
     refine_gluing_cross,
     validate_metric,
 )
+from ghlab import metric_core, tunnels
 from ghlab.gluing import _base_gap, _distortion, correspondence_stream
+from ghlab.metric_core import FiniteMetricSpace, _trusted_space, pointed_from_json, space_to_json
 from ghlab.numerics import DEFAULT_FLOAT_TOL
 from ghlab.tunnels import (
     _find_base_isometry,
@@ -37,8 +39,10 @@ from ghlab.tunnels import (
     extent,
     local_propinquity,
     passage_from_gluing,
+    passage_from_json,
+    passage_to_json,
 )
-from ghlab.verify import random_pointed_space
+from ghlab.verify import random_passage, random_pointed_space
 
 RATIONAL = ("rational", 0)
 FLOAT = ("float", DEFAULT_FLOAT_TOL)
@@ -241,16 +245,38 @@ def _no_floats(*values):
     return not any(isinstance(v, float) for v in values)
 
 
+def _ingested(p):
+    """p read back from its JSON, as the command line and the benchmark read it."""
+    return pointed_from_json(space_to_json(p.space, p.base))
+
+
+def _unvalidated(p):
+    """p's rows in a space built without validation, which computes its grid
+    on first read."""
+    return pointed(FiniteMetricSpace(p.space.points, p.space.dist, p.space.strict), p.base)
+
+
+def _validated_at_a_tol(p):
+    """p validated at a tol whose denominator 17 divides no entry: the grid
+    keeps the rows' own lcm."""
+    return pointed(validate_metric(p.space.points, p.space.dist, tol=F(1, 17)), p.base)
+
+
+SOURCES = (lambda p: p, _ingested, _unvalidated, _validated_at_a_tol)
+
+
 def test_rational_searches_on_mixed_denominators_match_brute_force():
     # Each side has its own denominators (3, 7, 6), and the radius, slacks
     # and tols add 5, 4, 13, 10 and 11, so the searches' common integer scale
     # mixes them all (13 and 11 divide no other entry); two 1-point sides
-    # make the inframetric threshold t* infinite.
+    # make the inframetric threshold t* infinite.  Each side's grid comes
+    # from validation, ingestion, a first read or validation at a tol.
     rng = random.Random(16)
     factors = (F(1, 3), F(2, 7), F(5, 6))
     r = F(3, 5)
     for k, (x, y, _) in enumerate(_pairs(rng, SMALL, 3)):
         x, y = _scaled(x, factors[k % 3]), _scaled(y, factors[(k + 1) % 3])
+        x, y = SOURCES[k % 4](x), SOURCES[(k + 1) % 4](y)
         family = _exact_family(x.n, y.n)
         for t in (0, F(1, 10), F(1, 11)):
             value, witness = Delta_r(x, y, r, tol=t)
@@ -269,6 +295,62 @@ def test_rational_searches_on_mixed_denominators_match_brute_force():
             assert _no_floats(res.raw, res.truncated, *(v for row in res.witness.host.dist for v in row))
             if x.n == y.n == 1:  # delta is 0, so t* = 1/s (infinite at s = 0)
                 assert res.raw == s
+
+
+def _counting_on_grid(monkeypatch, modules):
+    """Record every value any of the modules puts on a grid."""
+    converted = []
+    for module in modules:
+        on_grid = module.on_grid
+        monkeypatch.setattr(
+            module, "on_grid", lambda v, unit, on_grid=on_grid: converted.append(v) or on_grid(v, unit)
+        )
+    return converted
+
+
+def test_queries_on_ingested_rational_inputs_put_no_entry_on_the_grid(monkeypatch):
+    # Validation left every ingested space its grid, so Delta_r,
+    # gh_inframetric and extent scale stored ints: the only Fractions they
+    # put on a grid are the query's own scalars.
+    rng = random.Random(18)
+    cases = []
+    for x, y, r in _pairs(rng, SMALL, 1):
+        x, y = _scaled(x, F(2, 7)), _scaled(y, F(5, 6))
+        p = passage_from_json(passage_to_json(random_passage(rng, x, y)))
+        cases.append((_ingested(x), _ingested(y), r, p))
+    converted = _counting_on_grid(monkeypatch, (metric_core, local_gh, tunnels))
+
+    def fractions_put_on_the_grid(run, *args, **kw):
+        converted.clear()
+        run(*args, **kw)
+        return [v for v in converted if type(v) is F]
+
+    tol, slack = F(1, 10), F(1, 4)
+    for x, y, r, p in cases:
+        for search in ("exact", "heuristic"):
+            assert fractions_put_on_the_grid(Delta_r, x, y, r, search=search) == [r]
+            assert fractions_put_on_the_grid(Delta_r, x, y, r, search=search, tol=tol) == [r, tol]
+            assert fractions_put_on_the_grid(gh_inframetric, x, y, search=search) == []
+            assert fractions_put_on_the_grid(gh_inframetric, x, y, search=search, slack=slack) == [slack]
+        assert fractions_put_on_the_grid(extent, p, r) == [r]
+        assert fractions_put_on_the_grid(extent, p, r, tol) == [tol, r]
+
+
+def test_the_witness_comes_off_the_grid_as_an_entry_by_entry_division():
+    rng = random.Random(19)
+    for x, y, _ in _pairs(rng, SMALL, 2):
+        x, y = _scaled(x, F(2, 7)), _scaled(y, F(5, 6))
+        unit = 4 * metric_core.grid_unit_of((x.space, y.space))
+        gx, gy = local_gh._pointed_on_grid(x, unit), local_gh._pointed_on_grid(y, unit)
+        for rel in list(correspondence_stream(gx, gy))[:5]:
+            grid = glue_from_correspondence(gx, gy, rel)
+            got = local_gh._off_grid(grid, unit, x, y)
+            host = grid.host
+            want = _trusted_space(host.points, [[F(v, unit) for v in row] for row in host.dist])
+            assert got.host == want and got.host.strict == want.strict
+            assert all(type(v) is F for row in got.host.dist for v in row)
+            assert (got.embed_x, got.embed_y) == (grid.embed_x, grid.embed_y)
+            assert got.origin_x is x and got.origin_y is y
 
 
 def test_a_tie_keeps_the_smaller_encoding():

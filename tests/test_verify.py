@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 import ghlab.verify as verify
+from ghlab import correspondence, diameter, glue_from_correspondence
 from ghlab.verify import SUITES, TheoremResult, run_suite
 
 
@@ -61,3 +63,19 @@ def test_injected_bug_is_caught_with_a_counterexample(monkeypatch):
     assert broken
     assert all(isinstance(tr.counterexample, dict) for tr in broken)
     json.dumps([tr.to_json() for tr in broken])
+
+
+def test_witness_threshold_catches_a_witness_that_does_not_attain_raw(monkeypatch):
+    # a witness glued wider than the search's winner has a larger delta
+    # profile than raw; the checks that read raw alone still pass
+    real = verify.gh_inframetric
+
+    def wide_witness(x, y, **kw):
+        res = real(x, y, **kw)
+        full = correspondence([(i, j) for i in range(x.n) for j in range(y.n)], x.n, y.n)
+        eta = 1 + max(diameter(x.space), diameter(y.space))
+        return dataclasses.replace(res, witness=glue_from_correspondence(x, y, full, eta))
+
+    monkeypatch.setattr(verify, "gh_inframetric", wide_witness)
+    results = run_suite("inframetric", seed=0, cases=10)
+    assert [tr.theorem for tr in results if not tr.passed] == ["witness-threshold"]

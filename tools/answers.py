@@ -20,6 +20,10 @@ seeds; nothing is written under ``perfbench``.  The families are:
 - ``brackets``, ``brackets-1/3`` and ``brackets--1/10``: their
   ``propinquity_bracket`` queries at tol 1/10, 1/3 and -1/10, a raised
   exception recorded by its type name;
+- ``local-propinquity``: ``local_propinquity`` at r = 1/2 and 7/3, value
+  and witness kind and carrier, on the pairs of the ``tunnel`` pools of
+  input sets 0-1 (each bracket's pair and each extent passage's domain and
+  codomain);
 - ``search``: the ``search`` values and witnesses of input sets 0-3;
 - ``search-1/10``: ``Delta_r`` of their ``Delta_r`` queries at tol 1/10;
 - ``search-float``: the same queries on float twins of both spaces
@@ -61,6 +65,8 @@ from ghlab import cli, gluing, local_gh, metric_core, tunnels  # noqa: E402
 from ghlab.numerics import DEFAULT_FLOAT_TOL  # noqa: E402
 
 TUNNEL_SETS = range(8)
+LOCAL_SETS = range(2)
+LOCAL_RADII = (Fraction(1, 2), Fraction(7, 3))
 SEARCH_SETS = range(4)
 HEURISTIC_SETS = range(8)
 CLI_SETS = range(4)
@@ -106,6 +112,16 @@ def brackets(tol) -> list:
                 out.append(tunnels.propinquity_bracket(*args, tol=tol))
             except Exception as err:
                 out.append(type(err).__name__)
+    return out
+
+
+def local_propinquity() -> list:
+    out = []
+    for op, args in _prepared("tunnel", LOCAL_SETS):
+        x, y = args if op == "propinquity_bracket" else (args[0].domain, args[0].codomain)
+        for r in LOCAL_RADII:
+            value, witness = tunnels.local_propinquity(x, y, r)
+            out.append((value, witness.kind, witness.carrier))
     return out
 
 
@@ -187,6 +203,7 @@ FAMILIES = {
     "brackets": functools.partial(brackets, Fraction(1, 10)),
     "brackets-1/3": functools.partial(brackets, Fraction(1, 3)),
     "brackets--1/10": functools.partial(brackets, Fraction(-1, 10)),
+    "local-propinquity": local_propinquity,
     "search": search,
     "search-1/10": functools.partial(search_delta, (Fraction(1, 10),), False),
     "search-float": functools.partial(search_delta, (0, 1e-9), True),
