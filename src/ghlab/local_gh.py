@@ -283,7 +283,7 @@ def Delta_r(
     if r <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     try:
-        return _on_grid(_Delta_r_search, x, y, (r, tol), search, budget, seed, samples)[:2]
+        return _on_grid(_Delta_r_search, x, y, (r, tol), search, budget, seed, samples)
     except NoBreakpoint:  # name the caller's tol: on the grid the message holds grid numbers
         raise NoBreakpoint(
             f"no breakpoint of a searched gluing is within tol {tol} above its sup formula"
@@ -291,17 +291,17 @@ def Delta_r(
 
 
 def _on_grid(run, x: PointedSpace, y: PointedSpace, scalars: tuple, *how) -> tuple:
-    """(value, witness, L) of the search run(x, y, *scalars, *how) ->
-    (value, gluing): on the integer grid at unit L when the spaces and the
-    scalars are rational, with the answer brought back (module docstring);
-    on the caller's numbers with L None otherwise."""
+    """(value, witness) of the search run(x, y, *scalars, *how) -> (value,
+    gluing): on the integer grid at unit L when the spaces and the scalars
+    are rational, with the answer brought back (module docstring); on the
+    caller's numbers otherwise."""
     unit = grid_unit_of((x.space, y.space), scalars)
     if unit is None:
-        return (*run(x, y, *scalars, *how), None)
+        return run(x, y, *scalars, *how)
     unit *= 4
     grid = (on_grid(v, unit) for v in scalars)
     value, glued = run(_pointed_on_grid(x, unit), _pointed_on_grid(y, unit), *grid, *how)
-    return Fraction(value, unit), _off_grid(glued, unit, x, y), unit
+    return Fraction(value, unit), _off_grid(glued, unit, x, y)
 
 
 def _Delta_r_search(x, y, r, tol, search, budget, seed, samples):
@@ -356,15 +356,14 @@ def gh_inframetric(
     """max(inf{r : Delta_{1/r} < r}, 1/2) over the searched gluing family.
 
     A correspondence gluing's delta profile is constant at its basepoint gap
-    g, so its raw threshold inf{r : g + slack < r} is g + slack (0 when that
-    is not positive), read off the stream without building the gluing; only
-    the winner is glued.  `truncated` applies the 1/2 floor.  The stream
-    drops correspondences whose basepoint gap already reaches the current
-    best.
+    g, so its raw threshold inf{r : g + slack < r} is g + slack (a zero of
+    its type when that is not positive), read off the stream without
+    building the gluing; only the winner is glued.  `truncated` applies the
+    1/2 floor, a float exactly when raw is one.  The stream drops
+    correspondences whose basepoint gap already reaches the current best.
     """
-    raw, witness, unit = _on_grid(_inframetric_search, x, y, (slack,), search, budget, seed, samples)
-    # the floor in the backend's type, since off the grid a zero raw is the int 0
-    half = 0.5 if unit is None else Fraction(1, 2)
+    raw, witness = _on_grid(_inframetric_search, x, y, (slack,), search, budget, seed, samples)
+    half = 0.5 if isinstance(raw, float) else Fraction(1, 2)
     truncated = raw if raw > half else half
     certificate = "family-minimum" if search == "exact" else "upper-bound"
     return InframetricResult(
@@ -380,8 +379,9 @@ def _inframetric_search(x, y, slack, search, budget, seed, samples):
     prune = lambda lower: lower >= best_raw  # first found wins ties
     for rel in correspondence_stream(x, y, search, budget, seed, samples, prune):
         lim = _base_gap(x, y, rel.pairs, _distortion(rel, x, y)) + slack
-        # the inverse of the threshold radius 1/lim, rounded as a float radius is
-        raw = 0 if lim <= 0 else inv(inv(lim)) if isinstance(lim, float) else lim
+        # the inverse of the threshold radius 1/lim, rounded as a float radius
+        # is; a zero of lim's own type (never -0.0) when lim is not positive
+        raw = type(lim)(0) if lim <= 0 else inv(inv(lim)) if isinstance(lim, float) else lim
         if raw < best_raw:
             best_raw, best = raw, rel
     if best is None:

@@ -978,14 +978,37 @@ def local_propinquity(
 
 def _tau_bisect(pred: Callable[[Scalar], bool], hi: Scalar, iters: int) -> tuple:
     """Bracket inf{e > 0 : pred(e)} for a monotone predicate true at hi, in
-    hi's scalar type: float midpoints from a float hi, exact ones otherwise."""
-    lo: Scalar = 0.0 if isinstance(hi, float) else 0
+    hi's scalar type: float midpoints from a float hi, exact ones otherwise.
+
+    The exact loop runs on ints.  With hi = hn / hd on entry, after k steps
+    lo = a / (hd * 2^k) and hi = b / (hd * 2^k), so the midpoint is c / (hd
+    * 2^(k+1)) with c = a + b, and the end it replaces takes c while the
+    other doubles.  Each midpoint is built once, in the type that halving
+    the sum of the ends gives: an int while both ends are ints and c is a
+    multiple of 2^(k+1) (hd is 1 then), a ``Fraction`` otherwise, so every
+    end and every value pred sees has the value and type of ``half(lo +
+    hi)``.  The float loop halves as it always has, since rounded float
+    midpoints are not the exact dyadic ones."""
+    if isinstance(hi, float):
+        lo = 0.0
+        for _ in range(iters):
+            m = _half(lo + hi)
+            if pred(m):
+                hi = m
+            else:
+                lo = m
+        return lo, hi
+    lo = 0
+    ints = type(hi) is int
+    a, b, den = 0, hi.numerator, hi.denominator
     for _ in range(iters):
-        m = _half(lo + hi)
+        c, den = a + b, den << 1
+        m = c // den if ints and not c % den else Fraction(c, den)
+        ints = ints and type(m) is int
         if pred(m):
-            hi = m
+            a, b, hi = a << 1, c, m
         else:
-            lo = m
+            a, b, lo = c, b << 1, m
     return lo, hi
 
 
@@ -994,12 +1017,18 @@ def _passage_pred(p: Passage, tol: Scalar) -> Callable[[Scalar], bool]:
     nondecreasing in the radius, so shrinking 1/e only helps.  Its scans
     share one ``_grid_scan``: a rational metric passage is scaled to the
     grid once, and each step scans it at radius L/e below cutoff e * L; e
-    itself stays in the caller's numbers."""
+    itself stays in the caller's numbers.  A ``Fraction`` e = n/d gives
+    both from its numerator and denominator, the cutoff n * L / d and the
+    radius L * d / n, each with the value and type of e * L and inv(e, L)."""
     scan, unit, _ = _grid_scan(p, tol)
 
     def pred(e: Scalar) -> bool:
-        cutoff = e * unit
-        return scan(inv(e, unit), cutoff)[0] < cutoff
+        if type(e) is Fraction:
+            n, d = e.numerator, e.denominator
+            cutoff, radius = Fraction(n * unit, d), Fraction(unit * d, n)
+        else:
+            cutoff, radius = e * unit, inv(e, unit)
+        return scan(radius, cutoff)[0] < cutoff
 
     return pred
 
@@ -1013,7 +1042,7 @@ def _existence_pred(A: PointedSpace, B: PointedSpace, tol: Scalar) -> Callable[[
     diameters = diameter(A.space), diameter(B.space)
 
     def pred(e: Scalar) -> bool:
-        r = inv(e)
+        r = Fraction(e.denominator, e.numerator) if type(e) is Fraction else inv(e)
         try:
             case = _existence_case(A, B, r, tol, *diameters)
         except MetricError:
@@ -1045,6 +1074,11 @@ def propinquity_bracket(
     hi is always certified by a concrete passage.  The first finite upper
     end is 1 on rational rows and 1.0 when either space has a float row
     entry, so every bisection runs on the rows' scalar type.
+
+    Each passage's bisection halves from the running dyadic hi, so every
+    passage that lowers hi can add up to ``iters`` bits to its denominator
+    (2^158 after nine lowering passages on a 2 x 3 pair); an exact
+    threshold search in place of the bisection would end that growth.
     """
     A = _as_classical(a)
     B = _as_classical(b)

@@ -549,6 +549,31 @@ def extent_scan_reference(p, r, cutoff=math.inf, tol=0, context=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# threshold bisection
+#
+# The bracket's bisection as it stood before it ran on integer numerators:
+# each midpoint is half the sum of the ends, an even int sum halving to an
+# int, any other exact sum to a ``Fraction``.
+
+
+def tau_bisect_reference(pred, hi, iters) -> tuple:
+    lo = 0.0 if isinstance(hi, float) else 0
+    for _ in range(iters):
+        s = lo + hi
+        if isinstance(s, float):
+            m = s / 2
+        elif isinstance(s, int) and not s % 2:
+            m = s // 2
+        else:
+            m = Fraction(s, 2)
+        if pred(m):
+            hi = m
+        else:
+            lo = m
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
 # metric validation
 #
 # ``validate_metric`` as it stood before the integer grid: every check on the

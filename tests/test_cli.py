@@ -312,11 +312,12 @@ def test_rational_inframetric_of_two_points_prints_an_int_zero(tmp_path, capsys)
 
 
 def test_float_inframetric_of_two_points_prints_a_float_floor(tmp_path, capsys):
-    # the 1/2 floor takes the backend's type, not that of the zero raw
+    # the zero raw and the 1/2 floor both take the float backend's type
     doc = {"points": ["p"], "dist": [["0"]], "basepoint": 0}
     x, y = write_json(tmp_path, "x.json", doc), write_json(tmp_path, "y.json", doc)
     rc, report, captured = run(capsys, ["inframetric", "--x", x, "--y", y, "--backend", "float"])
     assert rc == EXIT_OK
+    assert '"raw": 0.0,' in captured.out
     assert '"truncated": 0.5,' in captured.out
     assert report["truncated"] == report["value"] == 0.5
     assert "1/2" not in captured.out

@@ -484,3 +484,37 @@ def test_isometry_passage_requires_a_real_isometry():
     z = pointed(line_space([F(0), F(2)]), 0)
     with pytest.raises(MetricError):
         passage_from_isometry(x, z, (0, 1))
+
+
+def test_tau_bisect_matches_the_halving_loop_in_value_and_type():
+    # the int-numerator loop must hand every predicate the midpoints, and
+    # return the ends, that halving the sum of the ends gives: an int while
+    # both ends are ints and the sum is even, a Fraction otherwise
+    rng = random.Random(19)
+    his = [1, 2, 3, 8, 12, F(1, 3), F(5, 4), F(7), F(2**40 + 1, 2**41), 0.75, 1.0, 6.5]
+    his += [F(rng.randint(1, 99), rng.randint(1, 40)) for _ in range(3)]
+    for hi in his:
+        thresholds = [F(0), F(rng.randint(0, 99), rng.randint(1, 50)), F(hi) / 3, F(hi) / 2 ** 20]
+        preds = [lambda e, t=t: e > t for t in thresholds] + [lambda e: True, lambda e: False]
+        for pred in preds:
+            for iters in range(46):
+                seen, ref_seen = [], []
+
+                def recorded(e, log):
+                    log.append((type(e), e))
+                    return pred(e)
+
+                got = tunnels._tau_bisect(lambda e: recorded(e, seen), hi, iters)
+                want = oracles.tau_bisect_reference(lambda e: recorded(e, ref_seen), hi, iters)
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (hi, iters)
+                assert seen == ref_seen, (hi, iters)
+
+
+def test_bracket_keeps_its_long_dyadic_ends_exact():
+    # every bisection that lowers the upper end halves from the running dyadic
+    # hi, so the ends here carry denominators of 2^157 and 2^158
+    x = pointed(line_space([F(0), F(1)]), 0)
+    y = pointed(line_space([F(0), F(1), F(3)]), 1)
+    lo, hi = propinquity_bracket(x, y)
+    assert type(lo) is F and lo == F(182687704666224403525898970146046456145990298283, 2**157)
+    assert type(hi) is F and hi == F(365375409332781114050744521863682917682511522475, 2**158)
