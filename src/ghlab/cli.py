@@ -5,7 +5,11 @@ Every command prints a single JSON document with sorted keys to standard
 output, so a fixed seed and configuration reproduce the bytes exactly;
 wall clock timing goes to standard error to keep it that way.  Exit codes
 separate success (0), validation failures (2), file system errors (3),
-and malformed input documents (4).
+and malformed input documents (4).  The ``--out`` copy is written before
+standard output, so an unwritable path exits 3 with one error report.
+
+``main`` builds the parser on every call; the six run-configuration flags
+are declared once, on one parent parser that every subcommand takes.
 """
 
 from __future__ import annotations
@@ -355,13 +359,18 @@ _CONFIG_FLAGS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the subparsers share this parent's Action objects: set no default on them
+    config = argparse.ArgumentParser(add_help=False)
+    group = config.add_argument_group("run configuration")
+    for names, options in _CONFIG_FLAGS:
+        group.add_argument(*names, **options)
     parser = argparse.ArgumentParser(
         prog="gh", description="Distances and verification for finite pointed metric spaces."
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, handler) in _COMMANDS.items():
-        sp = subs.add_parser(name, help=help_text)
-        for names, options in flags + _CONFIG_FLAGS:
+        sp = subs.add_parser(name, help=help_text, parents=[config])
+        for names, options in flags:
             sp.add_argument(*names, **options)
         sp.set_defaults(run=handler)
     return parser
@@ -377,12 +386,12 @@ _EXIT_CODES = (
 )
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    sys.stdout.write(text + "\n")
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _error_report(exc: Exception) -> dict:
+    return {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+
+
+def _dumps(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:
@@ -396,15 +405,23 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report = args.run(args, _config_from_args(args))
+        code = EXIT_OK
     except Exception as exc:
         code = next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), None)
         if code is None:
             raise
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, out_path)
-        return code
-    _emit(report, out_path)
-    print(f"wall-clock: {time.monotonic() - started:.3f}s", file=sys.stderr)
-    return EXIT_OK
+        report = _error_report(exc)
+    text = _dumps(report)
+    if out_path is not None:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            text, code = _dumps(_error_report(exc)), EXIT_IO
+    sys.stdout.write(text)
+    if code == EXIT_OK:
+        print(f"wall-clock: {time.monotonic() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

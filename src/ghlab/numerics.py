@@ -104,7 +104,10 @@ def parse_scalar(raw, backend: str = RATIONAL) -> Scalar:
         text = raw.strip()
         if text in ("inf", "Infinity", "+inf"):
             return INF
-        value = Fraction(text)
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:  # "p/0"
+            raise ValueError(f"not a scalar: {raw!r}") from None
     elif isinstance(raw, bool):
         raise ValueError(f"not a scalar: {raw!r}")
     elif isinstance(raw, int):

@@ -20,6 +20,7 @@ from .gluing import (
 from .lipschitz import lip_constant, real_function
 from .local_gh import delta_r, delta_r_equivalents, gh_inframetric
 from .metric_core import (
+    MetricError,
     PointedSpace,
     min_plus_closure,
     pointed,
@@ -309,6 +310,9 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> list:
     """Run one named suite, or all of them in canonical order."""
     if name != "all" and name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+    if cases is not None and cases < 1:
+        # a theorem checked on no case has not been checked
+        raise MetricError(f"cases must be at least 1, got {cases}")
     picked = SUITES if name == "all" else (name,)
     results = []
     for suite in picked:

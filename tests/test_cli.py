@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from ghlab import cli
 from ghlab.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main, run_config
 from ghlab.gluing import glued_from_json
 from ghlab.metric_core import MetricError
@@ -253,6 +255,88 @@ def test_error_report_also_written_to_out(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == EXIT_IO
     assert out.read_text(encoding="utf-8") == captured.out
+
+
+@pytest.mark.parametrize("document", ["ok", "broken"])
+def test_unwritable_out_exits_3_with_one_report(tmp_path, capsys, document):
+    # whether the command itself succeeded or failed
+    path = tmp_path / "w1.json"
+    path.write_text(json.dumps(W1_DOC) if document == "ok" else "{not json", encoding="utf-8")
+    out = tmp_path / "missing" / "report.json"
+    rc, report, _ = run(capsys, ["w1", "--in", str(path), "--out", str(out)])
+    assert rc == EXIT_IO  # json.loads above read the one report stdout holds
+    assert report["error"]["kind"] == "FileNotFoundError"
+    assert str(out) in report["error"]["message"]
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_a_zero_denominator_exits_4(tmp_path, capsys, backend):
+    x = write_json(tmp_path, "x.json", {"points": ["a"], "dist": [[0]], "basepoint": 0})
+    argv = ["Delta-r", "--x", x, "--y", x, "-r", "1/0", "--backend", backend]
+    rc, report, _ = run(capsys, argv)
+    assert rc == EXIT_PARSE
+    assert report["error"] == {"kind": "ValueError", "message": "not a scalar: '1/0'"}
+    space = {"points": ["a", "b"], "dist": [["0", "1/0"], ["1/0", "0"]]}
+    for doc in (dict(W1_DOC, mu=["1/0", "1/2"]), dict(W1_DOC, space=space)):
+        path = write_json(tmp_path, "w1.json", doc)
+        rc, report, _ = run(capsys, ["w1", "--in", path, "--backend", backend])
+        assert rc == EXIT_PARSE
+        assert report["error"] == {"kind": "ValueError", "message": "not a scalar: '1/0'"}
+
+
+# name -> (a minimal argv after the name, the namespace it parses to, its handler)
+_MINIMAL_ARGV = {
+    "hausdorff": (["--in", "d.json"], {"infile": "d.json"}, cli._run_hausdorff),
+    "delta-r": (["--glued", "g.json", "-r", "2"], {"glued": "g.json", "r": "2"}, cli._run_delta_r),
+    "Delta-r": (
+        ["--x", "x.json", "--y", "y.json", "-r", "1"],
+        {"x": "x.json", "y": "y.json", "r": "1", "x_base": None, "y_base": None},
+        cli._run_Delta_r,
+    ),
+    "inframetric": (
+        ["--x", "x.json", "--y", "y.json"],
+        {"x": "x.json", "y": "y.json", "x_base": None, "y_base": None},
+        cli._run_inframetric,
+    ),
+    "w1": (["--in", "d.json"], {"infile": "d.json"}, cli._run_w1),
+    "extent": (["--passage", "p.json", "-r", "3"], {"passage": "p.json", "r": "3"}, cli._run_extent),
+    "propinquity": (
+        ["--x", "x.json", "--y", "y.json"],
+        {"x": "x.json", "y": "y.json", "x_base": None, "y_base": None},
+        cli._run_propinquity,
+    ),
+    "verify": ([], {"suite": "all", "cases": None}, cli._run_verify),
+}
+_CONFIG_UNSET = {"backend": None, "tol": None, "seed": None, "mode": None, "budget": None, "out": None}
+_CONFIG_ARGV = ["--backend", "rational", "--tol", "1/3", "--seed", "7", "--mode", "heuristic",
+                "--budget", "5", "--out", "o.json"]
+_CONFIG_SET = {"backend": "rational", "tol": "1/3", "seed": 7, "mode": "heuristic", "budget": 5,
+               "out": "o.json"}
+
+
+def test_every_subcommand_parses_its_own_flags_and_the_config_flags():
+    # one parser for every parse: its subparsers share the config flags'
+    # Action objects, so a default set through one would reach them all
+    parser = cli.build_parser()
+    assert set(cli._COMMANDS) == set(_MINIMAL_ARGV)
+    for config_argv, config in ((_CONFIG_ARGV, _CONFIG_SET), ([], _CONFIG_UNSET)):
+        for name, (argv, own, handler) in _MINIMAL_ARGV.items():
+            args = parser.parse_args([name] + argv + config_argv)
+            assert vars(args) == {"command": name, "run": handler, **own, **config}, name
+
+
+@pytest.mark.parametrize("name", sorted(_MINIMAL_ARGV))
+def test_subcommand_help_lists_each_config_flag_once(capsys, name):
+    with pytest.raises(SystemExit) as done:
+        main([name, "-h"])
+    assert done.value.code == 0
+    usage, _, body = capsys.readouterr().out.partition("\n\n")
+    own, _, config = body.partition("run configuration:\n")
+    for flag in _CONFIG_SET:
+        token = re.compile(rf"(?<![\w-])--{flag}(?![\w-])")
+        assert len(token.findall(usage)) == 1, flag
+        assert len(token.findall(own)) == 0, flag
+        assert len(re.findall(rf"^  --{flag}\b", config, re.M)) == 1, flag
 
 
 def test_csv_pointed_spaces_with_base_flags(tmp_path, capsys):

@@ -9,6 +9,8 @@ import pytest
 
 import ghlab.verify as verify
 from ghlab import correspondence, diameter, glue_from_correspondence
+from ghlab.cli import EXIT_VALIDATION, main
+from ghlab.metric_core import MetricError
 from ghlab.verify import SUITES, TheoremResult, run_suite
 
 
@@ -34,9 +36,19 @@ def test_unknown_suite_raises():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("cases", [0, -1])
+def test_a_run_over_no_cases_is_refused(capsys, cases):
+    # a theorem checked on no case would report a pass over nothing
+    with pytest.raises(MetricError):
+        run_suite("fundamental", cases=cases)
+    assert main(["verify", "--cases", str(cases)]) == EXIT_VALIDATION
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["kind"] == "MetricError"
+
+
 def test_case_count_override_shrinks_the_run():
     small = run_suite("fundamental", seed=1, cases=5)
-    assert all(tr.cases <= 5 or tr.cases > 0 for tr in small)
+    assert small and all(tr.cases == 5 for tr in small)
     assert sum(tr.cases for tr in small) < sum(
         tr.cases for tr in run_suite("fundamental", seed=1)
     )

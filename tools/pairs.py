@@ -13,7 +13,9 @@ each run with ``ran_first``, ``seed``, ``side``, ``trace``, ``workload``
 and ``result``.  An existing ``--out`` file is extended, so several
 workloads can share one file.  At the end the script prints, for each
 metric of this call's runs, each side's median and quartiles, and how many
-pairs the change won, by the direction ``BENCHMARK.json`` gives the metric.
+pairs the change won, by the direction ``BENCHMARK.json`` gives the metric,
+and then each side's least-squares line of ``peak_rss_mib`` on the
+attempted query count.
 
 Standard library only.
 """
@@ -89,6 +91,24 @@ def summary(runs: list, better: dict) -> list:
     return lines
 
 
+def rss_fits(runs: list) -> list:
+    """One line per side: the least-squares line of peak_rss_mib on attempted.
+
+    A slope that matches on both sides says an RSS difference only follows
+    the attempted query count, not a change in per-query memory."""
+    lines = []
+    for side in SIDES:
+        points = [(r["result"]["attempted"], r["result"]["metrics"]["peak_rss_mib"]["value"])
+                  for r in runs if r["side"] == side]
+        if len({attempted for attempted, _ in points}) < 2:
+            lines.append(f"{side} peak_rss_mib ~ attempted: no fit over {len(points)} runs")
+            continue
+        slope, intercept = statistics.linear_regression(*zip(*points))
+        lines.append(f"{side} peak_rss_mib ~ attempted: {intercept:.4g} MiB + "
+                     f"{slope * 2**20:.4g} B per attempted query ({len(points)} runs)")
+    return lines
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout root of the parent")
@@ -127,7 +147,7 @@ def main(argv=None) -> None:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")
             print(f"{args.workload} seed {seed} {side}: attempted {result['attempted']}", file=sys.stderr)
-    for line in summary(mine, directions(args.change)):
+    for line in summary(mine, directions(args.change)) + rss_fits(mine):
         print(line)
 
 
