@@ -10,24 +10,17 @@ from .gluing import (
     correspondence,
     correspondence_distortion,
     enumerate_correspondences,
-    enumerate_gluings,
     glue_from_correspondence,
     glue_triple_w,
     glued_from_json,
     glued_to_json,
-    identity_gluing,
-    restrict_to_images,
     validate_gluing,
 )
 from .kantorovich import (
     Measure,
     PolyhedralSeminorm,
-    dirac,
-    dirac_to_pushforward_set,
     lipschitz_seminorm_of,
     measure,
-    mix_measures,
-    polyhedral_seminorm,
     w1,
     w1_dual_potential,
 )
@@ -72,7 +65,6 @@ from .metric_core import (
     space_from_csv,
     space_from_json,
     space_to_json,
-    subspace,
     validate_metric,
 )
 from .numerics import FLOAT, INF, RATIONAL, Scalar, format_scalar, parse_scalar
@@ -86,7 +78,6 @@ from .tunnels import (
     compose,
     existence_tunnel,
     extent,
-    identity_passage,
     inverse,
     k_family,
     lift_target_bounds,
@@ -94,8 +85,6 @@ from .tunnels import (
     passage_from_gluing,
     passage_from_isometry,
     passage_from_json,
-    passage_to_json,
-    propinquity,
     propinquity_bracket,
     smallest_admissible,
     verify_fundamental,

@@ -25,7 +25,6 @@ from .metric_core import (
     pointed_from_json,
     space_from_json,
     space_to_json,
-    subspace,
     validate_metric,
 )
 from .numerics import RATIONAL, Scalar, half
@@ -233,16 +232,6 @@ def _embedded(
     )
 
 
-def identity_gluing(x: PointedSpace, y: PointedSpace | None = None) -> GluedSpace:
-    """Both copies share the same host points (y defaults to x itself)."""
-    if y is None:
-        y = x
-    if y.space.dist != x.space.dist:
-        raise MetricError("identity gluing needs identical distance matrices")
-    ident = tuple(range(x.n))
-    return GluedSpace(host=x.space, embed_x=ident, embed_y=ident, origin_x=x, origin_y=y)
-
-
 def glue_from_correspondence(
     x: PointedSpace,
     y: PointedSpace,
@@ -321,36 +310,6 @@ def glue_triple_w(
         origin_x=x,
         origin_y=y,
     )
-
-
-def restrict_to_images(glued: GluedSpace) -> GluedSpace:
-    """Drop host points outside the two images (two-block restriction)."""
-    keep = sorted(set(glued.embed_x) | set(glued.embed_y))
-    lookup = {h: i for i, h in enumerate(keep)}
-    host = subspace(glued.host, keep)
-    return GluedSpace(
-        host=host,
-        embed_x=tuple(lookup[h] for h in glued.embed_x),
-        embed_y=tuple(lookup[h] for h in glued.embed_y),
-        origin_x=glued.origin_x,
-        origin_y=glued.origin_y,
-    )
-
-
-def enumerate_gluings(
-    x: PointedSpace,
-    y: PointedSpace,
-    mode: str = "auto",
-    budget: int = 12,
-    seed: int = 0,
-    samples: int = 64,
-) -> Iterator[GluedSpace]:
-    """Correspondence gluings at eta = distortion/2 over the unbounded
-    ``correspondence_stream``; "auto" picks exact search where it fits."""
-    if mode == "auto":
-        mode = "exact" if _exact_fits(x, y, budget) else "heuristic"
-    for rel in correspondence_stream(x, y, mode, budget, seed, samples):
-        yield glue_from_correspondence(x, y, rel)
 
 
 def _exact_fits(x: PointedSpace, y: PointedSpace, budget: int) -> bool:

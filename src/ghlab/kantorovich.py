@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .metric_core import FiniteMetricSpace, MetricError, dist_to_set
-from .numerics import INF, Scalar, close, inv, leq
+from .metric_core import FiniteMetricSpace, MetricError
+from .numerics import INF, Scalar, close, inv
 from .simplex import LPInfeasible, solve_lp, transportation_simplex
 
 
@@ -58,38 +58,6 @@ def measure(host: FiniteMetricSpace, weights: Sequence[Scalar], tol: Scalar = 0)
     if abs(sum(w) - 1) > tol:
         raise MetricError(f"weights sum to {sum(w)}, expected 1")
     return Measure(host=host, weights=w)
-
-
-def dirac(host: FiniteMetricSpace, i: int) -> Measure:
-    if not 0 <= i < host.n:
-        raise MetricError(f"index {i} out of range")
-    return Measure(host=host, weights=tuple(1 if k == i else 0 for k in range(host.n)))
-
-
-def mix_measures(lam: Scalar, a: Measure, b: Measure) -> Measure:
-    if a.host != b.host:
-        raise HostMismatch("cannot mix measures on different hosts")
-    w = tuple(lam * wa + (1 - lam) * wb for wa, wb in zip(a.weights, b.weights))
-    return Measure(host=a.host, weights=w)
-
-
-def polyhedral_seminorm(
-    host: FiniteMetricSpace,
-    functionals: Sequence[Sequence[Scalar]],
-    zero_pairs: Sequence[tuple] = (),
-    tol: Scalar = 0,
-) -> PolyhedralSeminorm:
-    funcs = tuple(tuple(c) for c in functionals)
-    for c in funcs:
-        if len(c) != host.n:
-            raise MetricError("functional length does not match the host")
-        if abs(sum(c)) > tol:
-            raise MetricError(f"functional {c} does not annihilate constants")
-    pairs = tuple(tuple(p) for p in zero_pairs)
-    for i, j in pairs:
-        if not (0 <= i < host.n and 0 <= j < host.n):
-            raise MetricError(f"zero pair ({i},{j}) out of range")
-    return PolyhedralSeminorm(host=host, functionals=funcs, zero_pairs=pairs)
 
 
 def lipschitz_seminorm_of(space: FiniteMetricSpace) -> PolyhedralSeminorm:
@@ -169,11 +137,3 @@ def w1_dual_potential(
         return INF, None
     return value, tuple(duals)
 
-
-def dirac_to_pushforward_set(space: FiniteMetricSpace, z: int, subset) -> Scalar:
-    """min over measures supported in the subset of W1 to the Dirac at z.
-
-    Convexity collapses the optimum onto a single point, so this is the
-    point-to-set distance; +inf for the empty set.
-    """
-    return dist_to_set(space, z, subset)

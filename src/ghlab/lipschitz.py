@@ -55,10 +55,6 @@ def sup_norm(f: RealFunction) -> Scalar:
     return max(abs(v) for v in f.values) if f.values else 0
 
 
-def support(f: RealFunction) -> frozenset:
-    return frozenset(i for i, v in enumerate(f.values) if v != 0)
-
-
 def lip_constant(f: RealFunction, tol: Scalar = 0) -> Scalar:
     if f.host.n == 0:
         raise MetricError("lipschitz constant needs at least one point")

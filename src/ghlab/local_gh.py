@@ -58,7 +58,6 @@ from .gluing import (
     glue_from_correspondence,
 )
 from .metric_core import (
-    BudgetExceeded,
     FiniteMetricSpace,
     MetricError,
     PointedSpace,

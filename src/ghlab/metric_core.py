@@ -4,17 +4,16 @@ A space is a frozen label tuple plus a full distance matrix.  Input from
 outside is validated once, at the boundary (JSON/CSV ingestion,
 ``line_space``, ``validate_gluing``), by the O(n^3) ``validate_metric``.
 Internal builders whose rows are a metric by construction freeze them with
-``_trusted_space``, which skips the triangle scan:
+``_trusted_space``, which skips the triangle scan.  These are the disjoint
+unions of ``_block_rows``, the one builder of glued and bridged hosts, each
+with its own cross entries:
 
-- ``subspace``: a restriction of a metric;
-- the disjoint unions of ``_block_rows``, the one builder of glued and
-  bridged hosts, each with its own cross entries:
-  - ``gluing.glue_from_correspondence``: the gluing lemma at
-    eta >= dis(R)/2, which ``EtaTooSmall`` enforces;
-  - ``gluing.glue_triple_w``: X and Y sit isometrically in Z, and each
-    bridge crossed adds eps, which keeps the triangle inequality;
-  - ``tunnels.compose`` and ``tunnels.existence_tunnel``: the rows are only
-    edge weights, and their ``min_plus_closure`` is a shortest-path metric.
+- ``gluing.glue_from_correspondence``: the gluing lemma at
+  eta >= dis(R)/2, which ``EtaTooSmall`` enforces;
+- ``gluing.glue_triple_w``: X and Y sit isometrically in Z, and each
+  bridge crossed adds eps, which keeps the triangle inequality;
+- ``tunnels.compose`` and ``tunnels.existence_tunnel``: the rows are only
+  edge weights, and their ``min_plus_closure`` is a shortest-path metric.
 
 The integer-grid copies of ``local_gh`` (``_pointed_on_grid`` scales a
 space's grid rows, ``_off_grid`` a witness host back by 1/L) build
@@ -234,7 +233,7 @@ def grid_unit_of(spaces: Iterable[FiniteMetricSpace], scalars: Iterable = ()) ->
 def _trusted_space(points: Sequence, dist: Sequence[Sequence[Scalar]]) -> FiniteMetricSpace:
     """Freeze rows that are a metric by construction, as ``validate_metric``
     would, without the triangle scan (see the module docstring).  Labels are
-    still checked: ``subspace`` takes caller-supplied labels."""
+    still checked to be distinct."""
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise AxiomViolation("labels", (), "point labels must be distinct")
@@ -349,12 +348,6 @@ def min_plus_closure(rows: Sequence[Sequence[Scalar]]) -> list:
                 if via < row_i[j]:
                     row_i[j] = via
     return out
-
-
-def subspace(space: FiniteMetricSpace, indices: Sequence[int], labels: Sequence | None = None) -> FiniteMetricSpace:
-    idx = tuple(indices)
-    pts = tuple(labels) if labels is not None else tuple(space.points[i] for i in idx)
-    return _trusted_space(pts, [[space.d(i, j) for j in idx] for i in idx])
 
 
 def line_space(values: Sequence[Scalar], labels: Sequence | None = None) -> FiniteMetricSpace:

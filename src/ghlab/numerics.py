@@ -121,7 +121,10 @@ def parse_scalar(raw, backend: str = RATIONAL) -> Scalar:
     else:
         raise ValueError(f"not a scalar: {raw!r}")
     if backend == FLOAT:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # finite, but beyond float range
+            raise ValueError(f"not a scalar: {raw!r}") from None
     if backend == RATIONAL:
         return value
     raise ValueError(f"unknown backend {backend!r}")

@@ -52,7 +52,6 @@ from .gluing import (
     correspondence_stream,
     glue_from_correspondence,
     glued_from_json,
-    glued_to_json,
 )
 from .lipschitz import (
     RealFunction,
@@ -85,7 +84,6 @@ from .numerics import (
     leq,
     on_grid,
     quarter,
-    truncate_floor,
 )
 
 
@@ -180,11 +178,6 @@ def passage_from_isometry(a, b, mapping: Sequence[int]) -> Passage:
             "isometry", bad, f"d({B.space.points[i]!r},{B.space.points[j]!r}) is not preserved"
         )
     return Passage(carrier=A.space, embed_x=tuple(range(A.n)), embed_y=m, domain=A, codomain=B)
-
-
-def identity_passage(a) -> Passage:
-    A = _as_classical(a)
-    return passage_from_isometry(A, A, tuple(range(A.n)))
 
 
 def inverse(p: Passage) -> Passage:
@@ -1066,8 +1059,9 @@ def propinquity_bracket(
 ) -> tuple:
     """A bracket [lo, hi] in the inputs' scalar type around inf{e : some
     searched passage has extent below e at radius 1/e}; (0, 0) exactly for
-    isometric pairs.  lo is the bisection's lower end for the searched
-    passage family, not a lower bound on the propinquity.
+    isometric pairs, and (0, inf) when no passage has a finite upper end.
+    lo is the bisection's lower end for the searched passage family, not a
+    lower bound on the propinquity.
 
     The infimum commutes with the passage search, so each passage gets its
     own monotone threshold bisection, pruned by the best upper end so far;
@@ -1104,6 +1098,10 @@ def propinquity_bracket(
         lo_p, hi = _tau_bisect(pred, hi, iters)
         lows.append(lo_p)
         best = p
+    if best is None:
+        # no gluing passage was generated, so hi is still INF, at whose
+        # radius 0 no existence passage is built either
+        return 0, INF
 
     ex_pred = _existence_pred(A, B, tol)
     if ex_pred(hi):
@@ -1117,30 +1115,6 @@ def propinquity_bracket(
             lo_r, hi = _tau_bisect(pred_r, hi, iters)
             lows.append(lo_r)
     return min(min(lows), hi), hi
-
-
-def propinquity(
-    a,
-    b,
-    search: str = "exact",
-    budget: int = 12,
-    seed: int = 0,
-    samples: int = 64,
-    iters: int = 40,
-    tol: Scalar = 0,
-) -> tuple:
-    """(truncated, raw) radius-threshold propinquity; raw is the certified
-    upper end of the bisection bracket (exact for isometric pairs), and
-    truncated applies the sqrt(2)/4 floor.  The bracket's lo, the bisection's
-    lower end for the searched family, is no lower bound on the propinquity."""
-    _, raw = propinquity_bracket(a, b, search, budget, seed, samples, iters, tol)
-    return truncate_floor(raw), raw
-
-
-def passage_to_json(p: Passage) -> dict:
-    if p.glued is None:
-        raise MetricError("only gluing-backed passages serialize to JSON")
-    return {"gluing": glued_to_json(p.glued)}
 
 
 def passage_from_json(obj, backend: str = "rational", tol: Scalar = 0) -> Passage:

@@ -284,6 +284,34 @@ def test_a_zero_denominator_exits_4(tmp_path, capsys, backend):
         assert report["error"] == {"kind": "ValueError", "message": "not a scalar: '1/0'"}
 
 
+
+@pytest.mark.parametrize("big", ["1e400", 10**400], ids=["decimal", "401-digit-int"])
+def test_a_finite_scalar_beyond_float_range_exits_4_on_the_float_backend(tmp_path, capsys, big):
+    space = {"points": ["a", "b"], "dist": [[0, big], [big, 0]]}
+    path = write_json(tmp_path, "w1.json", dict(W1_DOC, space=space))
+    x = write_json(tmp_path, "x.json", {"points": ["a"], "dist": [[0]], "basepoint": 0})
+    for argv in (["w1", "--in", path], ["Delta-r", "--x", x, "--y", x, "-r", str(big)]):
+        rc, report, _ = run(capsys, argv + ["--backend", "float"])
+        assert rc == EXIT_PARSE
+        want = repr(big) if argv[0] == "w1" else repr(str(big))
+        assert report["error"] == {"kind": "ValueError", "message": f"not a scalar: {want}"}
+        rc, report, _ = run(capsys, argv + ["--backend", "rational"])
+        assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_propinquity_with_no_gluing_passage_answers_an_unbounded_bracket(tmp_path, capsys, backend):
+    # every correspondence pairs far with b, so its distortion and every
+    # bridge width are inf: no gluing passage is generated, and hi stays inf
+    x = write_json(tmp_path, "x.json", {
+        "points": ["a", "far"], "dist": [[0, "inf"], ["inf", 0]], "basepoint": 0,
+    })
+    y = write_json(tmp_path, "y.json", {"points": ["b"], "dist": [[0]], "basepoint": 0})
+    rc, report, _ = run(capsys, ["propinquity", "--x", x, "--y", y, "--backend", backend])
+    assert rc == EXIT_OK
+    assert report["bracket"] == [0, "inf"] and report["raw"] == "inf"
+
+
 # name -> (a minimal argv after the name, the namespace it parses to, its handler)
 _MINIMAL_ARGV = {
     "hausdorff": (["--in", "d.json"], {"infile": "d.json"}, cli._run_hausdorff),

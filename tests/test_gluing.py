@@ -22,7 +22,6 @@ from ghlab import (
     correspondence_distortion,
     delta_r,
     enumerate_correspondences,
-    enumerate_gluings,
     existence_tunnel,
     gh_inframetric,
     glue_from_correspondence,
@@ -30,22 +29,24 @@ from ghlab import (
     glued_from_json,
     glued_to_json,
     hausdorff,
-    identity_gluing,
     inverse,
     line_space,
     passage_from_gluing,
     passage_from_isometry,
     pointed,
     propinquity_bracket,
-    restrict_to_images,
     space_to_json,
-    subspace,
     validate_gluing,
     validate_metric,
 )
-from ghlab.gluing import NotDistancePreserving, _heuristic_correspondences, correspondence_stream
+from ghlab.gluing import (
+    GluedSpace,
+    NotDistancePreserving,
+    _heuristic_correspondences,
+    correspondence_stream,
+)
 from ghlab.local_gh import _pointed_on_grid
-from ghlab.metric_core import PreconditionFailed
+from ghlab.metric_core import PreconditionFailed, _trusted_space
 from ghlab.numerics import DEFAULT_FLOAT_TOL, grid_unit, half
 from ghlab.verify import random_correspondence, random_pointed_space
 
@@ -199,7 +200,14 @@ def test_glue_validates_at_half_distortion_and_rejects_below():
         ]
         for ix, iy in itertools.product(subsets, repeat=2):
             for mid, eps, tol in ((z, F(0), 0), (z, F(1, 2), 0), (fz, 0.5, DEFAULT_FLOAT_TOL)):
-                x, y = pointed(subspace(mid, ix), 0), pointed(subspace(mid, iy), 0)
+                x, y = (
+                    pointed(validate_metric(
+                        [mid.points[k] for k in idx],
+                        [[mid.d(a, b) for b in idx] for a in idx],
+                        tol=tol,
+                    ), 0)
+                    for idx in (ix, iy)
+                )
                 _assert_metric_as_built(glue_triple_w(x, mid, y, ix, iy, eps).host, tol)
 
     # min-plus carriers of composed passages and of the direct existence tunnel
@@ -239,18 +247,15 @@ def test_glue_validates_at_half_distortion_and_rejects_below():
     g = glue_from_correspondence(triplet, one, correspondence([(0, 0), (1, 0), (2, 0)], 3, 1))
     assert g.host.points == ("X:#2:1", "X:1", "X:#2:#2:1", "Y:a")
     with pytest.raises(AxiomViolation):
-        subspace(twins.space, (0, 1), labels=("a", "a"))
+        _trusted_space(("a", "a"), twins.space.dist)
 
 
 def test_identity_gluing_is_a_zero_distance_witness():
     x = pointed(line_space([F(0), F(1), F(3)]), 0)
-    g = identity_gluing(x)
+    g = GluedSpace(x.space, (0, 1, 2), (0, 1, 2), x, x)
     assert hausdorff(g.host, g.embed_x, g.embed_y) == 0
     for r in (F(1, 2), F(1), F(10)):
         assert delta_r(g, r, strict=True) == 0
-    y = pointed(line_space([F(0), F(2)]), 0)
-    with pytest.raises(MetricError):
-        identity_gluing(x, y)
 
 
 def test_triple_gluing_distance_table():
@@ -292,25 +297,6 @@ def test_triple_gluing_rejects_non_embeddings():
         glue_triple_w(two, far, two, (0, 1), (0, 1), F(0))  # distances distorted
     with pytest.raises(MetricError):
         glue_triple_w(two, far, two, (0, 0), (0, 1), F(0))  # not injective
-
-
-def test_restrict_to_images_preserves_embedded_distances():
-    rng = random.Random(6)
-    x = random_pointed_space(rng, 2, 3)
-    y = random_pointed_space(rng, 2, 3)
-    rel = next(enumerate_correspondences(x.n, y.n))
-    g = glue_from_correspondence(x, y, rel)
-    small = restrict_to_images(g)
-    for i in range(x.n):
-        for j in range(x.n):
-            assert small.host.d(small.embed_x[i], small.embed_x[j]) == g.host.d(
-                g.embed_x[i], g.embed_x[j]
-            )
-    for i in range(x.n):
-        for j in range(y.n):
-            assert small.host.d(small.embed_x[i], small.embed_y[j]) == g.host.d(
-                g.embed_x[i], g.embed_y[j]
-            )
 
 
 def test_validate_gluing_reports_a_distorted_pair():
@@ -383,9 +369,6 @@ def test_exact_stream_budget_limits():
     small = pointed(line_space([F(0), F(1)]), 0)
     with pytest.raises(BudgetExceeded):
         list(correspondence_stream(big, small, "exact", budget=100))
-    with pytest.raises(BudgetExceeded):
-        next(enumerate_gluings(big, small, "exact", budget=100))
-    assert next(enumerate_gluings(big, small, budget=100))  # "auto" falls back to heuristic
     x = pointed(line_space([F(0), F(1), F(2), F(3)]), 0)
     with pytest.raises(BudgetExceeded):
         list(correspondence_stream(x, x, "exact", budget=12))  # 4*4 > 12

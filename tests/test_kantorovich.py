@@ -12,19 +12,16 @@ import pytest
 import oracles
 from ghlab import (
     MetricError,
-    dirac,
-    dirac_to_pushforward_set,
     line_space,
     lipschitz_seminorm_of,
     measure,
-    mix_measures,
-    polyhedral_seminorm,
     space_from_json,
     validate_metric,
     w1,
     w1_dual_potential,
 )
-from ghlab.kantorovich import HostMismatch, PrimalUnavailable
+from ghlab.kantorovich import HostMismatch, PolyhedralSeminorm, PrimalUnavailable
+from ghlab.metric_core import dist_to_set
 from ghlab.numerics import INF, parse_scalar
 from ghlab.simplex import IterationBudgetExceeded, solve_lp, transportation_simplex
 from ghlab.verify import random_pointed_space
@@ -64,9 +61,10 @@ def test_dirac_pair_recovers_the_distance():
     for _ in range(20):
         s = random_pointed_space(rng, 1, 5).space
         sem = lipschitz_seminorm_of(s)
+        diracs = [measure(s, [int(k == i) for k in range(s.n)]) for i in range(s.n)]
         for x in range(s.n):
             for y in range(s.n):
-                assert w1(dirac(s, x), dirac(s, y), sem, method="both") == s.d(x, y)
+                assert w1(diracs[x], diracs[y], sem, method="both") == s.d(x, y)
 
 
 def test_metric_axioms_on_random_triples():
@@ -88,7 +86,11 @@ def test_convexity_on_random_quadruples():
         sem = lipschitz_seminorm_of(s)
         m1, m2, n1, n2 = (random_measure(rng, s) for _ in range(4))
         lam = F(rng.randint(0, 8), 8)
-        left = w1(mix_measures(lam, m1, m2), mix_measures(lam, n1, n2), sem)
+        mix_m, mix_n = (
+            measure(s, [lam * wa + (1 - lam) * wb for wa, wb in zip(a.weights, b.weights)])
+            for a, b in ((m1, m2), (n1, n2))
+        )
+        left = w1(mix_m, mix_n, sem)
         assert left <= lam * w1(m1, n1, sem) + (1 - lam) * w1(m2, n2, sem)
 
 
@@ -146,29 +148,33 @@ def test_host_mismatch_and_primal_unavailable():
     s = line_space([F(0), F(1)])
     t = line_space([F(0), F(2)])
     sem = lipschitz_seminorm_of(s)
+    at_0, at_1 = measure(s, [1, 0]), measure(s, [0, 1])
     with pytest.raises(HostMismatch):
-        w1(dirac(s, 0), dirac(t, 0), sem)
-    abstract = polyhedral_seminorm(s, [(1, -1)], ())
+        w1(at_0, measure(t, [1, 0]), sem)
+    abstract = PolyhedralSeminorm(host=s, functionals=((1, -1),), zero_pairs=())
     with pytest.raises(PrimalUnavailable):
-        w1(dirac(s, 0), dirac(s, 1), abstract, method="primal")
-    assert w1(dirac(s, 0), dirac(s, 1), abstract, method="dual") == 1
+        w1(at_0, at_1, abstract, method="primal")
+    assert w1(at_0, at_1, abstract, method="dual") == 1
 
 
 def test_dirac_to_pushforward_set_closed_form_vs_lp():
+    # W1 from the Dirac at z to the measures supported in a set is the
+    # point-to-set distance
     s = line_space([F(0), F(2), F(7, 3)])
     # point at coordinate 2 against the set {0, 7/3}
-    assert dirac_to_pushforward_set(s, 1, [0, 2]) == F(1, 3)
-    assert dirac_to_pushforward_set(s, 1, [1]) == 0
-    assert dirac_to_pushforward_set(s, 1, []) == INF
+    assert dist_to_set(s, 1, [0, 2]) == F(1, 3)
+    assert dist_to_set(s, 1, [1]) == 0
+    assert dist_to_set(s, 1, []) == INF
     rng = random.Random(17)
     for _ in range(20):
         sp = random_pointed_space(rng, 2, 5).space
         sem = lipschitz_seminorm_of(sp)
         z = rng.randrange(sp.n)
         subset = [i for i in range(sp.n) if rng.random() < 0.5] or [0]
-        closed = dirac_to_pushforward_set(sp, z, subset)
+        closed = dist_to_set(sp, z, subset)
         # convexity collapses the LP optimum onto a single support point
-        lp = min(w1(dirac(sp, z), dirac(sp, j), sem) for j in subset)
+        diracs = [measure(sp, [int(k == i) for k in range(sp.n)]) for i in range(sp.n)]
+        lp = min(w1(diracs[z], diracs[j], sem) for j in subset)
         assert closed == lp
 
 

@@ -15,7 +15,6 @@ from ghlab import (
     closed_ball,
     extend_compact_support,
     glue_triple_w,
-    identity_gluing,
     line_space,
     lip_constant,
     mcshane_extend,
@@ -27,7 +26,7 @@ from ghlab import (
     validate_metric,
 )
 from ghlab.gluing import GluedSpace
-from ghlab.lipschitz import InfiniteLipschitz, SupportViolation, support
+from ghlab.lipschitz import InfiniteLipschitz, SupportViolation
 from ghlab.metric_core import dist_to_set
 from ghlab.numerics import INF, is_inf
 from ghlab.verify import random_lip_function, random_pointed_space
@@ -119,7 +118,7 @@ def test_extend_compact_support_pinned_line_instance():
     z = line_space([F(0), F(1), F(2), F(3)])
     g = extend_compact_support(z, {0: F(1), 1: F(0)}, 0, F(1))
     assert g.values == (1, 0, F(1, 2), 0)
-    assert support(g) <= closed_ball(z, 0, F(2))
+    assert {i for i, v in enumerate(g.values) if v} <= closed_ball(z, 0, F(2))
 
 
 def test_extend_compact_support_is_identity_on_full_bumps():
@@ -149,7 +148,7 @@ def test_extend_compact_support_contract_clauses():
         for i, v in anchors.items():
             assert g.values[i] == v
         assert sup_norm(g) == M
-        assert all(s.d(x0, z) <= R + M for z in support(g))
+        assert all(s.d(x0, z) <= R + M for z, v in enumerate(g.values) if v)
         got = lip_constant(g)
         assert got <= max(L, 1)
         if L >= 1 and len(set(anchors.values())) > 1:
@@ -212,7 +211,7 @@ def test_band_lift_conclusions_on_generated_instances():
 
 def test_band_lift_on_identity_gluing_returns_f():
     x = pointed(line_space([F(0), F(1), F(4)]), 0)
-    g = identity_gluing(x)
+    g = GluedSpace(x.space, (0, 1, 2), (0, 1, 2), x, x)
     f = real_function(x.space, [F(1), F(0), F(0)])  # supported strictly inside r=2
     gg, hh = band_lift(f, g, F(2), F(1, 2))
     assert gg.values == f.values and hh.values == f.values
@@ -227,7 +226,7 @@ def test_band_lift_on_identity_gluing_returns_f():
 )
 def test_band_lift_function_preconditions(clause, builder):
     x = pointed(line_space([F(0), F(1), F(4)]), 0)
-    g = identity_gluing(x)
+    g = GluedSpace(x.space, (0, 1, 2), (0, 1, 2), x, x)
     with pytest.raises(PreconditionFailed) as err:
         band_lift(builder(x), g, F(1), F(1, 4))
     assert err.value.clause == clause
@@ -235,7 +234,7 @@ def test_band_lift_function_preconditions(clause, builder):
 
 def test_band_lift_radius_margin_precondition():
     x = pointed(line_space([F(0), F(1), F(4)]), 0)
-    g = identity_gluing(x)
+    g = GluedSpace(x.space, (0, 1, 2), (0, 1, 2), x, x)
     f = real_function(x.space, [F(1), F(0), F(0)])
     # R = dist(0, {4}) = 4 at r = 2; eps = 2 violates 2*eps < R
     with pytest.raises(PreconditionFailed) as err:

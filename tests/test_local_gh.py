@@ -11,15 +11,14 @@ import oracles
 from conftest import random_correspondence_pairs, random_glued
 from ghlab import (
     Delta_r,
+    GluedSpace,
     delta_r,
     delta_r_alt_form,
     delta_r_def_form,
     delta_r_equivalents,
     diameter,
-    enumerate_gluings,
     gh_inframetric,
     hausdorff,
-    identity_gluing,
     line_space,
     pointed,
     validate_gluing,
@@ -56,7 +55,8 @@ def test_pinned_interval_value():
 
 
 def test_rejects_nonpositive_radius():
-    g = identity_gluing(pointed(line_space([F(0), F(1)]), 0))
+    x = pointed(line_space([F(0), F(1)]), 0)
+    g = GluedSpace(x.space, (0, 1), (0, 1), x, x)
     for bad in (F(0), F(-1)):
         with pytest.raises(NonPositiveRadius):
             delta_r(g, bad)
@@ -68,7 +68,7 @@ def test_no_breakpoint_within_a_negative_tol_raises_a_metric_error_naming_it():
     # its grid copy
     assert issubclass(NoBreakpoint, MetricError)
     x = pointed(line_space([F(0)]), 0)
-    g = identity_gluing(x)
+    g = GluedSpace(x.space, (0,), (0,), x, x)
     for tol in (F(-1, 10), -0.1):
         with pytest.raises(NoBreakpoint, match=f"tol {tol} "):
             delta_r(g, 1, tol=tol)
@@ -235,7 +235,8 @@ def test_search_value_certifies_its_witness_and_beats_the_family():
         val, witness = Delta_r(x, y, r)
         assert delta_r(witness, r) == val
         family_min = min(
-            oracles.delta_r_closed_form(g, r) for g in enumerate_gluings(x, y)
+            oracles.delta_r_closed_form(glue_from_correspondence(x, y, rel), r)
+            for rel in correspondence_stream(x, y)
         )
         assert val <= family_min
 

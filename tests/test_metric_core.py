@@ -26,7 +26,6 @@ from ghlab import (
     space_from_csv,
     space_from_json,
     space_to_json,
-    subspace,
     validate_metric,
 )
 from ghlab import metric_core
@@ -141,13 +140,6 @@ def test_min_plus_closure_yields_triangle_valid_rows(raw):
             for k in range(n):
                 assert out[i][j] <= out[i][k] + out[k][j]
     validate_metric(tuple(str(i) for i in range(n)), out)
-
-
-def test_subspace_restricts_distances():
-    s = line_space([F(0), F(1), F(4), F(9)])
-    t = subspace(s, [0, 2, 3])
-    assert t.n == 3
-    assert t.d(0, 1) == 4 and t.d(1, 2) == 5
 
 
 def test_diameter():

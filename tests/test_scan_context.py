@@ -26,6 +26,7 @@ from ghlab import (
     existence_tunnel,
     extent,
     glue_from_correspondence,
+    glued_to_json,
     inverse,
     k_family,
     local_propinquity,
@@ -45,10 +46,9 @@ from ghlab.metric_core import (
     _trusted_space,
     pointed_from_json,
     space_to_json,
-    subspace,
 )
 from ghlab.numerics import DEFAULT_FLOAT_TOL, INF, grid_unit, inv, on_grid
-from ghlab.tunnels import Passage, ScanContext, _extent_scan, passage_from_json, passage_to_json
+from ghlab.tunnels import Passage, ScanContext, _extent_scan, passage_from_json
 from ghlab.verify import random_pointed_space, random_passage
 
 TOL = DEFAULT_FLOAT_TOL
@@ -92,8 +92,14 @@ def _subspace_passages(rng, count):
             n = h.n
             ix = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
             iy = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
-            x = pointed(subspace(h.space, ix), rng.randrange(len(ix)))
-            y = pointed(subspace(h.space, iy), rng.randrange(len(iy)))
+            x, y = (
+                pointed(validate_metric(
+                    [h.space.points[k] for k in idx],
+                    [[h.space.d(a, b) for b in idx] for a in idx],
+                    tol=tol,
+                ), rng.randrange(len(idx)))
+                for idx in (ix, iy)
+            )
             twins.append(passage_from_gluing(validate_gluing(h.space, x, ix, y, iy, tol)))
         out.append(tuple(twins))
     return out
@@ -383,7 +389,9 @@ def _grid_passages(rng):
         x, y = (_scaled(random_pointed_space(rng, 1, 3), F(3**37 + 1, 3**37 + 2)) for _ in "xy")
         passages.append(random_passage(rng, x, y))
     # and read back from JSON, so all three spaces carry validation's grid
-    passages += [passage_from_json(passage_to_json(p)) for p in passages[:4] + passages[-3:]]
+    passages += [
+        passage_from_json({"gluing": glued_to_json(p.glued)}) for p in passages[:4] + passages[-3:]
+    ]
     return passages
 
 
@@ -609,7 +617,8 @@ def test_check_admissible_sees_a_clause_that_fails_between_a_cell_and_its_breakp
     host = validate_metric(
         ("X:0", "X:1", "Y:0"), [[0, F(5, 2), F(5, 4)], [F(5, 2), 0, F(5, 4)], [F(5, 4), F(5, 4), 0]]
     )
-    x, y = pointed(subspace(host, (0, 1)), 1), pointed(subspace(host, (2,)), 0)
+    x = pointed(validate_metric(("X:0", "X:1"), [[0, F(5, 2)], [F(5, 2), 0]]), 1)
+    y = pointed(validate_metric(("Y:0",), [[0]]), 0)
     p = passage_from_gluing(validate_gluing(host, x, (0, 1), y, (2,)))
     tol = F(1, 3)
     ok, cert = oracles.check_admissible_continuum(p, 8, 1, tol)
