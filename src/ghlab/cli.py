@@ -308,7 +308,7 @@ def _run_propinquity(args, config: RunConfig) -> dict:
     return {
         "command": "propinquity",
         "bracket": [format_scalar(lo), format_scalar(hi)],
-        "certificate": _certificate_for(config.mode),
+        "certificate": None if is_inf(hi) else _certificate_for(config.mode),
         "mode": config.mode,
         "raw": format_scalar(hi),
         "truncated": format_scalar(truncated),

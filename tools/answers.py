@@ -10,9 +10,18 @@ the two outputs; a speed-up that keeps every answer prints the same lines:
 
 ``python3 tools/answers.py tunnel cli`` runs only the named families.  Each
 family prints one line: its name, how many answers it saw, and a sha256 of
-every answer's repr with its Python type, in order.  The queries are the
-benchmark's own pools (``perfbench/workloads.py``), regenerated from their
-seeds; nothing is written under ``perfbench``.  The families are:
+every answer's repr with its Python type, in order.  ``--dump DIR`` also
+writes each family's answers to ``DIR/<name>.txt`` ("/" in a name read as
+"_"), one such repr a line, so that ``diff -r`` of two dumps shows which
+answers moved and how:
+
+    python3 tools/answers.py --dump /tmp/parent brackets   # parent checkout
+    python3 tools/answers.py --dump /tmp/change brackets   # change checkout
+    diff -r /tmp/parent /tmp/change
+
+The queries are the benchmark's own pools (``perfbench/workloads.py``),
+regenerated from their seeds; nothing is written under ``perfbench``.  The
+families are:
 
 - ``tunnel``: every answer of the ``tunnel`` pools of input sets 0-7;
 - ``admissible``: ``smallest_admissible`` of their extent queries and the
@@ -43,6 +52,7 @@ change a ``gh`` default.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -213,13 +223,24 @@ FAMILIES = {
 }
 
 
-def main(names: list) -> None:
-    for name in names or FAMILIES:
-        answers = FAMILIES[name]()
-        digest = hashlib.sha256()
-        for answer in answers:
-            digest.update(repr(typed(answer)).encode() + b"\n")
-        print(name, len(answers), digest.hexdigest(), flush=True)
+def main(argv: list) -> None:
+    parser = argparse.ArgumentParser(description="Digest (and dump) the package's answers.")
+    parser.add_argument("names", nargs="*", metavar="family", help=", ".join(FAMILIES))
+    parser.add_argument("--dump", metavar="DIR", help="write each family's answers under DIR")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.names if name not in FAMILIES]
+    if unknown:
+        parser.error(f"unknown families: {', '.join(unknown)}")
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
+    for name in args.names or FAMILIES:
+        lines = [repr(typed(answer)) + "\n" for answer in FAMILIES[name]()]
+        digest = hashlib.sha256("".join(lines).encode())
+        print(name, len(lines), digest.hexdigest(), flush=True)
+        if args.dump:
+            path = os.path.join(args.dump, name.replace("/", "_") + ".txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
 
 
 if __name__ == "__main__":
