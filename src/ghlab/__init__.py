@@ -9,7 +9,6 @@ from .gluing import (
     NotDistancePreserving,
     correspondence,
     correspondence_distortion,
-    enumerate_correspondences,
     glue_from_correspondence,
     glue_triple_w,
     glued_from_json,
@@ -18,8 +17,6 @@ from .gluing import (
 )
 from .kantorovich import (
     Measure,
-    PolyhedralSeminorm,
-    lipschitz_seminorm_of,
     measure,
     w1,
     w1_dual_potential,

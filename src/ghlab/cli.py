@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gluing import glued_from_json, glued_to_json
-from .kantorovich import lipschitz_seminorm_of, measure, w1
+from .kantorovich import measure, w1
 from .local_gh import Delta_r, delta_r, gh_inframetric
 from .metric_core import (
     FiniteMetricSpace,
@@ -277,7 +277,7 @@ def _run_w1(args, config: RunConfig) -> dict:
         raise ParseFailure("mu and nu must be weight arrays")
     mu = measure(space, [parse_scalar(v, config.backend) for v in mu_raw], tol=config.tolerance)
     nu = measure(space, [parse_scalar(v, config.backend) for v in nu_raw], tol=config.tolerance)
-    value = w1(mu, nu, lipschitz_seminorm_of(space), method="both", tol=config.tolerance)
+    value = w1(mu, nu, tol=config.tolerance)
     return {"command": "w1", "routes": "primal=dual", "value": format_scalar(value)}
 
 

@@ -66,17 +66,13 @@ def correspondence(pairs: Iterable[tuple], nx: int, ny: int) -> Correspondence:
     return Correspondence(pairs=ordered, nx=nx, ny=ny)
 
 
-def enumerate_correspondences(nx: int, ny: int) -> Iterator[Correspondence]:
-    """All correspondences, deterministic order (rows scanned ascending)."""
-    return _row_search(nx, ny)
-
-
-def _row_search(nx: int, ny: int, x=None, y=None, prune=None) -> Iterator[Correspondence]:
+def _row_search(x: PointedSpace, y: PointedSpace, prune=None) -> Iterator[Correspondence]:
     """Row-by-row enumeration, each row a nonempty column mask scanned
-    ascending.  With spaces the distortion of the chosen rows is carried
-    along and each leaf is measured; with a ``prune`` callback too, a row
-    prefix is cut once ``prune(partial_dis / 2)`` holds, a leaf once
-    ``prune(base gap)`` holds."""
+    ascending.  The distortion of the chosen rows is carried along and each
+    leaf is measured; with a ``prune`` callback, a row prefix is cut once
+    ``prune(partial_dis / 2)`` holds, a leaf once ``prune(base gap)``
+    holds."""
+    nx, ny = x.n, y.n
     rows = [(mask, [j for j in range(ny) if mask >> j & 1]) for mask in range(1, 1 << ny)]
     return _rows_from(0, 0, [], 0, nx, ny, rows, x, y, prune)
 
@@ -86,24 +82,22 @@ def _rows_from(row, covered, pairs, dis, nx, ny, rows, x, y, prune) -> Iterator[
     full = (1 << ny) - 1
     if row == nx:
         if covered == full and (prune is None or not prune(_base_gap(x, y, pairs, dis))):
-            measured = None if x is None else (x.space, y.space, dis)
-            yield Correspondence(tuple(pairs), nx, ny, measured)
+            yield Correspondence(tuple(pairs), nx, ny, (x.space, y.space, dis))
         return
     for mask, cols in rows:
         if row + 1 == nx and covered | mask != full:
             continue
         grown = pairs + [(row, j) for j in cols]
         grown_dis = dis
-        if x is not None:
-            x_row = x.space.dist[row]
-            for b in cols:
-                y_row = y.space.dist[b]
-                for i, j in grown:
-                    gap = abs(x_row[i] - y_row[j])
-                    if gap > grown_dis:
-                        grown_dis = gap
-            if prune is not None and prune(half(grown_dis)):
-                continue
+        x_row = x.space.dist[row]
+        for b in cols:
+            y_row = y.space.dist[b]
+            for i, j in grown:
+                gap = abs(x_row[i] - y_row[j])
+                if gap > grown_dis:
+                    grown_dis = gap
+        if prune is not None and prune(half(grown_dis)):
+            continue
         yield from _rows_from(row + 1, covered | mask, grown, grown_dis, nx, ny, rows, x, y, prune)
 
 
@@ -327,9 +321,9 @@ def correspondence_stream(
 ) -> Iterator[Correspondence]:
     """Deterministic correspondence source shared by the search routines.
 
-    Exact mode enumerates in ``enumerate_correspondences`` order and is
-    capped at 7 points per side and nx*ny <= budget; heuristic mode streams
-    deduplicated seeded candidates.
+    Exact mode enumerates every correspondence in ``_row_search`` order and
+    is capped at 7 points per side and nx*ny <= budget; heuristic mode
+    streams deduplicated seeded candidates.
 
     ``prune(lower) -> bool`` makes the stream a branch and bound.  ``lower``
     bounds from below the basepoint gap d(x0, y0) of a correspondence's
@@ -353,7 +347,7 @@ def correspondence_stream(
                 f"exact search needs both sides <= 7 points and a product <= {budget}, "
                 f"got {x.n}x{y.n}"
             )
-        yield from _row_search(x.n, y.n, x, y, prune)
+        yield from _row_search(x, y, prune)
     elif search == "heuristic":
         seen = set()
         for rel in _heuristic_correspondences(x, y, random.Random(seed), samples):

@@ -204,13 +204,13 @@ def delta_r_equivalents(
     )
 
 
-def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> GluedSpace:
+def refine_gluing_cross(glued: GluedSpace, tol: Scalar = 0) -> GluedSpace:
     """Lower cross distances toward their triangle lower bounds.
 
-    delta_r is nonincreasing in every cross entry, so each sweep can only
-    improve the gluing while keeping both embeddings isometric.  The host is
-    validated at max(tol, 0): a negative tol would reject every host on its
-    trivial triples d(x, x) <= d(x, x) + d(x, x).
+    delta_r is nonincreasing in every cross entry, so each of the two sweeps
+    can only improve the gluing while keeping both embeddings isometric.
+    The host is validated at max(tol, 0): a negative tol would reject every
+    host on its trivial triples d(x, x) <= d(x, x) + d(x, x).
     """
     host = glued.host
     rows = [list(row) for row in host.dist]
@@ -218,7 +218,7 @@ def refine_gluing_cross(glued: GluedSpace, steps: int = 2, tol: Scalar = 0) -> G
     in_x, in_y = set(glued.embed_x), set(glued.embed_y)
     x_only = [h for h in glued.embed_x if h not in in_y]
     y_only = [h for h in glued.embed_y if h not in in_x]
-    for _ in range(max(steps, 0)):
+    for _ in range(2):
         changed = False
         for i in x_only:
             for j in y_only:

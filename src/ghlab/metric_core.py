@@ -140,10 +140,6 @@ class PointedSpace:
     base: int
 
     @property
-    def basepoint(self):
-        return self.space.points[self.base]
-
-    @property
     def n(self) -> int:
         return self.space.n
 

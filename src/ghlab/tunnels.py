@@ -365,8 +365,10 @@ class ScanContext:
     radii: the inverse passage, basepoint gap and rows, radius-free tolerance
     candidates, and per eps the probe cells, witness family and probe memo.
     p's numbers are the caller's times ``unit`` (1 off the grid).  ``ints``:
-    p is a metric passage whose basepoint rows and tol are all ints, so
-    ``check_admissible`` may probe an int eps at integer radii."""
+    p's witness family is the canonical one (``p.info`` is None, as for every
+    passage but a composition, the band existence passage included) and its
+    basepoint rows and tol are all ints, so ``check_admissible`` may probe an
+    int eps at integer radii."""
 
     def __init__(self, p: Passage, tol: Scalar = 0, unit: int = 1):
         self.p, self.tol, self.unit, self.base = p, tol, unit, _base_rows(p)
@@ -420,7 +422,6 @@ def check_admissible(
     p: Passage,
     r: Scalar,
     eps: Scalar,
-    k_of_t: Callable[[Scalar], Iterable[int]] | None = None,
     tol: Scalar = 0,
     context: ScanContext | None = None,
 ) -> tuple:
@@ -430,7 +431,7 @@ def check_admissible(
     All clause quantities depend on t only through closed-ball memberships
     leq(d, t + s, tol), each flipping at a breakpoint d - s - tol, so probing
     each breakpoint (cells are [b_k, b_{k+1})), one sub-minimal point, and r
-    itself decides the whole continuum; a supplied K_t is read there alone.
+    itself decides the whole continuum.
 
     So both sides' clauses at probe t read only eps, K_t, and which
     basepoint-row values d satisfy leq(d, t, tol) and leq(d, t + 4 eps, tol);
@@ -438,12 +439,12 @@ def check_admissible(
     Results are memoised on eps, both lengths and K_t in ``context`` (a
     ``ScanContext`` of p at this tol; a fresh one when omitted).  The
     canonical K_t is the leq(d, t + 2 eps, tol) prefix, so its length stands
-    in for it; a supplied or composed K_t enters as computed.  The key is
+    in for it; a composed K_t enters as computed.  The key is
     exact on both backends: each length comes from the comparison ``leq``
     makes (d <= t + s at tol 0), and as eps > 0 and rounding is monotone the
     thresholds ascend in s, so each search starts where the one below ended.
 
-    On ints (``ScanContext.ints``, an int eps, the canonical K_t) a
+    On ints (``ScanContext.ints``, an int eps) a
     ``Fraction`` radius r >= 1 is probed at its floor, and so is a
     ``Fraction`` sub-minimal probe >= 1.  Every membership the clauses read
     is d <= t + k + tol with d a basepoint row and k one of 0, 2 eps and 4
@@ -459,7 +460,7 @@ def check_admissible(
     if not leq(ctx.gap, eps, tol):
         return False, {"reason": "basepoint", "gap": ctx.gap}
     cells, kf, family, memo = ctx.at_eps(eps)
-    floor = ctx.ints and type(eps) is int and k_of_t is None
+    floor = ctx.ints and type(eps) is int
     if floor:
         r = _int_floor(r)
     probes = cells[: bisect_right(cells, r)]
@@ -467,8 +468,6 @@ def check_admissible(
     probes = [_int_floor(low) if floor else low] + probes
     if r not in probes:
         probes.append(r)
-    if k_of_t is not None:
-        kf, family = k_of_t, "supplied"
     rows, two, four = ctx.rows, 2 * eps, 4 * eps
     canonical = family == "canonical"
     for t in probes:
@@ -681,10 +680,6 @@ class FundamentalReport:
     jordan_ok: bool
     diameter_value: Scalar
     norm_bound: Scalar
-
-    @property
-    def all_ok(self) -> bool:
-        return self.norm_ok and self.linearity_ok and self.diameter_ok and self.jordan_ok
 
 
 def verify_fundamental(
@@ -925,6 +920,12 @@ def _gluing_passages(
                 yield passage_from_gluing(glue_from_correspondence(A, B, rel, eta))
 
 
+def _one(A: PointedSpace, B: PointedSpace) -> Scalar:
+    """1 in the rows' scalar type: 1.0 when either space has a float row
+    entry, so that a zero or a bisection in its type is one too."""
+    return 1 if grid_unit_of((A.space, B.space)) is not None else 1.0
+
+
 def local_propinquity(
     a,
     b,
@@ -944,7 +945,7 @@ def local_propinquity(
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     iso = _find_base_isometry(A, B)
     if iso is not None:
-        return 0, passage_from_isometry(A, B, iso)
+        return 0 * _one(A, B), passage_from_isometry(A, B, iso)
     best_val: Scalar = INF
     best: Passage | None = None
 
@@ -1057,15 +1058,15 @@ def propinquity_bracket(
 ) -> tuple:
     """A bracket [lo, hi] in the inputs' scalar type around inf{e : some
     searched passage has extent below e at radius 1/e}; (0, 0) exactly for
-    isometric pairs, and (0, inf) when no passage has a finite upper end.
+    isometric pairs, and (0, inf) when no passage has a finite upper end,
+    each 0 in the rows' scalar type.
     lo is the bisection's lower end for the searched passage family, not a
     lower bound on the propinquity.
 
     The infimum commutes with the passage search, so each passage gets its
     own monotone threshold bisection, pruned by the best upper end so far;
     hi is always certified by a concrete passage.  The first finite upper
-    end is 1 on rational rows and 1.0 when either space has a float row
-    entry, so every bisection runs on the rows' scalar type.
+    end is ``_one``, so every bisection runs on the rows' scalar type.
 
     Each passage's bisection halves from the running dyadic hi, so every
     passage that lowers hi can add up to ``iters`` bits to its denominator
@@ -1074,9 +1075,10 @@ def propinquity_bracket(
     """
     A = _as_classical(a)
     B = _as_classical(b)
+    one = _one(A, B)
+    zero = 0 * one
     if _find_base_isometry(A, B) is not None:
-        return 0, 0
-    one: Scalar = 1 if grid_unit_of((A.space, B.space)) is not None else 1.0
+        return zero, zero
     hi: Scalar = INF
     best: Passage | None = None
     lows = []
@@ -1090,7 +1092,7 @@ def propinquity_bracket(
                     break
                 hi = 2 * hi
             else:
-                return 0, INF
+                return zero, INF
         elif not pred(hi):
             continue
         lo_p, hi = _tau_bisect(pred, hi, iters)
@@ -1099,7 +1101,7 @@ def propinquity_bracket(
     if best is None:
         # no gluing passage was generated, so hi is still INF, at whose
         # radius 0 no existence passage is built either
-        return 0, INF
+        return zero, INF
 
     ex_pred = _existence_pred(A, B, tol)
     if ex_pred(hi):

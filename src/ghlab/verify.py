@@ -182,7 +182,7 @@ def suite_fundamental(rng: random.Random, cases: int = 60) -> list:
         tally.record("jordan-product", rep.jordan_ok, example)
         tb = lift_target_bounds(p, a, l, r, eps, K)
         b = real_function(p.codomain.space, tb.target_hi)
-        tbi = lift_target_bounds(inverse(p), b, l, r + 4 * eps, eps, K)
+        tbi = lift_target_bounds(inverse(p), b, l, r + 4 * eps, eps, K, strict=False)
         inv_ok = tbi.feasible and all(
             tbi.target_lo[i] <= a(i) <= tbi.target_hi[i] for i in range(X.n)
         )

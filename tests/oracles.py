@@ -441,14 +441,13 @@ def eps_candidates_reference(p, r) -> list:
     return sorted(cands)
 
 
-def check_admissible_continuum(p, r, eps, k_of_t=None, tol=0) -> tuple:
+def check_admissible_continuum(p, r, eps, tol=0) -> tuple:
     """Admissibility of eps at radius r by brute force over (0, r].  The
     clauses read t only through memberships d <= t + s + tol, d a basepoint
     row and s a family shift, and each flips at the breakpoint d - s - tol;
     so probing every breakpoint in (0, r], the midpoint of each gap between
     consecutive ones (0 among them) and r meets every membership pattern of
-    the continuum.  A supplied family ``k_of_t`` is read at the same
-    probes."""
+    the continuum."""
     from ghlab.numerics import leq
     from ghlab.tunnels import (
         _base_rows,
@@ -468,9 +467,7 @@ def check_admissible_continuum(p, r, eps, k_of_t=None, tol=0) -> tuple:
     points = {d - s - tol for d in _base_rows(p) for s in shifts}
     points = sorted({t for t in points if 0 < t <= r} | {r})
     probes = sorted(set(points) | {_half(a + b) for a, b in zip([0] + points, points)})
-    if k_of_t is not None:
-        kf = k_of_t
-    elif p.info is not None:
+    if p.info is not None:
         kf = composed_k_family(p, tol)
     else:
         kf = k_family(p, eps, tol)

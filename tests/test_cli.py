@@ -12,9 +12,9 @@ import oracles
 from ghlab import cli
 from ghlab.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main, run_config
 from ghlab.gluing import glued_from_json
-from ghlab.metric_core import MetricError
+from ghlab.metric_core import MetricError, pointed, space_from_json
 from ghlab.numerics import SQRT2_OVER_4, format_scalar
-from ghlab.tunnels import extent, passage_from_json
+from ghlab.tunnels import extent, local_propinquity, passage_from_json
 
 LINE_SPACE = {
     "points": ["a", "b", "c"],
@@ -311,6 +311,27 @@ def test_propinquity_with_no_gluing_passage_answers_an_unbounded_bracket(tmp_pat
     assert rc == EXIT_OK
     assert report["bracket"] == [0, "inf"] and report["raw"] == "inf"
     assert report["certificate"] is None  # no passage certifies hi
+
+
+def test_propinquity_zeros_are_in_the_rows_scalar_type(tmp_path, capsys):
+    # an isometric pair answers (0, 0) and a pair with no gluing passage
+    # (0, inf); on float rows each 0 is printed 0.0, as `gh inframetric`
+    # prints its raw, and on rational rows it stays an int
+    x = write_json(tmp_path, "x.json", {"points": ["a", "b"], "dist": [[0, 1], [1, 0]],
+                                        "basepoint": 0})
+    for backend, zero in (("float", "0.0"), ("rational", "0")):
+        rc, _, captured = run(capsys, ["propinquity", "--x", x, "--y", x, "--backend", backend])
+        text = "".join(captured.out.split())
+        assert rc == EXIT_OK
+        assert f'"bracket":[{zero},{zero}]' in text and f'"raw":{zero},' in text
+    far = write_json(tmp_path, "far.json", {
+        "points": ["a", "far"], "dist": [[0, "inf"], ["inf", 0]], "basepoint": 0,
+    })
+    y = write_json(tmp_path, "y.json", {"points": ["b"], "dist": [[0]], "basepoint": 0})
+    rc, _, captured = run(capsys, ["propinquity", "--x", far, "--y", y])
+    assert rc == EXIT_OK and '"bracket":[0.0,"inf"]' in "".join(captured.out.split())
+    fx = pointed(space_from_json({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}, "float"), 0)
+    assert repr(local_propinquity(fx, fx, 1.0)[0]) == "0.0"
 
 
 # name -> (a minimal argv after the name, the namespace it parses to, its handler)

@@ -21,7 +21,6 @@ from ghlab import (
     correspondence,
     correspondence_distortion,
     delta_r,
-    enumerate_correspondences,
     existence_tunnel,
     gh_inframetric,
     glue_from_correspondence,
@@ -53,7 +52,8 @@ from ghlab.verify import random_correspondence, random_pointed_space
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 4), (2, 2), (2, 3), (3, 3)])
 def test_correspondence_enumeration_matches_both_counting_oracles(nx, ny):
-    listed = list(enumerate_correspondences(nx, ny))
+    x, y = pointed(line_space(range(nx)), 0), pointed(line_space(range(ny)), 0)
+    listed = list(correspondence_stream(x, y, budget=nx * ny))
     encodings = {c.pairs for c in listed}
     assert len(listed) == len(encodings)  # no duplicates
     assert len(listed) == oracles.full_relation_count(nx, ny)
@@ -110,7 +110,7 @@ def test_distortion_kernel_matches_the_reference_bounded_and_unbounded():
                 (_float_copy(x), _float_copy(y)),
             )
             for a, b in backends:
-                for rel in enumerate_correspondences(nx, ny):
+                for rel in correspondence_stream(a, b, budget=nx * ny):
                     want = oracles.correspondence_distortion_reference(rel, a.space, b.space)
                     got = correspondence_distortion(rel, a.space, b.space)
                     assert got == want and type(got) is type(want)
@@ -177,7 +177,7 @@ def test_glue_validates_at_half_distortion_and_rejects_below():
         x = random_pointed_space(rng, 1, 3)
         y = random_pointed_space(rng, 1, 3)
         fx, fy = _float_copy(x), _float_copy(y)
-        for rel in enumerate_correspondences(x.n, y.n):
+        for rel in correspondence_stream(x, y, budget=x.n * y.n):
             dis = correspondence_distortion(rel, x.space, y.space)
             for eta in (None, F(dis) / 2 + 1):
                 g = glue_from_correspondence(x, y, rel, eta)

@@ -1,4 +1,4 @@
-"""Monge-Kantorovich distances: transport LP, dual LP, and seminorms."""
+"""Monge-Kantorovich distances: transport LP and dual LP over the host metric."""
 
 from __future__ import annotations
 
@@ -12,15 +12,16 @@ import pytest
 import oracles
 from ghlab import (
     MetricError,
+    lip_constant,
     line_space,
-    lipschitz_seminorm_of,
     measure,
+    real_function,
     space_from_json,
     validate_metric,
     w1,
     w1_dual_potential,
 )
-from ghlab.kantorovich import HostMismatch, PolyhedralSeminorm, PrimalUnavailable
+from ghlab.kantorovich import HostMismatch
 from ghlab.metric_core import dist_to_set
 from ghlab.numerics import INF, parse_scalar
 from ghlab.simplex import IterationBudgetExceeded, solve_lp, transportation_simplex
@@ -39,18 +40,17 @@ def test_two_point_half_mass_transport():
     s = line_space([F(0), F(1)])
     mu = measure(s, [F(1, 2), F(1, 2)])
     nu = measure(s, [F(1), F(0)])
-    assert w1(mu, nu, lipschitz_seminorm_of(s), method="both") == F(1, 2)
+    assert w1(mu, nu) == F(1, 2)
 
 
 def test_primal_dual_and_vertex_oracle_agree():
     rng = random.Random(23)
     for _ in range(40):
         s = random_pointed_space(rng, 2, 5).space
-        sem = lipschitz_seminorm_of(s)
         mu, nu = random_measure(rng, s), random_measure(rng, s)
-        primal = w1(mu, nu, sem, method="primal")
-        dual = w1(mu, nu, sem, method="dual")
-        both = w1(mu, nu, sem, method="both")
+        primal = transportation_simplex(s.dist, mu.weights, nu.weights)[0]
+        dual = w1_dual_potential(mu, nu)[0]
+        both = w1(mu, nu)
         delta = [a - b for a, b in zip(mu.weights, nu.weights)]
         dist = [list(row) for row in s.dist]
         assert primal == dual == both == oracles.w1_dual_vertices(dist, delta)
@@ -60,48 +60,44 @@ def test_dirac_pair_recovers_the_distance():
     rng = random.Random(5)
     for _ in range(20):
         s = random_pointed_space(rng, 1, 5).space
-        sem = lipschitz_seminorm_of(s)
         diracs = [measure(s, [int(k == i) for k in range(s.n)]) for i in range(s.n)]
         for x in range(s.n):
             for y in range(s.n):
-                assert w1(diracs[x], diracs[y], sem, method="both") == s.d(x, y)
+                assert w1(diracs[x], diracs[y]) == s.d(x, y)
 
 
 def test_metric_axioms_on_random_triples():
     rng = random.Random(9)
     for _ in range(25):
         s = random_pointed_space(rng, 2, 4).space
-        sem = lipschitz_seminorm_of(s)
         a, b, c = (random_measure(rng, s) for _ in range(3))
-        dab, dba = w1(a, b, sem), w1(b, a, sem)
+        dab, dba = w1(a, b), w1(b, a)
         assert dab == dba >= 0
-        assert w1(a, a, sem) == 0
-        assert w1(a, c, sem) <= dab + w1(b, c, sem)
+        assert w1(a, a) == 0
+        assert w1(a, c) <= dab + w1(b, c)
 
 
 def test_convexity_on_random_quadruples():
     rng = random.Random(13)
     for _ in range(25):
         s = random_pointed_space(rng, 2, 4).space
-        sem = lipschitz_seminorm_of(s)
         m1, m2, n1, n2 = (random_measure(rng, s) for _ in range(4))
         lam = F(rng.randint(0, 8), 8)
         mix_m, mix_n = (
             measure(s, [lam * wa + (1 - lam) * wb for wa, wb in zip(a.weights, b.weights)])
             for a, b in ((m1, m2), (n1, n2))
         )
-        left = w1(mix_m, mix_n, sem)
-        assert left <= lam * w1(m1, n1, sem) + (1 - lam) * w1(m2, n2, sem)
+        left = w1(mix_m, mix_n)
+        assert left <= lam * w1(m1, n1) + (1 - lam) * w1(m2, n2)
 
 
 def test_dual_potential_is_feasible_and_tight():
     rng = random.Random(31)
     for _ in range(15):
         s = random_pointed_space(rng, 2, 4).space
-        sem = lipschitz_seminorm_of(s)
         mu, nu = random_measure(rng, s), random_measure(rng, s)
-        value, f = w1_dual_potential(mu, nu, sem)
-        assert sem.value(f) <= 1
+        value, f = w1_dual_potential(mu, nu)
+        assert lip_constant(real_function(s, f)) <= 1
         assert sum((wm - wn) * fv for wm, wn, fv in zip(mu.weights, nu.weights, f)) == value
 
 
@@ -117,7 +113,7 @@ ZERO_PAIRS_W1 = {
 def test_exact_dual_divides_exactly_on_zero_pairs():
     s = space_from_json(ZERO_PAIRS_W1["space"], "rational")
     mu, nu = (measure(s, [parse_scalar(v) for v in ZERO_PAIRS_W1[k]]) for k in ("mu", "nu"))
-    value, f = w1_dual_potential(mu, nu, lipschitz_seminorm_of(s))
+    value, f = w1_dual_potential(mu, nu)
     assert value == 0 and isinstance(value, F)
     assert not any(isinstance(v, float) for v in f)
     rng = random.Random(43)
@@ -126,12 +122,11 @@ def test_exact_dual_divides_exactly_on_zero_pairs():
         idx = list(range(base.n)) + [rng.randrange(base.n) for _ in range(rng.randint(1, 2))]
         rows = [[base.d(i, j) for j in idx] for i in idx]
         s = validate_metric([str(k) for k in range(len(idx))], rows)
-        sem = lipschitz_seminorm_of(s)
         mu, nu = random_measure(rng, s), random_measure(rng, s)
-        value, f = w1_dual_potential(mu, nu, sem)
+        value, f = w1_dual_potential(mu, nu)
         assert isinstance(value, F) and not any(isinstance(v, float) for v in f)
-        assert sem.value(f) <= 1
-        assert w1(mu, nu, sem, method="both") == value
+        assert lip_constant(real_function(s, f)) <= 1
+        assert w1(mu, nu) == value
 
 
 def test_measure_validation():
@@ -144,17 +139,11 @@ def test_measure_validation():
         measure(s, [F(1)])  # wrong length
 
 
-def test_host_mismatch_and_primal_unavailable():
+def test_host_mismatch():
     s = line_space([F(0), F(1)])
     t = line_space([F(0), F(2)])
-    sem = lipschitz_seminorm_of(s)
-    at_0, at_1 = measure(s, [1, 0]), measure(s, [0, 1])
     with pytest.raises(HostMismatch):
-        w1(at_0, measure(t, [1, 0]), sem)
-    abstract = PolyhedralSeminorm(host=s, functionals=((1, -1),), zero_pairs=())
-    with pytest.raises(PrimalUnavailable):
-        w1(at_0, at_1, abstract, method="primal")
-    assert w1(at_0, at_1, abstract, method="dual") == 1
+        w1(measure(s, [1, 0]), measure(t, [1, 0]))
 
 
 def test_dirac_to_pushforward_set_closed_form_vs_lp():
@@ -168,13 +157,12 @@ def test_dirac_to_pushforward_set_closed_form_vs_lp():
     rng = random.Random(17)
     for _ in range(20):
         sp = random_pointed_space(rng, 2, 5).space
-        sem = lipschitz_seminorm_of(sp)
         z = rng.randrange(sp.n)
         subset = [i for i in range(sp.n) if rng.random() < 0.5] or [0]
         closed = dist_to_set(sp, z, subset)
         # convexity collapses the LP optimum onto a single support point
         diracs = [measure(sp, [int(k == i) for k in range(sp.n)]) for i in range(sp.n)]
-        lp = min(w1(diracs[z], diracs[j], sem) for j in subset)
+        lp = min(w1(diracs[z], diracs[j]) for j in subset)
         assert closed == lp
 
 

@@ -23,13 +23,11 @@ from ghlab import (
     compose,
     correspondence,
     correspondence_distortion,
-    enumerate_correspondences,
     existence_tunnel,
     extent,
     glue_from_correspondence,
     glued_to_json,
     inverse,
-    k_family,
     local_propinquity,
     passage_from_gluing,
     passage_from_isometry,
@@ -39,7 +37,7 @@ from ghlab import (
     validate_metric,
 )
 from ghlab import tunnels
-from ghlab.gluing import validate_gluing
+from ghlab.gluing import correspondence_stream, validate_gluing
 from ghlab.local_gh import _pointed_on_grid
 from ghlab.metric_core import (
     MetricError,
@@ -71,7 +69,7 @@ def _metric_passages(rng, pairs, per_pair):
     for _ in range(pairs):
         x, y = random_pointed_space(rng, 1, 3), random_pointed_space(rng, 1, 3)
         fx, fy = _float_copy(x), _float_copy(y)
-        rels = list(enumerate_correspondences(x.n, y.n))
+        rels = list(correspondence_stream(x, y, budget=x.n * y.n))
         for rel in rng.sample(rels, min(per_pair, len(rels))):
             for eta in _widths(correspondence_distortion(rel, x.space, y.space)):
                 out.append((
@@ -155,12 +153,12 @@ def _assert_scans_match(p, radii, tol):
         assert context.candidates(r) == oracles.eps_candidates_reference(p, r)
 
 
-def _assert_continuum_verdict(got, p, r, eps, k_of_t=None, tol=0):
+def _assert_continuum_verdict(got, p, r, eps, tol=0):
     """``got``, a ``check_admissible`` answer, has the continuum's verdict;
     a refusal before any radius is probed is the continuum's own, and a
     clause failure names the side and clause that the continuum check's
     first failing radius fails on."""
-    want = oracles.check_admissible_continuum(p, r, eps, k_of_t, tol)
+    want = oracles.check_admissible_continuum(p, r, eps, tol)
     assert got[0] == want[0]
     if got[0]:
         return
@@ -172,20 +170,14 @@ def _assert_continuum_verdict(got, p, r, eps, k_of_t=None, tol=0):
 
 def _assert_checks_match(p, radii, tol):
     """Every candidate and every midpoint between candidates, largest first,
-    under the canonical family and under supplied families that produce one
-    K_t at different radii, all through one context.  A supplied family is
-    read at the probes alone, so these change K_t only at breakpoints: the
-    image of the closed t-ball, and the whole carrier at every t."""
+    all through one context, and one of them on a fresh context."""
     context = ScanContext(p, tol)
-    everything = frozenset(range(p.carrier.n))
-    families = (None, k_family(p, 0, tol), lambda t: everything)
     for r, _ in radii:
         cands = oracles.eps_candidates_reference(p, r)
         probes = cands + [(a + b) / 2 for a, b in zip(cands, cands[1:])]
         for eps in sorted(probes, reverse=True):
-            for k_of_t in families:
-                got = check_admissible(p, r, eps, k_of_t, tol, context=context)
-                _assert_continuum_verdict(got, p, r, eps, k_of_t, tol)
+            got = check_admissible(p, r, eps, tol, context=context)
+            _assert_continuum_verdict(got, p, r, eps, tol)
         eps = probes[len(probes) // 2]
         _assert_continuum_verdict(check_admissible(p, r, eps, tol=tol), p, r, eps, tol=tol)
 
@@ -508,8 +500,8 @@ def test_rational_brackets_and_local_propinquity_scan_an_integer_grid_and_match_
         scans.append((q, r, cutoff, tol, context.unit, context.gap, []))
         return extent_scan(q, r, cutoff, tol, context)
 
-    def checking(p, r, eps, k_of_t=None, tol=0, context=None):
-        got = check(p, r, eps, k_of_t, tol, context)
+    def checking(p, r, eps, tol=0, context=None):
+        got = check(p, r, eps, tol, context)
         scans[-1][-1].append((eps, got[0]))
         return got
 

@@ -90,7 +90,7 @@ def brute_Delta_r(x, y, r, family, tol):
     integer grid."""
     value, pairs = min((_delta(_glue(x, y, pairs), r, tol), pairs) for pairs in family)
     glued = _glue(x, y, pairs)
-    refined = refine_gluing_cross(glued, steps=2, tol=tol)
+    refined = refine_gluing_cross(glued, tol=tol)
     refined_value = _delta(refined, r, tol)
     if refined_value < value:
         value, glued = refined_value, refined

@@ -1,5 +1,6 @@
-"""Every module-level function and class of the package has a caller in the
-package, so ``src/`` holds what ``gh`` runs and nothing kept only for tests."""
+"""Every module-level function and class of the package, and every method
+and property of those classes, has a caller in the package, so ``src/``
+holds what ``gh`` runs and nothing kept only for tests."""
 
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ ALLOWED = {
     "gluing.glue_triple_w",
     # a span that perfbench/tracing.py wraps by name
     "gluing.validate_gluing",
-    # ROADMAP item 3 deletes it with the row search it names
-    "gluing.enumerate_correspondences",
     # ROADMAP item 6: the tests' line-metric constructor, at about 80 call sites
     "metric_core.line_space",
 }
@@ -34,29 +33,47 @@ def _registered(node: ast.AST) -> bool:
     )
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCTIONS + (ast.ClassDef,)
+
+
+def _named(node: ast.AST, inside: frozenset = frozenset()) -> set:
+    """The names that code under node uses, each definition's own name left
+    out inside that definition."""
+    if isinstance(node, _DEFS):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name):
+        found = {node.id}
+    elif isinstance(node, ast.Attribute):
+        found = {node.attr}
+    else:
+        found = set()
+    for child in ast.iter_child_nodes(node):
+        found |= _named(child, inside)
+    return found - inside
+
+
 def _uncalled() -> list:
-    """Qualified names of the module-level functions and classes that no
-    code of the package names outside their own definition; ``__init__``
-    only re-exports, and docstrings and comments are not code."""
+    """Qualified names of the module-level functions and classes, and of the
+    non-dunder methods and properties of those classes, that no code of the
+    package names outside their own definition; ``__init__`` only
+    re-exports, and docstrings and comments are not code."""
     defined, named = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not _registered(top):
-                    defined.append((path.stem, own))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    named.add(name)
-    return sorted(f"{module}.{name}" for module, name in defined if name not in named)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, _DEFS) and not _registered(top):
+                defined.append((f"{path.stem}.{top.name}", top.name))
+            if isinstance(top, ast.ClassDef):
+                defined += [
+                    (f"{path.stem}.{top.name}.{item.name}", item.name)
+                    for item in top.body
+                    if isinstance(item, _FUNCTIONS) and not item.name.startswith("__")
+                ]
+        named |= _named(tree)
+    return sorted(qualified for qualified, name in defined if name not in named)
 
 
 def test_every_function_and_class_in_src_has_a_caller_in_src():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import pytest
 
+import ghlab.tunnels as tunnels
 import ghlab.verify as verify
 from ghlab import correspondence, diameter, glue_from_correspondence
 from ghlab.cli import EXIT_VALIDATION, main
@@ -91,3 +93,21 @@ def test_witness_threshold_catches_a_witness_that_does_not_attain_raw(monkeypatc
     monkeypatch.setattr(verify, "gh_inframetric", wide_witness)
     results = run_suite("inframetric", seed=0, cases=10)
     assert [tr.theorem for tr in results if not tr.passed] == ["witness-threshold"]
+
+
+def test_target_inversion_counts_an_empty_inverse_lift_set_as_a_failure(monkeypatch):
+    # every second call is a case's lift back through the inverse passage;
+    # planting an empty lift set there must give a counted failure with its
+    # counterexample, not an exception that ends `gh verify`
+    real, calls = verify.lift_target_bounds, itertools.count(1)
+
+    def empty_inverse(p, a, l, r, eps, K, strict=True, tol=0):
+        if next(calls) % 2 == 0:
+            return tunnels._infeasible_bounds(p, strict)
+        return real(p, a, l, r, eps, K, strict, tol)
+
+    monkeypatch.setattr(verify, "lift_target_bounds", empty_inverse)
+    results = run_suite("fundamental", seed=0, cases=4)
+    broken = [tr for tr in results if not tr.passed]
+    assert [(tr.theorem, tr.failures) for tr in broken] == [("target-inversion", 4)]
+    assert isinstance(broken[0].counterexample, dict)
