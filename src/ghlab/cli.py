@@ -91,6 +91,8 @@ def run_config(
         raise MetricError("float mode needs a positive tolerance")
     if tol < 0:
         raise MetricError("tolerance must be nonnegative")
+    if tol > sys.float_info.max:  # inf, or a rational too large to add to the float inf
+        raise MetricError("tolerance must be finite and within float range")
     if int(budget) < 1:
         raise MetricError("budget must be at least 1")
     return RunConfig(backend=backend, tolerance=tol, seed=int(seed), mode=mode, budget=int(budget))
@@ -113,10 +115,18 @@ def _jsonable(value):
     return repr(value)
 
 
+def _json_number(text: str):
+    """A JSON number with a fraction or exponent as a float, but as its text
+    where the float overflows (``1e400``), so that ``parse_scalar`` reads it
+    as it reads the quoted string: exactly, or refused on the float backend."""
+    value = float(text)
+    return text if is_inf(value) else value
+
+
 def _load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return text if path.endswith(".csv") else json.loads(text)
+    return text if path.endswith(".csv") else json.loads(text, parse_float=_json_number)
 
 
 def _require(obj: dict, key: str, where: str):

@@ -113,9 +113,12 @@ def parse_scalar(raw, backend: str = RATIONAL) -> Scalar:
     elif isinstance(raw, int):
         value = Fraction(raw)
     elif isinstance(raw, float):
-        if math.isinf(raw):
+        if raw == INF:
             return INF
-        value = Fraction(raw)
+        try:
+            value = Fraction(raw)
+        except (OverflowError, ValueError):  # -Infinity, NaN
+            raise ValueError(f"not a scalar: {raw!r}") from None
     elif isinstance(raw, Fraction):
         value = raw
     else:

@@ -225,21 +225,23 @@ def _find_base_isometry(x: PointedSpace, y: PointedSpace) -> tuple | None:
 
 def k_family(p: Passage, eps: Scalar, tol: Scalar = 0) -> Callable[[Scalar], frozenset]:
     """The canonical compact family t -> embedX(ballX(t+2eps)) u embedY(ballY(t+2eps))."""
-    X, x0 = p.domain.space, p.domain.base
-    Y, y0 = p.codomain.space, p.codomain.base
+    x_row = p.domain.space.dist[p.domain.base]
+    y_row = p.codomain.space.dist[p.codomain.base]
+    ex, ey, two = p.embed_x, p.embed_y, 2 * eps
 
     def kf(t: Scalar) -> frozenset:
-        out = {p.embed_x[i] for i in range(X.n) if leq(X.d(x0, i), t + 2 * eps, tol)}
-        out |= {p.embed_y[j] for j in range(Y.n) if leq(Y.d(y0, j), t + 2 * eps, tol)}
+        lim = t + two + tol if tol else t + two
+        out = {ex[i] for i, d in enumerate(x_row) if d <= lim}
+        out.update(ey[j] for j, d in enumerate(y_row) if d <= lim)
         return frozenset(out)
 
     return kf
 
 
 def _zero_set(p: Passage, r: Scalar, eps: Scalar, K: frozenset, tol: Scalar) -> tuple:
-    Y, y0 = p.codomain.space, p.codomain.base
-    zero = set(range(p.carrier.n)) - K
-    zero |= {p.embed_y[j] for j in range(Y.n) if not leq(Y.d(y0, j), r + 4 * eps, tol)}
+    wide = r + 4 * eps + tol if tol else r + 4 * eps
+    zero = set(range(p.carrier.n)).difference(K)
+    zero.update(h for h, d in zip(p.embed_y, p.codomain.space.dist[p.codomain.base]) if not d <= wide)
     return tuple(sorted(zero))
 
 
@@ -253,6 +255,9 @@ def check_left_admissible(
     escape distance is dominated by its carrier distance to the zero region
     (the universal-lift criterion; checked on the bump family for composed
     carriers).  Clauses (4) and (5) hold by construction and are asserted.
+    Each clause reads whole rows: the domain's basepoint row decides the
+    balls, and a carrier or domain row gives each distance to a set; every
+    comparison is ``leq``'s, (a + s) + tol.
     """
     if r <= 0:
         raise PreconditionFailed("radius", f"radius must be positive, got {r}")
@@ -260,28 +265,43 @@ def check_left_admissible(
         raise PreconditionFailed("tolerance", f"tolerance must be positive, got {eps}")
     carrier = p.carrier
     Kset = frozenset(K)
-    if any(not 0 <= z < carrier.n for z in Kset):
+    if Kset and (min(Kset) < 0 or max(Kset) >= carrier.n):
         raise PreconditionFailed("K", "K must be a set of carrier indices")
-    X, x0 = p.domain.space, p.domain.base
+    X, ex = p.domain.space, p.embed_x
+    x_rows, c_rows, base_row = X.dist, carrier.dist, X.dist[p.domain.base]
     mode = "exact" if p.kind == "metric" else "family"
+    ball = r + tol if tol else r
+    wide = r + 4 * eps + tol if tol else r + 4 * eps
+    near = eps + tol if tol else eps
 
-    ball_r = [i for i in range(X.n) if leq(X.d(x0, i), r, tol)]
-    for i in ball_r:
-        if p.embed_x[i] not in Kset:
+    for i, d in enumerate(base_row):
+        if d <= ball and ex[i] not in Kset:
             return False, {"clause": 1, "witness": X.points[i], "mode": mode}
 
-    wide_img = [p.embed_x[i] for i in range(X.n) if leq(X.d(x0, i), r + 4 * eps, tol)]
+    wide_img = [ex[i] for i, d in enumerate(base_row) if d <= wide]
     for z in sorted(Kset):
-        if not leq(dist_to_set(carrier, z, wide_img), eps, tol):
+        row = c_rows[z]
+        best = INF
+        for h in wide_img:
+            if row[h] < best:
+                best = row[h]
+        if not best <= near:
             return False, {"clause": 2, "witness": carrier.points[z], "mode": mode}
 
     zero = _zero_set(p, r, eps, Kset, tol)
-    complement = [i for i in range(X.n) if not leq(X.d(x0, i), r, tol)]
+    complement = [i for i, d in enumerate(base_row) if not d <= ball]
     if p.kind == "metric":
-        for i in range(X.n):
-            lhs = dist_to_set(X, i, complement)
-            rhs = dist_to_set(carrier, p.embed_x[i], zero)
-            if not leq(lhs, rhs, tol):
+        for i, x_row in enumerate(x_rows):
+            lhs = INF
+            for j in complement:
+                if x_row[j] < lhs:
+                    lhs = x_row[j]
+            c_row = c_rows[ex[i]]
+            rhs = INF
+            for z in zero:
+                if c_row[z] < rhs:
+                    rhs = c_row[z]
+            if not (lhs <= rhs + tol if tol else lhs <= rhs):
                 return False, {"clause": 3, "witness": X.points[i], "mode": mode}
     else:
         ok, witness = _bump_family_feasible(p, complement, zero, tol)

@@ -408,11 +408,85 @@ def leq_reference(a, b, tol=0) -> bool:
 # ---------------------------------------------------------------------------
 # admissibility and the uncached extent scan
 #
-# Admissibility decided on the continuum of radii, and the extent scan as it
-# stood before probe results were shared: the full candidate set rebuilt on
-# every call, each tolerance decided by the continuum check.  The clause
-# evaluation itself is the library's ``check_left_admissible``; what these
-# check is the choice of probe radii and the sharing around it.
+# The one-sided admissibility clauses transcribed from their definitions,
+# admissibility decided on the continuum of radii with them, and the extent
+# scan as it stood before probe results were shared: the full candidate set
+# rebuilt on every call, each tolerance decided by the continuum check.
+# Nothing here calls the library's clause code or its witness families; the
+# composed clause 3 alone reads ``tunnels._bump_family_feasible``.
+
+
+def closed_ball_reference(pointed_space, s, tol=0) -> list:
+    """Indices of the closed s-ball about the basepoint, by ``numerics.leq``."""
+    from ghlab.numerics import leq
+
+    space, base = pointed_space.space, pointed_space.base
+    return [i for i in range(space.n) if leq(space.d(base, i), s, tol)]
+
+
+def witness_family_reference(p, eps, tol=0):
+    """t -> K_t.  Canonical: the union of the embedded closed (t + 2 eps)
+    basepoint balls.  Composed: the parts' families, the first at t + 4 eps2
+    and the second at t + 4 eps1 with its indices moved past the first
+    carrier."""
+    if p.info is None:
+        def kf(t):
+            s = t + 2 * eps
+            return frozenset(
+                [p.embed_x[i] for i in closed_ball_reference(p.domain, s, tol)]
+                + [p.embed_y[j] for j in closed_ball_reference(p.codomain, s, tol)]
+            )
+
+        return kf
+    info = p.info
+    kf1 = witness_family_reference(info.first, info.eps1, tol)
+    kf2 = witness_family_reference(info.second, info.eps2, tol)
+
+    def kf(t):
+        return kf1(t + 4 * info.eps2) | frozenset(info.offset + z for z in kf2(t + 4 * info.eps1))
+
+    return kf
+
+
+def left_clauses_reference(p, r, eps, K, tol=0) -> tuple:
+    """(ok, certificate) of clauses 1-3 at radius r > 0 and eps > 0, as
+    ``tunnels.check_left_admissible`` words them.  (1) the closed r-ball of
+    the domain lands in K; (2) every point of K, ascending, lies within eps
+    of the image of the closed (r + 4 eps)-ball; (3) with the zero region the
+    carrier points outside K and the images of codomain points outside the
+    closed (r + 4 eps)-ball, every domain point's distance to the complement
+    of the r-ball is at most its image's carrier distance to the zero region
+    (for a composed passage, the bump family's feasibility)."""
+    from ghlab.metric_core import dist_to_set
+    from ghlab.numerics import leq
+    from ghlab.tunnels import _bump_family_feasible
+
+    carrier, X = p.carrier, p.domain.space
+    K = frozenset(K)
+    mode = "exact" if p.kind == "metric" else "family"
+    ball = closed_ball_reference(p.domain, r, tol)
+    for i in ball:
+        if p.embed_x[i] not in K:
+            return False, {"clause": 1, "witness": X.points[i], "mode": mode}
+    wide_image = [p.embed_x[i] for i in closed_ball_reference(p.domain, r + 4 * eps, tol)]
+    for z in sorted(K):
+        if not leq(dist_to_set(carrier, z, wide_image), eps, tol):
+            return False, {"clause": 2, "witness": carrier.points[z], "mode": mode}
+    y_wide = set(closed_ball_reference(p.codomain, r + 4 * eps, tol))
+    zero = {z for z in range(carrier.n) if z not in K}
+    zero |= {p.embed_y[j] for j in range(p.codomain.n) if j not in y_wide}
+    zero = tuple(sorted(zero))
+    complement = [i for i in range(X.n) if i not in ball]
+    if p.kind == "metric":
+        for i in range(X.n):
+            escape = dist_to_set(X, i, complement)
+            if not leq(escape, dist_to_set(carrier, p.embed_x[i], zero), tol):
+                return False, {"clause": 3, "witness": X.points[i], "mode": mode}
+    else:
+        ok, witness = _bump_family_feasible(p, complement, zero, tol)
+        if not ok:
+            return False, {"clause": 3, "witness": witness, "mode": mode}
+    return True, {"clauses": "1-3 checked, 4-5 automatic", "mode": mode, "zero_size": len(zero)}
 
 
 def _half(v):
@@ -449,14 +523,7 @@ def check_admissible_continuum(p, r, eps, tol=0) -> tuple:
     consecutive ones (0 among them) and r meets every membership pattern of
     the continuum."""
     from ghlab.numerics import leq
-    from ghlab.tunnels import (
-        _base_rows,
-        _family_shifts,
-        check_left_admissible,
-        composed_k_family,
-        inverse,
-        k_family,
-    )
+    from ghlab.tunnels import _base_rows, _family_shifts, inverse
 
     if r <= 0 or eps <= 0:
         return False, {"reason": "nonpositive radius or tolerance"}
@@ -467,14 +534,11 @@ def check_admissible_continuum(p, r, eps, tol=0) -> tuple:
     points = {d - s - tol for d in _base_rows(p) for s in shifts}
     points = sorted({t for t in points if 0 < t <= r} | {r})
     probes = sorted(set(points) | {_half(a + b) for a, b in zip([0] + points, points)})
-    if p.info is not None:
-        kf = composed_k_family(p, tol)
-    else:
-        kf = k_family(p, eps, tol)
+    kf = witness_family_reference(p, eps, tol)
     for t in probes:
-        K = frozenset(kf(t))
+        K = kf(t)
         for side, q in (("left", p), ("right", inverse(p))):
-            ok, cert = check_left_admissible(q, t, eps, K, tol)
+            ok, cert = left_clauses_reference(q, t, eps, K, tol)
             if not ok:
                 return False, {"t": t, "side": side, **cert}
     return True, {"probes": len(probes)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -283,6 +284,73 @@ def test_a_zero_denominator_exits_4(tmp_path, capsys, backend):
         assert rc == EXIT_PARSE
         assert report["error"] == {"kind": "ValueError", "message": "not a scalar: '1/0'"}
 
+
+
+NEGATIVE_INFINITY = {"kind": "ValueError", "message": "not a scalar: -inf"}
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_a_negative_infinity_distance_exits_4(tmp_path, capsys, backend):
+    # json.loads reads the literal -Infinity as float("-inf"); it was once
+    # read as +inf, and Delta-r answered "inf"
+    doc = {"points": ["a", "b"], "dist": [[0, -math.inf], [-math.inf, 0]], "basepoint": 0}
+    assert "-Infinity" in json.dumps(doc)
+    x = write_json(tmp_path, "x.json", doc)
+    rc, report, _ = run(capsys, ["Delta-r", "--x", x, "--y", x, "-r", "1", "--backend", backend])
+    assert (rc, report) == (EXIT_PARSE, {"error": NEGATIVE_INFINITY})
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_a_negative_infinity_weight_exits_4(tmp_path, capsys, backend):
+    # once reported as "weights sum to inf"
+    path = write_json(tmp_path, "w1.json", dict(W1_DOC, mu=[-math.inf, "1/2"]))
+    rc, report, _ = run(capsys, ["w1", "--in", path, "--backend", backend])
+    assert (rc, report) == (EXIT_PARSE, {"error": NEGATIVE_INFINITY})
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_an_out_of_range_float_literal_reads_as_its_quoted_string(tmp_path, capsys, backend):
+    # json.loads reads the literal 1e400 as inf, so a finite distance once
+    # came back as "inf"; it now answers as "1e400" does
+    one = write_json(tmp_path, "one.json", {"points": ["a"], "dist": [[0]], "basepoint": 0})
+    reports = []
+    for big in ("1e400", '"1e400"', "-1e400", '"-1e400"'):
+        x = tmp_path / "x.json"
+        x.write_text(f'{{"points": ["a", "b"], "dist": [[0, {big}], [{big}, 0]], "basepoint": 0}}')
+        argv = ["Delta-r", "--x", str(x), "--y", one, "-r", "1", "--backend", backend]
+        reports.append(run(capsys, argv)[:2])
+    literal, quoted, negative, negative_quoted = reports
+    assert literal == quoted
+    assert negative[0] != EXIT_OK and negative_quoted[0] != EXIT_OK
+    if backend == "rational":
+        assert literal[0] == EXIT_OK and literal[1]["value"] == format_scalar(Fraction(10**400, 2))
+    else:
+        assert literal == (EXIT_PARSE, {"error": {"kind": "ValueError", "message": "not a scalar: '1e400'"}})
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_an_infinite_tolerance_exits_2(tmp_path, capsys, backend):
+    # --tol inf was taken; on rational rows holding a 401-digit int the
+    # bracket then added inf to a Fraction beyond float range and raised
+    # OverflowError
+    x = write_json(tmp_path, "x.json", {"points": ["a"], "dist": [[0]], "basepoint": 0})
+    y = write_json(tmp_path, "y.json", {"points": ["b", "c"], "dist": [[0, 10**400], [10**400, 0]],
+                                        "basepoint": 0})
+    rc, report, _ = run(capsys, ["propinquity", "--x", x, "--y", y, "--tol", "inf", "--backend", backend])
+    assert rc == EXIT_VALIDATION
+    assert report["error"]["message"] == "tolerance must be finite and within float range"
+
+
+def test_a_rational_tolerance_beyond_float_range_exits_2(tmp_path, capsys):
+    # an empty zero region's distance is the float inf, and adding the
+    # tolerance 10**400 to it raised OverflowError
+    x = write_json(tmp_path, "x.json", {"points": ["a"], "dist": [[0]], "basepoint": 0})
+    y = write_json(tmp_path, "y.json", {"points": ["b", "c"], "dist": [[0, 1], [1, 0]], "basepoint": 0})
+    for tol in ("1e400", str(10**400)):
+        argv = ["propinquity", "--x", x, "--y", y, "--tol", tol, "--backend", "rational"]
+        rc, report, _ = run(capsys, argv)
+        assert rc == EXIT_VALIDATION
+        assert report["error"]["message"] == "tolerance must be finite and within float range"
 
 
 @pytest.mark.parametrize("big", ["1e400", 10**400], ids=["decimal", "401-digit-int"])

@@ -7,7 +7,8 @@ that revisits tolerances at new radii and new tolerances at old radii, and
 compare every answer with ``oracles.extent_scan_reference`` and
 ``oracles.check_admissible_continuum``, which rebuild everything and decide
 admissibility at every breakpoint of the continuum of radii and between
-them.
+them, with the clauses transcribed from their definitions; one test compares
+``check_left_admissible`` with that transcription directly.
 """
 
 from __future__ import annotations
@@ -573,6 +574,7 @@ def test_an_int_eps_on_int_rows_probes_a_rational_radius_at_its_floor_with_the_s
 
     monkeypatch.setattr(tunnels, "check_left_admissible", recording)
     verdicts = set()
+    total = 0
     passages = [p for p, _ in _metric_passages(rng, pairs=8, per_pair=3)]
     for p in passages + [p for p, _ in _subspace_passages(rng, 8)]:
         q, q_tol, unit = _int_grid_passage(p, tol)
@@ -585,6 +587,7 @@ def test_an_int_eps_on_int_rows_probes_a_rational_radius_at_its_floor_with_the_s
             r = F(rng.randrange(7, 14 * top), 7)
             probed.clear()
             got = check_admissible(q, r, eps, tol=q_tol, context=context)
+            total += len(probed)
             assert r < 2 or all(type(t) is int for t in probed)  # else r/2 < 1 is probed
             _assert_continuum_verdict(got, q, r, eps, tol=q_tol)
             floored = oracles.check_admissible_continuum(q, r // 1, eps, tol=q_tol)
@@ -592,6 +595,7 @@ def test_an_int_eps_on_int_rows_probes_a_rational_radius_at_its_floor_with_the_s
             assert check_admissible(q, r // 1, eps, tol=q_tol)[0] == got[0]
             verdicts.add(got[1].get("clause", got[1].get("reason")))
     assert verdicts >= {None, "basepoint", 2, 3}
+    assert total > 0  # the spy saw check_admissible's probes
 
 
 @pytest.mark.parametrize("tol", [0, F(1, 10), F(1, 3), F(-1, 10)])
@@ -654,3 +658,53 @@ def test_an_extent_at_a_positive_tol_is_not_below_the_basepoint_gap_less_tol():
         assert oracles.check_admissible_continuum(p, 12, eps, tol=tol)[0] is ok
     assert smallest_admissible(p, 12, tol) == F(13, 2)
     assert extent(p, 12, tol) == F(13, 2)
+
+
+def _isometry_passages(rng, count):
+    """Passages along a random base-preserving relabelling of a random 1-3
+    point space: both images are the domain carrier's own points."""
+    out = []
+    for _ in range(count):
+        x = random_pointed_space(rng, 1, 3)
+        order = list(range(x.n))
+        rng.shuffle(order)  # codomain point j is domain point order[j]
+        rows = [[x.space.d(a, b) for b in order] for a in order]
+        y = pointed(validate_metric([f"y{j}" for j in range(x.n)], rows), order.index(x.base))
+        out.append(passage_from_isometry(x, y, order))
+    return out
+
+
+def test_left_clauses_agree_with_their_transcription():
+    # check_left_admissible's (ok, certificate) against the clauses written
+    # from their definitions, on both sides of gluing, isometry and composed
+    # passages, at the canonical K_t and at random carrier subsets
+    rng = random.Random(79)
+    cases = [(p, (0, F(1, 10), F(-1, 10))) for p in _isometry_passages(rng, 8)]
+    for p, fp in _metric_passages(rng, pairs=8, per_pair=2):
+        cases += [(p, (0, F(1, 10), F(-1, 10))), (fp, (TOL,))]
+    cases += [(p, (0, F(1, 10), F(-1, 10))) for p in _composed_passages(rng, 2)]
+    verdicts = set()
+    for p, tols in cases:
+        floats = type(p.carrier.d(0, 0)) is float
+        gap = p.carrier.d(p.x0_host, p.y0_host) or 1
+        rows = sorted(v for v in tunnels._base_rows(p) if v > 0) or [1]
+        for tol in tols:
+            for _ in range(4):
+                eps = gap * rng.choice((F(1, 2), 1, 2))
+                # a radius inside a cell, or at a breakpoint d - s - tol of a
+                # basepoint ball, where a tol-blind membership differs
+                radii = [d * f for d in rows for f in (F(1, 2), F(3, 2))]
+                radii += [d - s - tol for d in rows for s in (0, 2 * eps, 4 * eps)]
+                r = rng.choice([v for v in radii if v > 0])
+                if floats:
+                    r, eps = float(r), float(eps)
+                canonical = oracles.witness_family_reference(p, eps, tol)(r)
+                if p.info is None:
+                    assert tunnels.k_family(p, eps, tol)(r) == canonical
+                for K in (canonical, *(rng.sample(range(p.carrier.n), rng.randint(0, p.carrier.n))
+                                       for _ in range(2))):
+                    for q in (p, inverse(p)):
+                        got = tunnels.check_left_admissible(q, r, eps, K, tol)
+                        assert got == oracles.left_clauses_reference(q, r, eps, K, tol)
+                        verdicts.add(got[1].get("clause"))
+    assert verdicts == {None, 1, 2, 3}

@@ -26,6 +26,12 @@ families are:
 - ``tunnel``: every answer of the ``tunnel`` pools of input sets 0-7;
 - ``admissible``: ``smallest_admissible`` of their extent queries and the
   ``check_admissible`` certificate of that tolerance, at tol 0 and 1/10;
+- ``clauses``: ``check_left_admissible`` of the extent passages of the
+  ``tunnel`` pools of input sets 0-3 and of their inverses, at t = r/2 and r,
+  at eps = gap/2, gap and 2 gap (1 in place of a zero basepoint gap), on the
+  canonical K_t and two seeded random carrier subsets, at each tol of
+  ``admissible``; ``check_admissible`` reaches these clauses only on a memo
+  miss, and only on the canonical K_t;
 - ``brackets``, ``brackets-1/3`` and ``brackets--1/10``: their
   ``propinquity_bracket`` queries at tol 1/10, 1/3 and -1/10, a raised
   exception recorded by its type name;
@@ -58,6 +64,7 @@ import functools
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -75,6 +82,7 @@ from ghlab import cli, gluing, local_gh, metric_core, tunnels  # noqa: E402
 from ghlab.numerics import DEFAULT_FLOAT_TOL  # noqa: E402
 
 TUNNEL_SETS = range(8)
+CLAUSE_SETS = range(4)
 LOCAL_SETS = range(2)
 LOCAL_RADII = (Fraction(1, 2), Fraction(7, 3))
 SEARCH_SETS = range(4)
@@ -111,6 +119,25 @@ def admissible() -> list:
         for tol in TOLS:
             eps = tunnels.smallest_admissible(p, r, tol)
             out.append((eps, None if eps is None else tunnels.check_admissible(p, r, eps, tol=tol)))
+    return out
+
+
+def clauses() -> list:
+    out = []
+    rng = random.Random(0)
+    for op, args in _prepared("tunnel", CLAUSE_SETS):
+        if op != "extent":
+            continue
+        p, r = args
+        gap = p.carrier.d(p.x0_host, p.y0_host) or 1
+        n = p.carrier.n
+        subsets = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(2)]
+        for t in (Fraction(r, 2), r):
+            for eps in (Fraction(gap, 2), gap, 2 * gap):
+                for tol in TOLS:
+                    for K in (tunnels.k_family(p, eps, tol)(t), *subsets):
+                        for q in (p, tunnels.inverse(p)):
+                            out.append(tunnels.check_left_admissible(q, t, eps, K, tol))
     return out
 
 
@@ -210,6 +237,7 @@ def verify() -> list:
 FAMILIES = {
     "tunnel": tunnel,
     "admissible": admissible,
+    "clauses": clauses,
     "brackets": functools.partial(brackets, Fraction(1, 10)),
     "brackets-1/3": functools.partial(brackets, Fraction(1, 3)),
     "brackets--1/10": functools.partial(brackets, Fraction(-1, 10)),

@@ -95,11 +95,12 @@ def rss_fits(runs: list) -> list:
     """One line per side: the least-squares line of peak_rss_mib on attempted.
 
     A slope that matches on both sides says an RSS difference only follows
-    the attempted query count, not a change in per-query memory."""
+    the attempted query count, not a change in per-query memory.  A traced
+    run (``--trace 1``) reports no peak_rss_mib and is left out."""
     lines = []
     for side in SIDES:
         points = [(r["result"]["attempted"], r["result"]["metrics"]["peak_rss_mib"]["value"])
-                  for r in runs if r["side"] == side]
+                  for r in runs if r["side"] == side and "peak_rss_mib" in r["result"]["metrics"]]
         if len({attempted for attempted, _ in points}) < 2:
             lines.append(f"{side} peak_rss_mib ~ attempted: no fit over {len(points)} runs")
             continue
