@@ -41,6 +41,7 @@ from .numerics import (
     RATIONAL,
     format_scalar,
     is_inf,
+    json_number,
     parse_scalar,
     truncate_floor,
 )
@@ -115,18 +116,10 @@ def _jsonable(value):
     return repr(value)
 
 
-def _json_number(text: str):
-    """A JSON number with a fraction or exponent as a float, but as its text
-    where the float overflows (``1e400``), so that ``parse_scalar`` reads it
-    as it reads the quoted string: exactly, or refused on the float backend."""
-    value = float(text)
-    return text if is_inf(value) else value
-
-
 def _load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return text if path.endswith(".csv") else json.loads(text, parse_float=_json_number)
+    return text if path.endswith(".csv") else json.loads(text, parse_float=json_number)
 
 
 def _require(obj: dict, key: str, where: str):

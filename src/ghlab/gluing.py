@@ -27,7 +27,7 @@ from .metric_core import (
     space_to_json,
     validate_metric,
 )
-from .numerics import RATIONAL, Scalar, half
+from .numerics import RATIONAL, Scalar, half, json_number
 
 
 class NotDistancePreserving(MetricError):
@@ -422,7 +422,7 @@ def glued_to_json(glued: GluedSpace) -> dict:
 
 def glued_from_json(obj, backend: str = RATIONAL, tol: Scalar = 0) -> GluedSpace:
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = json.loads(obj, parse_float=json_number)
     host = space_from_json(obj["host"], backend)
     px = pointed_from_json(obj["X"], backend)
     py = pointed_from_json(obj["Y"], backend)

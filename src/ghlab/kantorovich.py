@@ -1,9 +1,17 @@
 """Probability measures on a finite metric space and their W1 distance.
 
-W1 is computed twice and cross-checked: as a transport LP over the host
-metric, and as a dual LP over the 1-Lipschitz potentials of the host metric
-(Kantorovich-Rubinstein), solved in equality form so that its dual vector
-is the optimal potential f.
+W1 is solved once, by the transportation simplex over the host metric d,
+and certified by that solve's own potentials (Kantorovich-Rubinstein
+duality; Villani, *Optimal Transport: Old and New*, Thm 5.10).  At the
+optimum the simplex holds u, v with u_i + v_j <= d_ij everywhere and
+sum u mu + sum v nu equal to the primal cost.  Their c-transform
+f(i) = min_j (d_ij - v_j) is 1-Lipschitz by the triangle inequality, and
+f >= u and -f >= v (take j = i), so sum f (mu - nu) is at least the
+transport dual, which equals the primal.  Weak duality bounds the same sum
+by W1, which the primal bounds from above.  So ``w1`` checks that f is
+1-Lipschitz (``lip_constant``) and that sum f (mu - nu) equals the primal,
+exactly on rationals and within ``tol`` on floats; the value is then W1
+and f an optimal potential.
 """
 
 from __future__ import annotations
@@ -11,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .lipschitz import lip_constant, real_function
 from .metric_core import FiniteMetricSpace, MetricError
-from .numerics import INF, Scalar, close, inv
-from .simplex import LPInfeasible, solve_lp, transportation_simplex
+from .numerics import Scalar, close, leq
+from .simplex import transportation_simplex
 
 
 class HostMismatch(MetricError):
@@ -38,44 +47,19 @@ def measure(host: FiniteMetricSpace, weights: Sequence[Scalar], tol: Scalar = 0)
 
 
 def w1(mu: Measure, nu: Measure, tol: Scalar = 0) -> Scalar:
-    """W1 by the transport LP, checked against the dual LP's value."""
-    dual, _ = w1_dual_potential(mu, nu, tol=tol)
-    primal, _ = transportation_simplex(mu.host.dist, mu.weights, nu.weights, tol=tol)
-    if not close(primal, dual, tol):
-        raise RuntimeError(f"transport value {primal} disagrees with dual value {dual}")
-    return primal
+    """W1 by the transport simplex, certified by its own potentials."""
+    return w1_dual_potential(mu, nu, tol=tol)[0]
 
 
 def w1_dual_potential(mu: Measure, nu: Measure, tol: Scalar = 0):
-    """Value and an optimal potential f, 1-Lipschitz for the host metric."""
+    """W1 and an optimal potential f, 1-Lipschitz for the host metric: the
+    c-transform of the transport simplex's column potentials."""
     if mu.host != nu.host:
         raise HostMismatch("mu and nu must share one host")
     space = mu.host
-    n = space.n
-    # one column pair +-(e_i - e_j)/d(i, j) per pair at a positive distance,
-    # at cost 1, then one +-(e_i - e_j) per zero pair, at cost 0
-    columns, costs, zero_pairs = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = space.d(i, j)
-            if dij == 0:
-                zero_pairs.append((i, j))
-                continue
-            c = [0] * n
-            c[i] = inv(dij)
-            c[j] = -c[i]
-            columns += [tuple(c), tuple(-ck for ck in c)]
-            costs += [1, 1]
-    for i, j in zero_pairs:
-        col = [0] * n
-        col[i] = 1
-        col[j] = -1
-        columns += [tuple(col), tuple(-ck for ck in col)]
-        costs += [0, 0]
-    w = [wm - wn for wm, wn in zip(mu.weights, nu.weights)]
-    rows = [[col[i] for col in columns] for i in range(n)]
-    try:
-        value, _, duals = solve_lp(costs, rows, w, tol=tol)
-    except LPInfeasible:
-        return INF, None
-    return value, tuple(duals)
+    primal, _, _, v = transportation_simplex(space.dist, mu.weights, nu.weights, tol=tol)
+    f = tuple(min(dij - vj for dij, vj in zip(row, v)) for row in space.dist)
+    dual = sum((wm - wn) * fi for wm, wn, fi in zip(mu.weights, nu.weights, f))
+    if not (leq(lip_constant(real_function(space, f), tol), 1, tol) and close(primal, dual, tol)):
+        raise RuntimeError(f"transport value {primal} disagrees with dual value {dual}")
+    return primal, f

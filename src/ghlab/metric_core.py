@@ -68,6 +68,7 @@ from .numerics import (
     format_scalar,
     grid_unit,
     is_inf,
+    json_number,
     leq,
     on_grid,
     parse_scalar,
@@ -366,7 +367,7 @@ def space_to_json(space: FiniteMetricSpace, base: int | None = None) -> dict:
 
 def space_from_json(obj, backend: str = RATIONAL) -> FiniteMetricSpace:
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = json.loads(obj, parse_float=json_number)
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise MetricError("expected an object with 'points' and 'dist'")
     if not isinstance(obj["points"], (list, tuple)):
@@ -379,7 +380,7 @@ def space_from_json(obj, backend: str = RATIONAL) -> FiniteMetricSpace:
 
 def pointed_from_json(obj, backend: str = RATIONAL) -> PointedSpace:
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = json.loads(obj, parse_float=json_number)
     space = space_from_json(obj, backend)
     if "basepoint" not in obj:
         raise MetricError("pointed space needs a 'basepoint' field")

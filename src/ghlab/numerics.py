@@ -133,6 +133,15 @@ def parse_scalar(raw, backend: str = RATIONAL) -> Scalar:
     raise ValueError(f"unknown backend {backend!r}")
 
 
+def json_number(text: str):
+    """A JSON number with a fraction or exponent as a float, but as its text
+    where the float overflows (``1e400``), so that ``parse_scalar`` reads it
+    as it reads the quoted string: exactly, or refused on the float backend.
+    Every reader of JSON text passes it to ``json.loads`` as ``parse_float``."""
+    value = float(text)
+    return text if is_inf(value) else value
+
+
 def format_scalar(v: Scalar):
     """JSON-ready form: ints stay ints, other rationals become 'p/q'."""
     if is_inf(v):

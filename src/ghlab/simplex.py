@@ -1,18 +1,21 @@
 """Exact-capable simplex solvers.
 
-Two entry points: a transportation simplex for optimal transport between
-finite measures, and a dense two-phase simplex for small equality-form LPs
-that also reports dual values.  Both run on Fractions (tol = 0) or floats
-(tol > 0); pivoting is Dantzig with an automatic switch to Bland's rule
-after a degenerate stall, which guarantees termination.
+The transportation simplex solves optimal transport between finite measures
+on Fractions (tol = 0) or floats (tol > 0).  With the value and the flow it
+returns the potentials u, v of its optimal basis: u_i + v_j is the cost of
+every basic cell and no reduced cost is below -tol, so they solve the
+transport dual, and ``kantorovich`` certifies W1 from their c-transform
+without a second solve.
+``solve_lp``, a dense two-phase simplex on rationals that also reports dual
+values, is the tests' exact LP oracle; nothing in the package calls it.
+Both pivot by Dantzig's rule and switch to Bland's rule after a degenerate
+stall, which guarantees termination.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from fractions import Fraction
-from operator import truediv
 from typing import Sequence
 
 from .numerics import Scalar
@@ -39,8 +42,9 @@ def transportation_simplex(
 ):
     """Minimize sum flow*cost subject to row sums = supply, col sums = demand.
 
-    Returns (value, flow) where flow maps (i, j) to a positive amount.
-    Total supply must equal total demand.
+    Returns (value, flow, u, v): flow maps (i, j) to a positive amount, and
+    u (rows) and v (columns) are the optimal basis's potentials, with
+    u[0] = 0.  Total supply must equal total demand.
     """
     m, n = len(supply), len(demand)
     if abs(sum(supply) - sum(demand)) > tol:
@@ -120,7 +124,7 @@ def transportation_simplex(
         if entering is None:
             value = sum(flow[(i, j)] * cost[i][j] for (i, j) in flow)
             positive = {k: q for k, q in flow.items() if q > tol}
-            return value, positive
+            return value, positive, u, v
 
         # Locate the unique tree path from the entering row to its column.
         ei, ej = entering
@@ -183,18 +187,16 @@ def solve_lp(
     c: Sequence[Scalar],
     a_rows: Sequence[Sequence[Scalar]],
     b: Sequence[Scalar],
-    tol: Scalar = 0,
     max_iter: int | None = None,
 ):
-    """Minimize c.x subject to A x = b, x >= 0.
+    """Minimize c.x subject to A x = b, x >= 0, on ints and Fractions.
 
     Returns (value, x, y) with y the dual vector (one entry per row).
-    Redundant rows keep a zero-level artificial and report dual 0.  With no
-    float among the data every division is exact, so int entries never
-    turn into floats.
+    Redundant rows keep a zero-level artificial and report dual 0.  Every
+    division is exact.  A rational oracle kept only for the tests and the
+    benchmark's tracer; it leaves the package once the tracer skips absent
+    names.
     """
-    exact = not any(isinstance(v, float) for v in itertools.chain(c, b, *a_rows))
-    div = Fraction if exact else truediv
     m = len(a_rows)
     nvars = len(c)
     if max_iter is None:
@@ -216,7 +218,7 @@ def solve_lp(
 
     def pivot(prow: int, pcol: int, obj: list):
         piv = tableau[prow][pcol]
-        tableau[prow] = [div(a, piv) for a in tableau[prow]]
+        tableau[prow] = [Fraction(a, piv) for a in tableau[prow]]
         prow_vals = tableau[prow]
         for i in range(m):
             if i != prow and tableau[i][pcol] != 0:
@@ -235,11 +237,11 @@ def solve_lp(
             entering = None
             if bland:
                 for j in range(allowed):
-                    if obj[j] < -tol:
+                    if obj[j] < 0:
                         entering = j
                         break
             else:
-                best = -tol
+                best = 0
                 for j in range(allowed):
                     if obj[j] < best:
                         best = obj[j]
@@ -250,8 +252,8 @@ def solve_lp(
             best_ratio = None
             for i in range(m):
                 a = tableau[i][entering]
-                if a > tol:
-                    ratio = div(tableau[i][total], a)
+                if a > 0:
+                    ratio = Fraction(tableau[i][total], a)
                     if (
                         best_ratio is None
                         or ratio < best_ratio
@@ -261,7 +263,7 @@ def solve_lp(
                         prow = i
             if prow is None:
                 raise LPUnbounded("no leaving row for the entering column")
-            degenerate = best_ratio <= tol
+            degenerate = best_ratio == 0
             pivot(prow, entering, obj)
             if degenerate:
                 stall += 1
@@ -279,12 +281,12 @@ def solve_lp(
         obj1[nvars + i] += 1
     run(obj1, nvars)
     infeas = -obj1[total]
-    if infeas > tol:
+    if infeas > 0:
         raise LPInfeasible(f"phase 1 residual {infeas}")
     for i in range(m):
         if basis[i] >= nvars:
             for j in range(nvars):
-                if abs(tableau[i][j]) > tol:
+                if tableau[i][j] != 0:
                     pivot(i, j, obj1)
                     break
 

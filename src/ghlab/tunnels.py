@@ -81,6 +81,8 @@ from .numerics import (
     Scalar,
     half as _half,
     inv,
+    is_inf,
+    json_number,
     leq,
     on_grid,
     quarter,
@@ -941,9 +943,11 @@ def _gluing_passages(
 
 
 def _one(A: PointedSpace, B: PointedSpace) -> Scalar:
-    """1 in the rows' scalar type: 1.0 when either space has a float row
-    entry, so that a zero or a bisection in its type is one too."""
-    return 1 if grid_unit_of((A.space, B.space)) is not None else 1.0
+    """1 in the rows' scalar type: 1.0 when either space has a finite float
+    row entry (an ``inf`` in rational rows is not one), so that a zero or a
+    bisection in its type is one too."""
+    entries = (v for s in (A.space, B.space) for row in s.dist for v in row)
+    return 1.0 if any(isinstance(v, float) and not is_inf(v) for v in entries) else 1
 
 
 def local_propinquity(
@@ -1139,5 +1143,5 @@ def propinquity_bracket(
 
 def passage_from_json(obj, backend: str = "rational", tol: Scalar = 0) -> Passage:
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = json.loads(obj, parse_float=json_number)
     return passage_from_gluing(glued_from_json(obj["gluing"], backend, tol))

@@ -13,7 +13,7 @@ import oracles
 from ghlab import cli
 from ghlab.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main, run_config
 from ghlab.gluing import glued_from_json
-from ghlab.metric_core import MetricError, pointed, space_from_json
+from ghlab.metric_core import MetricError, pointed, pointed_from_json, space_from_json
 from ghlab.numerics import SQRT2_OVER_4, format_scalar
 from ghlab.tunnels import extent, local_propinquity, passage_from_json
 
@@ -328,6 +328,33 @@ def test_an_out_of_range_float_literal_reads_as_its_quoted_string(tmp_path, caps
         assert literal == (EXIT_PARSE, {"error": {"kind": "ValueError", "message": "not a scalar: '1e400'"}})
 
 
+# a two-point space at distance 1e400, written as a JSON literal
+BIG_SPACE = '{"points": ["a", "b"], "dist": [[0, 1e400], [1e400, 0]], "basepoint": 0}'
+BIG_GLUED = (
+    '{"host": %s, "X": %s, "Y": {"points": ["c"], "dist": [[0]], "basepoint": 0},'
+    ' "embedX": [0, 1], "embedY": [0]}' % (BIG_SPACE, BIG_SPACE)
+)
+# reader, its document, and the space holding the distance in what it reads
+BIG_READERS = {
+    "space_from_json": (space_from_json, BIG_SPACE, lambda s: s),
+    "pointed_from_json": (pointed_from_json, BIG_SPACE, lambda p: p.space),
+    "glued_from_json": (glued_from_json, BIG_GLUED, lambda g: g.host),
+    "passage_from_json": (passage_from_json, '{"gluing": %s}' % BIG_GLUED, lambda p: p.carrier),
+}
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("reader", sorted(BIG_READERS))
+def test_the_library_readers_read_an_out_of_range_literal_as_gh_does(reader, backend):
+    # json.loads without the parse_float hook reads the literal 1e400 as inf
+    read, text, space_of = BIG_READERS[reader]
+    if backend == "rational":
+        assert space_of(read(text, backend)).d(0, 1) == 10**400
+    else:
+        with pytest.raises(ValueError, match="not a scalar: '1e400'"):
+            read(text, backend)
+
+
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_an_infinite_tolerance_exits_2(tmp_path, capsys, backend):
     # --tol inf was taken; on rational rows holding a 401-digit int the
@@ -400,6 +427,22 @@ def test_propinquity_zeros_are_in_the_rows_scalar_type(tmp_path, capsys):
     assert rc == EXIT_OK and '"bracket":[0.0,"inf"]' in "".join(captured.out.split())
     fx = pointed(space_from_json({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}, "float"), 0)
     assert repr(local_propinquity(fx, fx, 1.0)[0]) == "0.0"
+
+
+def test_rational_rows_holding_inf_bracket_exactly(tmp_path, capsys):
+    # an inf entry is not a float row entry, so the bracket stays rational;
+    # it once bisected in floats and printed [0.5, 0.5000000000009095]
+    x = write_json(tmp_path, "x.json", {
+        "points": ["a", "far"], "dist": [[0, "inf"], ["inf", 0]], "basepoint": "a",
+    })
+    y = write_json(tmp_path, "y.json", {
+        "points": ["a", "far", "c"],
+        "dist": [[0, "inf", 1], ["inf", 0, "inf"], [1, "inf", 0]],
+        "basepoint": "a",
+    })
+    rc, report, _ = run(capsys, ["propinquity", "--x", x, "--y", y, "--backend", "rational"])
+    assert rc == EXIT_OK
+    assert report["bracket"] == ["1/2", format_scalar(Fraction(2**39 + 1, 2**40))]
 
 
 # name -> (a minimal argv after the name, the namespace it parses to, its handler)

@@ -1,4 +1,5 @@
-"""Monge-Kantorovich distances: transport LP and dual LP over the host metric."""
+"""Monge-Kantorovich distances: the transport simplex over the host metric and
+the certificate its own potentials give, against the vertex oracle."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from ghlab import (
     w1,
     w1_dual_potential,
 )
+from ghlab import kantorovich
 from ghlab.kantorovich import HostMismatch
 from ghlab.metric_core import dist_to_set
 from ghlab.numerics import INF, parse_scalar
@@ -49,9 +51,9 @@ def test_primal_dual_and_vertex_oracle_agree():
         s = random_pointed_space(rng, 2, 5).space
         mu, nu = random_measure(rng, s), random_measure(rng, s)
         primal = transportation_simplex(s.dist, mu.weights, nu.weights)[0]
-        dual = w1_dual_potential(mu, nu)[0]
-        both = w1(mu, nu)
         delta = [a - b for a, b in zip(mu.weights, nu.weights)]
+        dual = sum(d * fv for d, fv in zip(delta, w1_dual_potential(mu, nu)[1]))
+        both = w1(mu, nu)
         dist = [list(row) for row in s.dist]
         assert primal == dual == both == oracles.w1_dual_vertices(dist, delta)
 
@@ -101,8 +103,8 @@ def test_dual_potential_is_feasible_and_tight():
         assert sum((wm - wn) * fv for wm, wn, fv in zip(mu.weights, nu.weights, f)) == value
 
 
-# four points at mutual distance 0: every pair is a zero pair, whose dual
-# LP columns are +-1 ints
+# four points at mutual distance 0: every pair is a zero pair, on which the
+# potential takes one value
 ZERO_PAIRS_W1 = {
     "space": {"points": ["0", "1", "2", "3"], "dist": [[0] * 4 for _ in range(4)]},
     "mu": ["3/7", "1/7", "2/7", "1/7"],
@@ -111,6 +113,8 @@ ZERO_PAIRS_W1 = {
 
 
 def test_exact_dual_divides_exactly_on_zero_pairs():
+    # the potential is the c-transform of the simplex's potentials, sums and
+    # differences of the rows' rationals, so no float gets in
     s = space_from_json(ZERO_PAIRS_W1["space"], "rational")
     mu, nu = (measure(s, [parse_scalar(v) for v in ZERO_PAIRS_W1[k]]) for k in ("mu", "nu"))
     value, f = w1_dual_potential(mu, nu)
@@ -127,6 +131,52 @@ def test_exact_dual_divides_exactly_on_zero_pairs():
         assert isinstance(value, F) and not any(isinstance(v, float) for v in f)
         assert lip_constant(real_function(s, f)) <= 1
         assert w1(mu, nu) == value
+
+
+# a line a, b, c at 0, 1, 2: mu = a, nu = half on b and half on c, so W1 = 3/2;
+# the simplex's column potentials there are v = (0, 1, 2)
+LINE_W1 = {
+    "space": {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+    "mu": [1, 0, 0],
+    "nu": [0, "1/2", "1/2"],
+}
+
+
+def _planted(monkeypatch, plant):
+    """Route the one transport solve of w1 through plant(value, flow, u, v)."""
+    monkeypatch.setattr(
+        kantorovich,
+        "transportation_simplex",
+        lambda *args, **kw: plant(*transportation_simplex(*args, **kw)),
+    )
+
+
+@pytest.mark.parametrize("backend, tol", [("rational", 0), ("float", 1e-9)])
+def test_certificate_refuses_a_planted_potential_or_primal(monkeypatch, backend, tol):
+    s = space_from_json(LINE_W1["space"], backend)
+    mu, nu = (measure(s, [parse_scalar(v, backend) for v in LINE_W1[k]]) for k in ("mu", "nu"))
+    step = parse_scalar("1/1000000", backend)
+    value, f = w1_dual_potential(mu, nu, tol)
+    assert value == parse_scalar("3/2", backend) and f == (0, -1, -2)
+    # v_0 or v_1 raised, or v_2 lowered, by any step: the c-transform's
+    # pairing with mu - nu drops below the primal
+    for j, sign in ((0, 1), (1, 1), (2, -1)):
+        for size in (step, 1):
+
+            def shifted(value, flow, u, v):
+                return value, flow, u, [vk + sign * size * (k == j) for k, vk in enumerate(v)]
+
+            _planted(monkeypatch, shifted)
+            with pytest.raises(RuntimeError, match="disagrees"):
+                w1(mu, nu, tol)
+    # raising v_2 moves f by a constant, still optimal: the check reads f, not v
+    _planted(monkeypatch, lambda value, flow, u, v: (value, flow, u, [v[0], v[1], v[2] + 1]))
+    assert w1_dual_potential(mu, nu, tol) == (value, tuple(fi - 1 for fi in f))
+    # a primal off by a step, either way, disagrees with the potential
+    for wrong in (value + step, value - step):
+        _planted(monkeypatch, lambda value, flow, u, v: (wrong, flow, u, v))
+        with pytest.raises(RuntimeError, match="disagrees"):
+            w1(mu, nu, tol)
 
 
 def test_measure_validation():
@@ -216,7 +266,7 @@ def test_transportation_simplex_switches_to_blands_rule_after_a_degenerate_stall
         [0, 3, 0, 0, 4],
     ]
     supply, demand = [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 1, 0, 1]
-    (value, flow), ran = _run_lines(transportation_simplex, cost, supply, demand)
+    (value, flow, _, _), ran = _run_lines(transportation_simplex, cost, supply, demand)
     switch = _line_of(transportation_simplex, "bland = True")
     bland_entry = _line_of(transportation_simplex, "cost[i][j] - u[i] - v[j] < -tol") + 1
     assert {switch, bland_entry} <= ran

@@ -50,7 +50,12 @@ families are:
 - ``cli``: exit code and standard output of every ``gh`` query of the
   ``cli-float`` pools 0-3, on the float and the rational backend, each run
   with its documents under the same relative names in a scratch directory;
-- ``verify``: ``gh verify --suite all`` on both backends.
+- ``verify``: ``gh verify --suite all`` on both backends;
+- ``w1``: the ``w1`` value and ``w1_dual_potential``'s value of every ``w1``
+  document of the ``cli-float`` pools 0-7, read as ``gh w1`` reads it, on
+  the rational backend at tol 0 and on the float backend at
+  ``DEFAULT_FLOAT_TOL``; a document that float ingestion refuses is
+  recorded by the error's type name.
 
 Standard library only; ``GHLAB_*`` variables are cleared so that they do not
 change a ``gh`` default.
@@ -78,8 +83,8 @@ for name in [k for k in os.environ if k.startswith("GHLAB_")]:
     del os.environ[name]
 
 import workloads  # noqa: E402
-from ghlab import cli, gluing, local_gh, metric_core, tunnels  # noqa: E402
-from ghlab.numerics import DEFAULT_FLOAT_TOL  # noqa: E402
+from ghlab import cli, gluing, kantorovich, local_gh, metric_core, tunnels  # noqa: E402
+from ghlab.numerics import DEFAULT_FLOAT_TOL, parse_scalar  # noqa: E402
 
 TUNNEL_SETS = range(8)
 CLAUSE_SETS = range(4)
@@ -88,6 +93,7 @@ LOCAL_RADII = (Fraction(1, 2), Fraction(7, 3))
 SEARCH_SETS = range(4)
 HEURISTIC_SETS = range(8)
 CLI_SETS = range(4)
+W1_SETS = range(8)
 TOLS = (0, Fraction(1, 10))
 
 
@@ -234,6 +240,27 @@ def verify() -> list:
     return [_gh(["verify", "--suite", "all", "--backend", b]) for b in ("float", "rational")]
 
 
+def w1() -> list:
+    out = []
+    for s in W1_SETS:
+        for query in workloads.pool("cli-float", s):
+            if query["op"] != "w1":
+                continue
+            doc = query["docs"]["in"]
+            for backend, tol in (("rational", 0), ("float", DEFAULT_FLOAT_TOL)):
+                try:
+                    space = metric_core.space_from_json(doc["space"], backend)
+                    mu, nu = (
+                        kantorovich.measure(space, [parse_scalar(v, backend) for v in doc[k]], tol)
+                        for k in ("mu", "nu")
+                    )
+                except metric_core.MetricError as err:
+                    out.append(type(err).__name__)
+                    continue
+                out.append((kantorovich.w1(mu, nu, tol), kantorovich.w1_dual_potential(mu, nu, tol)[0]))
+    return out
+
+
 FAMILIES = {
     "tunnel": tunnel,
     "admissible": admissible,
@@ -248,6 +275,7 @@ FAMILIES = {
     "heuristic": heuristic,
     "cli": cli_outputs,
     "verify": verify,
+    "w1": w1,
 }
 
 
