@@ -5,13 +5,16 @@ and certified by that solve's own potentials (Kantorovich-Rubinstein
 duality; Villani, *Optimal Transport: Old and New*, Thm 5.10).  At the
 optimum the simplex holds u, v with u_i + v_j <= d_ij everywhere and
 sum u mu + sum v nu equal to the primal cost.  Their c-transform
-f(i) = min_j (d_ij - v_j) is 1-Lipschitz by the triangle inequality, and
-f >= u and -f >= v (take j = i), so sum f (mu - nu) is at least the
+f(i) = min_j (d_ij - v_j) is 1-Lipschitz because the host passed
+``validate_metric``'s triangle inequality (within its ``tol`` on floats),
+and f >= u and -f >= v (take j = i), so sum f (mu - nu) is at least the
 transport dual, which equals the primal.  Weak duality bounds the same sum
-by W1, which the primal bounds from above.  So ``w1`` checks that f is
-1-Lipschitz (``lip_constant``) and that sum f (mu - nu) equals the primal,
-exactly on rationals and within ``tol`` on floats; the value is then W1
-and f an optimal potential.
+by W1, which the primal bounds from above.  So ``w1`` checks only that
+sum f (mu - nu) equals the primal, exactly on rationals and within ``tol``
+on floats; the value is then W1 and f an optimal potential.  No Lipschitz
+scan runs: on rationals it cannot fail, and on floats its ratio
+|f_i - f_j| / d_ij turns the rounding of f on a short pair into a false
+refusal.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lipschitz import lip_constant, real_function
 from .metric_core import FiniteMetricSpace, MetricError
-from .numerics import Scalar, close, leq
+from .numerics import Scalar, close
 from .simplex import transportation_simplex
 
 
@@ -60,6 +62,6 @@ def w1_dual_potential(mu: Measure, nu: Measure, tol: Scalar = 0):
     primal, _, _, v = transportation_simplex(space.dist, mu.weights, nu.weights, tol=tol)
     f = tuple(min(dij - vj for dij, vj in zip(row, v)) for row in space.dist)
     dual = sum((wm - wn) * fi for wm, wn, fi in zip(mu.weights, nu.weights, f))
-    if not (leq(lip_constant(real_function(space, f), tol), 1, tol) and close(primal, dual, tol)):
+    if not close(primal, dual, tol):
         raise RuntimeError(f"transport value {primal} disagrees with dual value {dual}")
     return primal, f

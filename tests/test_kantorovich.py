@@ -179,6 +179,16 @@ def test_certificate_refuses_a_planted_potential_or_primal(monkeypatch, backend,
             w1(mu, nu, tol)
 
 
+def test_certificate_accepts_a_float_w1_across_a_short_pair():
+    # f = (0, -1000, -D) rounds D - 1000 to 1.5e-6 * (1 + 3.5e-8): a ratio
+    # |f_b - f_c| / d(b, c) just above 1, while the sum agrees within 5e-14
+    d = 1000.0000015
+    dist = [[0, 1000, d], [1000, 0, 1.5e-6], [d, 1.5e-6, 0]]
+    s = space_from_json({"points": ["a", "b", "c"], "dist": dist}, "float")
+    b, c = measure(s, [0.0, 1.0, 0.0]), measure(s, [0.0, 0.0, 1.0])
+    assert w1(b, c, 1e-9) == w1(c, b, 1e-9) == 1.5e-6
+
+
 def test_measure_validation():
     s = line_space([F(0), F(1)])
     with pytest.raises(MetricError):
