@@ -5,7 +5,7 @@ Every command prints a single JSON document with sorted keys to standard
 output, so a fixed seed and configuration reproduce the bytes exactly;
 wall clock timing goes to standard error to keep it that way.  Exit codes
 separate success (0), validation failures (2), file system errors (3),
-and malformed input documents (4).  The ``--out`` copy is written before
+and malformed input documents or flags gh cannot read (4).  The ``--out`` copy is written before
 standard output, so an unwritable path exits 3 with one error report.
 
 ``main`` builds the parser on every call; the six run-configuration flags
@@ -61,6 +61,16 @@ EXIT_PARSE = 4
 
 class ParseFailure(ValueError):
     """Input document does not match the expected schema."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ParseFailure``, so that
+    a flag gh cannot read (``--cases x``, ``--suite bogus``) is reported as
+    a malformed document is, with one JSON report and exit 4, not with
+    argparse's usage text and a ``SystemExit``."""
+
+    def error(self, message):
+        raise ParseFailure(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -363,11 +373,11 @@ _CONFIG_FLAGS = (
 
 def build_parser() -> argparse.ArgumentParser:
     # the subparsers share this parent's Action objects: set no default on them
-    config = argparse.ArgumentParser(add_help=False)
+    config = _Parser(add_help=False)
     group = config.add_argument_group("run configuration")
     for names, options in _CONFIG_FLAGS:
         group.add_argument(*names, **options)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gh", description="Distances and verification for finite pointed metric spaces."
     )
     subs = parser.add_subparsers(dest="command", required=True)
@@ -402,8 +412,11 @@ def main(argv=None) -> int:
     # `gh dist w1 ...` is accepted as an alias for `gh w1 ...`
     if argv and argv[0] == "dist":
         argv = argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ParseFailure as exc:  # before any flag is read, so no --out copy
+        sys.stdout.write(_dumps(_error_report(exc)))
+        return EXIT_PARSE
     out_path = args.out if args.out is not None else _env("OUT")
     started = time.monotonic()
     try:

@@ -63,8 +63,8 @@ from .metric_core import (
     PointedSpace,
     dist_to_set,
     eps_contained,
+    grid_copy,
     grid_unit_of,
-    scaled_rows,
     validate_metric,
 )
 from .numerics import INF, Scalar, half as _half, inv, leq, on_grid
@@ -241,10 +241,8 @@ def refine_gluing_cross(glued: GluedSpace, tol: Scalar = 0) -> GluedSpace:
 
 
 def _pointed_on_grid(p: PointedSpace, unit: int) -> PointedSpace:
-    """p's grid rows scaled to unit, a multiple of their L, under its labels
-    and ``strict`` flag."""
-    s, (L, rows) = p.space, p.space.grid
-    return PointedSpace(FiniteMetricSpace(s.points, scaled_rows(rows, unit // L), s.strict), p.base)
+    """p's grid rows scaled to unit, a multiple of their L (``grid_copy``)."""
+    return PointedSpace(grid_copy(p.space, unit), p.base)
 
 
 def _off_grid(glued: GluedSpace, unit: int, x: PointedSpace, y: PointedSpace) -> GluedSpace:

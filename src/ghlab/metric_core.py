@@ -15,8 +15,9 @@ with its own cross entries:
 - ``tunnels.compose`` and ``tunnels.existence_tunnel``: the rows are only
   edge weights, and their ``min_plus_closure`` is a shortest-path metric.
 
-The integer-grid copies of ``local_gh`` (``_pointed_on_grid`` scales a
-space's grid rows, ``_off_grid`` a witness host back by 1/L) build
+The integer-grid copies (``grid_copy`` scales a space's grid rows, for
+``local_gh``'s searches and ``tunnels``' scans, and ``local_gh._off_grid``
+a witness host back by 1/L) build
 ``FiniteMetricSpace`` directly under the labels and ``strict`` flag of the
 space they scale: a positive multiple of a metric is a metric with the same
 zeros.  Other code that builds ``FiniteMetricSpace`` directly from unchecked
@@ -217,6 +218,13 @@ def _grid_of(rows: tuple) -> tuple | None:
 def scaled_rows(rows: tuple, k: int) -> tuple:
     """Int rows times the int k > 0; the rows themselves at k = 1."""
     return rows if k == 1 else tuple([tuple([v * k for v in row]) for row in rows])
+
+
+def grid_copy(space: FiniteMetricSpace, unit: int) -> FiniteMetricSpace:
+    """The space's cached grid rows scaled to unit, a multiple of their L,
+    under its labels and ``strict`` flag."""
+    L, rows = space.grid
+    return FiniteMetricSpace(space.points, scaled_rows(rows, unit // L), space.strict)
 
 
 def grid_unit_of(spaces: Iterable[FiniteMetricSpace], scalars: Iterable = ()) -> int | None:

@@ -135,11 +135,14 @@ def parse_scalar(raw, backend: str = RATIONAL) -> Scalar:
 
 def json_number(text: str):
     """A JSON number with a fraction or exponent as a float, but as its text
-    where the float overflows (``1e400``), so that ``parse_scalar`` reads it
-    as it reads the quoted string: exactly, or refused on the float backend.
-    Every reader of JSON text passes it to ``json.loads`` as ``parse_float``."""
+    where the float overflows (``1e400``) or underflows to a zero that the
+    literal is not (``1e-400``), so that ``parse_scalar`` reads it as it
+    reads the quoted string: exactly on the rational backend, and refused or
+    rounded to zero on the float backend.  A literal that only rounds
+    (``0.1``) stays a float.  Every reader of JSON text passes this to
+    ``json.loads`` as ``parse_float``."""
     value = float(text)
-    return text if is_inf(value) else value
+    return text if is_inf(value) or (value == 0 and Fraction(text) != 0) else value
 
 
 def format_scalar(v: Scalar):

@@ -32,6 +32,15 @@ tol is not scale-free.  On the grid a bisection step's radius L/e is a
 ``Fraction``; at an int eps ``check_admissible`` probes it at its floor,
 which every clause reads alike since rows and tol are ints there, so the
 whole check runs on ints and a failure certificate's t may be that floor.
+
+One fixed-radius scan copies each of the three spaces once
+(``metric_core.grid_copy``: its cached grid rows times L over their own
+unit) and scales r and tol once.  Its ``ScanContext`` reads the basepoint
+rows, their sorted values, the ``ints`` flag and the gap straight from the
+copied rows and builds the inverse passage over the same copies, so nothing
+else is copied or scaled.  The domain and codomain keep their own rows
+rather than the carrier's at their embeddings, since a gluing validated at
+tol > 0 may embed them with distances off by up to tol.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gluing import (
@@ -72,6 +80,7 @@ from .metric_core import (
     _trusted_space,
     diameter,
     dist_to_set,
+    grid_copy,
     grid_unit_of,
     min_plus_closure,
     validate_metric,
@@ -240,11 +249,11 @@ def k_family(p: Passage, eps: Scalar, tol: Scalar = 0) -> Callable[[Scalar], fro
     return kf
 
 
-def _zero_set(p: Passage, r: Scalar, eps: Scalar, K: frozenset, tol: Scalar) -> tuple:
+def _zero_set(p: Passage, r: Scalar, eps: Scalar, K: frozenset, tol: Scalar) -> set:
     wide = r + 4 * eps + tol if tol else r + 4 * eps
     zero = set(range(p.carrier.n)).difference(K)
-    zero.update(h for h, d in zip(p.embed_y, p.codomain.space.dist[p.codomain.base]) if not d <= wide)
-    return tuple(sorted(zero))
+    zero.update([h for h, d in zip(p.embed_y, p.codomain.space.dist[p.codomain.base]) if not d <= wide])
+    return zero
 
 
 def check_left_admissible(
@@ -257,9 +266,9 @@ def check_left_admissible(
     escape distance is dominated by its carrier distance to the zero region
     (the universal-lift criterion; checked on the bump family for composed
     carriers).  Clauses (4) and (5) hold by construction and are asserted.
-    Each clause reads whole rows: the domain's basepoint row decides the
-    balls, and a carrier or domain row gives each distance to a set; every
-    comparison is ``leq``'s, (a + s) + tol.
+    Each clause reads whole rows: one pass over the domain's basepoint row
+    decides the balls, and a carrier or domain row gives each distance to a
+    set; every comparison is ``leq``'s, (a + s) + tol.
     """
     if r <= 0:
         raise PreconditionFailed("radius", f"radius must be positive, got {r}")
@@ -269,31 +278,35 @@ def check_left_admissible(
     Kset = frozenset(K)
     if Kset and (min(Kset) < 0 or max(Kset) >= carrier.n):
         raise PreconditionFailed("K", "K must be a set of carrier indices")
-    X, ex = p.domain.space, p.embed_x
-    x_rows, c_rows, base_row = X.dist, carrier.dist, X.dist[p.domain.base]
+    X, ex, c_rows = p.domain.space, p.embed_x, carrier.dist
     mode = "exact" if p.kind == "metric" else "family"
     ball = r + tol if tol else r
     wide = r + 4 * eps + tol if tol else r + 4 * eps
     near = eps + tol if tol else eps
 
-    for i, d in enumerate(base_row):
-        if d <= ball and ex[i] not in Kset:
-            return False, {"clause": 1, "witness": X.points[i], "mode": mode}
+    # the r-ball lies inside the wide ball, as eps > 0
+    wide_img, complement = [], []
+    for i, d in enumerate(X.dist[p.domain.base]):
+        if d <= ball:
+            if ex[i] not in Kset:
+                return False, {"clause": 1, "witness": X.points[i], "mode": mode}
+            wide_img.append(ex[i])
+        else:
+            complement.append(i)
+            if d <= wide:
+                wide_img.append(ex[i])
 
-    wide_img = [ex[i] for i, d in enumerate(base_row) if d <= wide]
     for z in sorted(Kset):
         row = c_rows[z]
-        best = INF
         for h in wide_img:
-            if row[h] < best:
-                best = row[h]
-        if not best <= near:
+            if row[h] <= near:
+                break
+        else:
             return False, {"clause": 2, "witness": carrier.points[z], "mode": mode}
 
     zero = _zero_set(p, r, eps, Kset, tol)
-    complement = [i for i, d in enumerate(base_row) if not d <= ball]
     if p.kind == "metric":
-        for i, x_row in enumerate(x_rows):
+        for i, x_row in enumerate(X.dist):
             lhs = INF
             for j in complement:
                 if x_row[j] < lhs:
@@ -312,7 +325,7 @@ def check_left_admissible(
     return True, {"clauses": "1-3 checked, 4-5 automatic", "mode": mode, "zero_size": len(zero)}
 
 
-def _bump_family_feasible(p: Passage, complement: list, zero: tuple, tol: Scalar) -> tuple:
+def _bump_family_feasible(p: Passage, complement: list, zero: set, tol: Scalar) -> tuple:
     """Lift feasibility of the maximal bump at each domain point.
 
     For edge-difference seminorms the carrier matrix is the induced metric,
@@ -355,9 +368,7 @@ def _bump_family_feasible(p: Passage, complement: list, zero: tuple, tol: Scalar
 def _base_rows(p: Passage) -> set:
     """Distances from each basepoint to its own space, collected through
     every space a nested composition touches."""
-    X, x0 = p.domain.space, p.domain.base
-    Y, y0 = p.codomain.space, p.codomain.base
-    vals = {X.d(x0, i) for i in range(X.n)} | {Y.d(y0, j) for j in range(Y.n)}
+    vals = {*p.domain.space.dist[p.domain.base], *p.codomain.space.dist[p.codomain.base]}
     if p.info is not None:
         vals |= _base_rows(p.info.first) | _base_rows(p.info.second)
     return vals
@@ -390,32 +401,30 @@ class ScanContext:
     p's witness family is the canonical one (``p.info`` is None, as for every
     passage but a composition, the band existence passage included) and its
     basepoint rows and tol are all ints, so ``check_admissible`` may probe an
-    int eps at integer radii."""
+    int eps at integer radii.  The rows, the gap and the inverse are read
+    from p's own rows when the context is built; the candidates, which only
+    a scan past its first probe needs, on first use."""
 
     def __init__(self, p: Passage, tol: Scalar = 0, unit: int = 1):
         self.p, self.tol, self.unit, self.base = p, tol, unit, _base_rows(p)
         self.rows = sorted(self.base)
         self.ints = p.info is None and type(tol) is int and all(type(d) is int for d in self.rows)
-        self.gap = p.carrier.d(p.x0_host, p.y0_host)
+        self.gap = p.carrier.dist[p.x0_host][p.y0_host]
+        self.inverse = inverse(p)
+        self._fixed: tuple | None = None
         self._per_eps: dict = {}
-
-    @cached_property
-    def inverse(self) -> Passage:
-        return inverse(self.p)
-
-    @cached_property
-    def _fixed(self) -> tuple:
-        c, base = self.p.carrier, self.base
-        values = base | {c.d(i, j) for i in range(c.n) for j in range(i + 1, c.n)}
-        cands = {v for v in values if v > 0} | _halves(values)
-        cands |= _halves(v - w for v in base for w in base)
-        return sorted(cands), cands
 
     def candidates(self, r: Scalar) -> list:
         """Tolerances where the admissibility predicate can flip: distance
         values, their halves and quarters, and half/quarter gaps between
         basepoint distances and r (0 is a basepoint distance); only the r
         terms are built per call."""
+        if self._fixed is None:
+            c, base = self.p.carrier, self.base
+            values = base | {c.d(i, j) for i in range(c.n) for j in range(i + 1, c.n)}
+            cands = {v for v in values if v > 0} | _halves(values)
+            cands |= _halves(v - w for v in base for w in base)
+            self._fixed = sorted(cands), cands
         fixed, fixed_set = self._fixed
         extra = ({r} if r > 0 else set()) | _halves(d for w in self.base for d in (r - w, w - r))
         cands = list(fixed)
@@ -428,8 +437,10 @@ class ScanContext:
         got = self._per_eps.get(eps)
         if got is None:
             p, tol = self.p, self.tol
-            shifts = {0, 2 * eps, 4 * eps} | _family_shifts(p, eps)
-            cells = sorted({d - s - tol for d in self.base for s in shifts if d - s - tol > 0})
+            shifts = {0, 2 * eps, 4 * eps}  # the canonical family's shift is 2 eps
+            if p.info is not None:
+                shifts |= _family_shifts(p, eps)
+            cells = sorted({c for s in shifts for d in self.base if (c := d - s - tol) > 0})
             family = "canonical" if p.info is None else "composed-union"
             got = self._per_eps[eps] = (cells, _witness_family(p, eps, tol), family, {})
         return got
@@ -485,10 +496,10 @@ def check_admissible(
     floor = ctx.ints and type(eps) is int
     if floor:
         r = _int_floor(r)
-    probes = cells[: bisect_right(cells, r)]
-    low = _half(probes[0] if probes else r)
-    probes = [_int_floor(low) if floor else low] + probes
-    if r not in probes:
+    k = bisect_right(cells, r)
+    low = _half(cells[0] if k else r)
+    probes = [_int_floor(low) if floor else low, *cells[:k]]
+    if probes[-1] != r:  # every other probe lies below r
         probes.append(r)
     rows, two, four = ctx.rows, 2 * eps, 4 * eps
     canonical = family == "canonical"
@@ -497,12 +508,12 @@ def check_admissible(
         if canonical:
             K = mid = bisect_right(rows, t + two + tol if tol else t + two, lo)
         else:
-            K, mid = frozenset(kf(t)), lo
+            K, mid = kf(t), lo
         key = (lo, bisect_right(rows, t + four + tol if tol else t + four, mid), K)
         hit = memo.get(key)
         if hit is None:
             if canonical:
-                K = frozenset(kf(t))
+                K = kf(t)
             ok, cert = check_left_admissible(p, t, eps, K, tol)
             side = "left"
             if ok:
@@ -590,22 +601,24 @@ def _grid_scan(p: Passage, tol: Scalar, r: Scalar | None = None) -> tuple:
     cutoff) scans p at tol in one ``ScanContext``, radius (default: the fixed
     r) and cutoff (default: inf) given as the caller's numbers times unit,
     and out(v) maps a value or probe back.  A rational metric passage scans
-    ``_pointed_on_grid`` copies at unit L; out passes 0, inf and None, gives
-    the basepoint gap as the caller's gap object and divides the rest by L.
-    Any other passage scans the caller's numbers at unit 1."""
+    a copy at unit L whose carrier, domain and codomain are each space's
+    cached grid rows scaled once (``grid_copy``); out passes 0, inf and None,
+    gives the basepoint gap as the caller's gap object and divides the rest
+    by L.  Any other passage scans the caller's numbers at unit 1."""
     fixed = (tol,) if r is None else (tol, r)
-    spaces = (p.carrier, p.domain.space, p.codomain.space)
-    unit = grid_unit_of(spaces, fixed) if p.kind == "metric" else None
+    x, y = p.domain, p.codomain
+    unit = grid_unit_of((p.carrier, x.space, y.space), fixed) if p.kind == "metric" else None
     if unit is None:
-        unit, out = 1, lambda v: v
+        context, unit, out = ScanContext(p, tol), 1, lambda v: v
     else:
         unit *= 8
-        c, x, y = (_pointed_on_grid(s, unit) for s in (PointedSpace(p.carrier, 0), p.domain, p.codomain))
-        gap, p = p.carrier.d(p.x0_host, p.y0_host), Passage(c.space, p.embed_x, p.embed_y, x, y)
-        grid_gap, tol = p.carrier.d(p.x0_host, p.y0_host), on_grid(tol, unit)
-        r = None if r is None else on_grid(r, unit)
+        gap = p.carrier.dist[p.x0_host][p.y0_host]
+        x, y = _pointed_on_grid(x, unit), _pointed_on_grid(y, unit)
+        p = Passage(grid_copy(p.carrier, unit), p.embed_x, p.embed_y, x, y)
+        tol, r = on_grid(tol, unit), None if r is None else on_grid(r, unit)
+        context = ScanContext(p, tol, unit)
+        grid_gap = context.gap
         out = lambda v: v if v in (0, INF, None) else gap if v == grid_gap else Fraction(v, unit)
-    context = ScanContext(p, tol, unit)
 
     def scan(radius: Scalar = r, cutoff: Scalar = INF) -> tuple:
         return _extent_scan(p, radius, cutoff, tol, context)
@@ -671,8 +684,7 @@ def lift_target_bounds(
         raise PreconditionFailed("radius", "radius and tolerance must be positive")
     carrier = p.carrier
     Kset = frozenset(K)
-    zero = _zero_set(p, r, eps, Kset, tol)
-    anchors: dict[int, Scalar] = {z: 0 for z in zero}
+    anchors: dict[int, Scalar] = {z: 0 for z in sorted(_zero_set(p, r, eps, Kset, tol))}
     for i in range(X.n):
         idx = p.embed_x[i]
         if idx in anchors and anchors[idx] != a(i):

@@ -14,7 +14,7 @@ from ghlab import cli
 from ghlab.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main, run_config
 from ghlab.gluing import glued_from_json
 from ghlab.metric_core import MetricError, pointed, pointed_from_json, space_from_json
-from ghlab.numerics import SQRT2_OVER_4, format_scalar
+from ghlab.numerics import SQRT2_OVER_4, format_scalar, json_number
 from ghlab.tunnels import extent, local_propinquity, passage_from_json
 
 LINE_SPACE = {
@@ -355,6 +355,39 @@ def test_the_library_readers_read_an_out_of_range_literal_as_gh_does(reader, bac
             read(text, backend)
 
 
+TINY = Fraction(1, 10**400)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_an_underflowing_float_literal_reads_as_its_quoted_string(tmp_path, capsys, backend):
+    # json.loads reads the literal 1e-400 as 0.0, so two distinct points
+    # once sat at distance 0 on the rational backend; it now answers as
+    # "1e-400" does, which the float backend reads as 0.0
+    reports = []
+    for tiny in ("1e-400", '"1e-400"'):
+        path = tmp_path / "in.json"
+        path.write_text(f'{{"space": {{"points": ["a", "b"], "dist": [[0, {tiny}], [{tiny}, 0]]}},'
+                        ' "a": [0], "b": [1]}')
+        reports.append(run(capsys, ["hausdorff", "--in", str(path), "--backend", backend])[:2])
+    literal, quoted = reports
+    assert literal == quoted and literal[0] == EXIT_OK
+    assert literal[1]["value"] == (format_scalar(TINY) if backend == "rational" else 0.0)
+
+
+@pytest.mark.parametrize("literal", ["0.1", "0e5", "-0.0", "2.5e-3"])
+def test_a_literal_that_only_rounds_stays_a_float(literal):
+    # the text is kept only where the float is inf or a zero the literal is not
+    assert json_number(literal) == float(literal) and type(json_number(literal)) is float
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_a_library_reader_reads_an_underflowing_literal_as_gh_does(backend):
+    text = '{"points": ["a", "b"], "dist": [[0, 1e-400], [1e-400, 0]], "basepoint": 0}'
+    want = TINY if backend == "rational" else 0.0
+    got = pointed_from_json(text, backend).space.d(0, 1)
+    assert got == want and type(got) is type(want)
+
+
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_an_infinite_tolerance_exits_2(tmp_path, capsys, backend):
     # --tol inf was taken; on rational rows holding a 401-digit int the
@@ -498,6 +531,23 @@ def test_subcommand_help_lists_each_config_flag_once(capsys, name):
         assert len(token.findall(usage)) == 1, flag
         assert len(token.findall(own)) == 0, flag
         assert len(re.findall(rf"^  --{flag}\b", config, re.M)) == 1, flag
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--suite=bogus", "argument --suite: invalid choice: 'bogus'"),
+        ("--cases=x", "argument --cases: invalid int value: 'x'"),
+        ("--seed=1.5", "argument --seed: invalid int value: '1.5'"),
+    ],
+)
+def test_a_verify_flag_gh_cannot_read_exits_4_with_one_report(capsys, backend, flag, message):
+    # argparse once printed its usage to stderr and raised SystemExit(2),
+    # with nothing on stdout
+    rc, report, _ = run(capsys, ["verify", "--cases=1", flag, "--backend", backend])
+    assert rc == EXIT_PARSE and report["error"]["kind"] == "ParseFailure"
+    assert report["error"]["message"].startswith(f"gh verify: {message}")
 
 
 def test_csv_pointed_spaces_with_base_flags(tmp_path, capsys):

@@ -8,7 +8,9 @@ drawn from one scalar pool that holds valid and invalid values alike.  Each
 command runs in process on both backends; whatever the input, it must exit
 0 or with one of ``cli._EXIT_CODES``' codes, print exactly one JSON report
 and raise nothing; and a document damaged beyond a metric's reading
-(``INVALID``) is refused.
+(``INVALID``) is refused.  ``verify`` runs the same way on drawn
+``--suite``, ``--cases`` and ``--seed`` values, valid and damaged; it
+answers the valid ones and refuses the damaged ones.
 """
 
 from __future__ import annotations
@@ -157,3 +159,37 @@ def test_every_command_answers_damaged_input_with_one_report_and_a_known_exit_co
             assert isinstance(report, dict)
             assert (code == cli.EXIT_OK) != ("error" in report), (mutation, argv, backend, report)
             assert code != cli.EXIT_OK or mutation not in INVALID, (mutation, argv, backend, report)
+
+
+SUITES = ("fundamental", "composition", "inframetric", "all")
+DAMAGED_SUITES = ("", "bogus", "All", " all")
+CASES = ("1", "2")  # few, so that a run stays short
+DAMAGED_CASES = ("0", "-1", "x", "1.5", "", "1e3", "inf")
+SEEDS = ("0", "7", "-1", str(10**30))
+DAMAGED_SEEDS = ("x", "1.5", "", "1e3", "0x10")
+
+
+@st.composite
+def verify_queries(draw):
+    suite = draw(st.sampled_from(SUITES + DAMAGED_SUITES))
+    cases = draw(st.sampled_from(CASES + DAMAGED_CASES))
+    seed = draw(st.none() | st.sampled_from(SEEDS + DAMAGED_SEEDS))
+    argv = ["verify", "--suite=" + suite, "--cases=" + cases]
+    if seed is not None:
+        argv.append("--seed=" + seed)
+    damaged = suite in DAMAGED_SUITES or cases in DAMAGED_CASES or seed in DAMAGED_SEEDS
+    return damaged, argv
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(verify_queries())
+def test_verify_answers_damaged_flags_with_one_report_and_a_known_exit_code(query):
+    damaged, argv = query
+    for backend in ("rational", "float"):
+        code, out = _gh(argv + ["--backend", backend])
+        assert code in EXIT_CODES, (argv, backend, code)
+        report = json.loads(out)  # one JSON document, nothing after it
+        assert isinstance(report, dict)
+        assert (code == cli.EXIT_OK) != ("error" in report), (argv, backend, report)
+        assert (code == cli.EXIT_OK) != damaged, (argv, backend, report)

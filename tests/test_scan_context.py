@@ -8,7 +8,9 @@ compare every answer with ``oracles.extent_scan_reference`` and
 ``oracles.check_admissible_continuum``, which rebuild everything and decide
 admissibility at every breakpoint of the continuum of radii and between
 them, with the clauses transcribed from their definitions; one test compares
-``check_left_admissible`` with that transcription directly.
+``check_left_admissible`` with that transcription directly, and one reads
+the fixed-radius extent against the continuum check alone, with no copy of
+the scan.
 """
 
 from __future__ import annotations
@@ -449,6 +451,60 @@ def test_rational_extents_scan_an_integer_grid_and_match_the_uncached_scan(tol, 
     assert INF in answers
 
 
+def _below(value, gap):
+    """Tolerances below a positive extent: its half and 63/64, and the
+    basepoint gap and the midpoint up to the extent when the gap lies below."""
+    out = [value / 2, value * 63 / 64] if value > 0 else []
+    if gap < value:
+        out += [gap, (gap + value) / 2]
+    return out
+
+
+def _assert_extent_meets_its_definition(p, r, tol):
+    """extent and smallest_admissible at r against the definition, read by
+    ``oracles.check_admissible_continuum`` alone: the probe is admissible,
+    and at tol 0 the extent lies between the basepoint gap and the probe and
+    the sampled tolerances below it are not admissible.  (At tol != 0 the
+    scan can miss a breakpoint gap - tol below its answer: item 5.)  An
+    infinite extent has no probe, and a tolerance past every distance fails
+    too."""
+    value, probe = extent(p, r, tol), smallest_admissible(p, r, tol)
+    gap = p.carrier.d(p.x0_host, p.y0_host)
+    if probe is None:
+        assert value == INF
+        big = 4 * max(max(row) for row in p.carrier.dist) + r + 1
+        assert not oracles.check_admissible_continuum(p, r, big, tol)[0]
+        return
+    assert oracles.check_admissible_continuum(p, r, probe, tol)[0]
+    assert value <= probe
+    if tol == 0:
+        assert gap <= value
+        for eps in _below(value, gap):
+            assert not oracles.check_admissible_continuum(p, r, eps, tol)[0], (value, eps)
+
+
+def test_fixed_radius_extents_meet_the_definition():
+    # the fixed-radius path (extent, smallest_admissible) read against the
+    # definition of admissibility, not against a copy of the scan: rational
+    # metric passages scan the integer grid at tol 0 and 1/10, their float
+    # twins and a composed and an existence passage the caller's numbers
+    rng = random.Random(83)
+    cases = []
+    for exact, floating in _metric_passages(rng, pairs=3, per_pair=2) + _subspace_passages(rng, 10):
+        cases += [(exact, 0), (exact, F(1, 10)), (floating, TOL)]
+    bridge = next(p for p in _existence_passages(rng, 4) if p.kind == "composed")
+    cases += [(_composed_passages(rng, 1)[0], 0), (bridge, 0)]
+    values = []
+    for p, tol in cases:
+        for r, _ in _radii(rng)[:2]:
+            r = float(r) if tol == TOL else r
+            _assert_extent_meets_its_definition(p, r, tol)
+            values.append((extent(p, r, tol), p.carrier.d(p.x0_host, p.y0_host)))
+    # the scans answer the gap, a value past it and an infinite extent
+    assert any(v == g for v, g in values) and any(g < v < INF for v, g in values)
+    assert any(v == INF for v, _ in values)
+
+
 def _bracket_cases(rng):
     """Pairs of 1-3 point spaces, then pairs with rows of denominator
     3**37 + 2, as in ``_grid_passages``, then one pair read from JSON."""
@@ -658,6 +714,26 @@ def test_an_extent_at_a_positive_tol_is_not_below_the_basepoint_gap_less_tol():
         assert oracles.check_admissible_continuum(p, 12, eps, tol=tol)[0] is ok
     assert smallest_admissible(p, 12, tol) == F(13, 2)
     assert extent(p, 12, tol) == F(13, 2)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ScanContext.candidates holds no tol-shifted values, so at tol != 0 the extent "
+    "scan passes over the breakpoint gap - tol and answers the candidate above it "
+    "(FOUND in CHANGES.md)",
+)
+def test_an_extent_at_a_positive_tol_reaches_down_to_the_basepoint_gap_less_tol():
+    # the gap is 4 and tol 1/10, so the basepoint clause flips at 39/10,
+    # where every clause holds; the candidates below 4 stop at 7/2
+    host = validate_metric(("a", "b", "u", "v"), [[0, 8, 4, 5], [8, 0, 4, 4], [4, 4, 0, 1], [5, 4, 1, 0]])
+    x = pointed(validate_metric(("a", "b"), [[0, 8], [8, 0]]), 0)
+    y = pointed(validate_metric(("u", "v"), [[0, 1], [1, 0]]), 0)
+    p = passage_from_gluing(validate_gluing(host, x, (0, 1), y, (2, 3)))
+    tol = F(1, 10)
+    for eps, ok in ((F(3899, 1000), False), (F(39, 10), True)):
+        assert check_admissible(p, 1, eps, tol=tol)[0] is ok
+        assert oracles.check_admissible_continuum(p, 1, eps, tol=tol)[0] is ok
+    assert extent(p, 1, tol) == F(39, 10)
 
 
 def _isometry_passages(rng, count):

@@ -25,6 +25,8 @@ ALLOWED = {
     # and a span that perfbench/tracing.py wraps by name; w1 no longer solves
     # with it, and it goes once the tracer skips absent names (ROADMAP item 1)
     "simplex.solve_lp",
+    # an override that argparse calls on a usage error, so gh reports it as JSON
+    "cli._Parser.error",
 }
 
 
