@@ -5,8 +5,9 @@ Every command prints a single JSON document with sorted keys to standard
 output, so a fixed seed and configuration reproduce the bytes exactly;
 wall clock timing goes to standard error to keep it that way.  Exit codes
 separate success (0), validation failures (2), file system errors (3),
-and malformed input documents or flags gh cannot read (4).  The ``--out`` copy is written before
-standard output, so an unwritable path exits 3 with one error report.
+and malformed input documents or flags gh cannot read (4).  The ``--out``
+copy is written before standard output, so an unwritable path exits 3 with
+one error report.
 
 ``main`` builds the parser on every call; the six run-configuration flags
 are declared once, on one parent parser that every subcommand takes.

@@ -17,10 +17,9 @@ with its own cross entries:
 
 The integer-grid copies (``grid_copy`` scales a space's grid rows, for
 ``local_gh``'s searches and ``tunnels``' scans, and ``local_gh._off_grid``
-a witness host back by 1/L) build
-``FiniteMetricSpace`` directly under the labels and ``strict`` flag of the
-space they scale: a positive multiple of a metric is a metric with the same
-zeros.  Other code that builds ``FiniteMetricSpace`` directly from unchecked
+a witness host back by 1/L) build ``FiniteMetricSpace`` directly under the
+labels and ``strict`` flag of the space they scale: a positive multiple of
+a metric is a metric with the same zeros.  Other code that builds ``FiniteMetricSpace`` directly from unchecked
 rows bypasses the axioms on purpose (some negative tests do exactly that)
 and gets no guarantees.
 

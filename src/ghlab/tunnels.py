@@ -49,6 +49,7 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gluing import (
@@ -401,9 +402,9 @@ class ScanContext:
     p's witness family is the canonical one (``p.info`` is None, as for every
     passage but a composition, the band existence passage included) and its
     basepoint rows and tol are all ints, so ``check_admissible`` may probe an
-    int eps at integer radii.  The rows, the gap and the inverse are read
-    from p's own rows when the context is built; the candidates, which only
-    a scan past its first probe needs, on first use."""
+    int eps at integer radii.  The rows, the gap and the inverse are built
+    with the context, from p's own rows; the candidates, which only a scan
+    past its first probe needs, on first use."""
 
     def __init__(self, p: Passage, tol: Scalar = 0, unit: int = 1):
         self.p, self.tol, self.unit, self.base = p, tol, unit, _base_rows(p)
@@ -411,20 +412,21 @@ class ScanContext:
         self.ints = p.info is None and type(tol) is int and all(type(d) is int for d in self.rows)
         self.gap = p.carrier.dist[p.x0_host][p.y0_host]
         self.inverse = inverse(p)
-        self._fixed: tuple | None = None
         self._per_eps: dict = {}
+
+    @cached_property
+    def _fixed(self) -> tuple:
+        c, base = self.p.carrier, self.base
+        values = base | {c.d(i, j) for i in range(c.n) for j in range(i + 1, c.n)}
+        cands = {v for v in values if v > 0} | _halves(values)
+        cands |= _halves(v - w for v in base for w in base)
+        return sorted(cands), cands
 
     def candidates(self, r: Scalar) -> list:
         """Tolerances where the admissibility predicate can flip: distance
         values, their halves and quarters, and half/quarter gaps between
         basepoint distances and r (0 is a basepoint distance); only the r
         terms are built per call."""
-        if self._fixed is None:
-            c, base = self.p.carrier, self.base
-            values = base | {c.d(i, j) for i in range(c.n) for j in range(i + 1, c.n)}
-            cands = {v for v in values if v > 0} | _halves(values)
-            cands |= _halves(v - w for v in base for w in base)
-            self._fixed = sorted(cands), cands
         fixed, fixed_set = self._fixed
         extra = ({r} if r > 0 else set()) | _halves(d for w in self.base for d in (r - w, w - r))
         cands = list(fixed)
