@@ -452,7 +452,7 @@ def test_rational_extents_scan_an_integer_grid_and_match_the_uncached_scan(tol, 
 
 
 def _below(value, gap):
-    """Tolerances below a positive extent: its half and 63/64, and the
+    """Tolerances below a positive extent: half and 63/64 of it, and the
     basepoint gap and the midpoint up to the extent when the gap lies below."""
     out = [value / 2, value * 63 / 64] if value > 0 else []
     if gap < value:
