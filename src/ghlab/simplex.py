@@ -5,7 +5,10 @@ on Fractions (tol = 0) or floats (tol > 0).  With the value and the flow it
 returns the potentials u, v of its optimal basis: u_i + v_j is the cost of
 every basic cell and no reduced cost is below -tol, so they solve the
 transport dual, and ``kantorovich`` certifies W1 from their c-transform
-without a second solve.
+without a second solve.  Its basis is the keys of its working flow, one
+walk from row 0 over that tree gives the potentials and every node's
+parent, and a transportation cycle always has a leaving arc, so only
+``solve_lp`` raises ``LPUnbounded``.
 ``solve_lp``, a dense two-phase simplex on rationals that also reports dual
 values, is the tests' exact LP oracle; nothing in the package calls it.
 Both pivot by Dantzig's rule and switch to Bland's rule after a degenerate
@@ -14,8 +17,8 @@ stall, which guarantees termination.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .numerics import Scalar
@@ -45,6 +48,14 @@ def transportation_simplex(
     Returns (value, flow, u, v): flow maps (i, j) to a positive amount, and
     u (rows) and v (columns) are the optimal basis's potentials, with
     u[0] = 0.  Total supply must equal total demand.
+
+    The basis is the working flow's keys: the northwest-corner cells, then
+    each entering cell, appended as the leaving one is deleted.  Each pivot
+    walks that tree once from row 0, which gives the potentials and every
+    node's parent; the entering cell's cycle is the climb from its row and
+    from its column to their common ancestor.  From either end the arcs
+    alternate in sign starting with -, so a transportation cycle always has
+    a leaving arc.
     """
     m, n = len(supply), len(demand)
     if abs(sum(supply) - sum(demand)) > tol:
@@ -56,12 +67,10 @@ def transportation_simplex(
 
     # Northwest-corner start; tie handling keeps exactly m+n-1 basic cells.
     flow = {}
-    basis = []
     srem, drem = list(supply), list(demand)
     r = c = 0
     while r < m and c < n:
         q = min(srem[r], drem[c])
-        basis.append((r, c))
         flow[(r, c)] = q
         srem[r] -= q
         drem[c] -= q
@@ -78,102 +87,50 @@ def transportation_simplex(
     bland = False
     stall = 0
     for _ in range(max_iter):
-        u = [None] * m
-        v = [None] * n
-        u[0] = 0
-        adj_rows = [[] for _ in range(m)]
-        adj_cols = [[] for _ in range(n)]
-        for (i, j) in basis:
-            adj_rows[i].append(j)
-            adj_cols[j].append(i)
-        queue = deque([("r", 0)])
-        while queue:
-            kind, k = queue.popleft()
-            if kind == "r":
-                for j in adj_rows[k]:
-                    if v[j] is None:
-                        v[j] = cost[k][j] - u[k]
-                        queue.append(("c", j))
-            else:
-                for i in adj_cols[k]:
-                    if u[i] is None:
-                        u[i] = cost[i][k] - v[k]
-                        queue.append(("r", i))
+        # Column j is node j and row i is node n + i; the walk starts at row 0.
+        adj = [[] for _ in range(n + m)]
+        for i, j in flow:
+            adj[n + i].append(j)
+            adj[j].append(n + i)
+        pot, parent, depth = [None] * (n + m), [None] * (n + m), [0] * (n + m)
+        pot[n] = 0
+        stack = [n]
+        while stack:
+            a = stack.pop()
+            for b in adj[a]:
+                if pot[b] is None:
+                    pot[b] = (cost[a - n][b] if a >= n else cost[b - n][a]) - pot[a]
+                    parent[b], depth[b] = a, depth[a] + 1
+                    stack.append(b)
+        u, v = pot[n:], pot[:n]
 
-        entering = None
-        if bland:
-            for i in range(m):
-                for j in range(n):
-                    if (i, j) not in flow and cost[i][j] - u[i] - v[j] < -tol:
-                        entering = (i, j)
-                        break
-                if entering:
+        # Dantzig's rule takes the most negative reduced cost, Bland's the first.
+        entering, best = None, -tol
+        for i, j in product(range(m), range(n)):
+            if (i, j) not in flow and (rc := cost[i][j] - u[i] - v[j]) < best:
+                entering, best = (i, j), rc
+                if bland:
                     break
-        else:
-            best_rc = -tol
-            for i in range(m):
-                ui = u[i]
-                row = cost[i]
-                for j in range(n):
-                    if (i, j) in flow:
-                        continue
-                    rc = row[j] - ui - v[j]
-                    if rc < best_rc:
-                        best_rc = rc
-                        entering = (i, j)
         if entering is None:
-            value = sum(flow[(i, j)] * cost[i][j] for (i, j) in flow)
+            value = sum(q * cost[i][j] for (i, j), q in flow.items())
             positive = {k: q for k, q in flow.items() if q > tol}
             return value, positive, u, v
 
-        # Locate the unique tree path from the entering row to its column.
+        # Climb the deeper end until the row's and the column's paths meet.
         ei, ej = entering
-        parent = {}
-        seen = {("r", ei)}
-        queue = deque([("r", ei)])
-        while queue:
-            node = queue.popleft()
-            kind, k = node
-            nexts = (
-                [("c", j) for j in adj_rows[k]] if kind == "r" else [("r", i) for i in adj_cols[k]]
-            )
-            for nxt in nexts:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = node
-                    queue.append(nxt)
-        path = [("c", ej)]
-        while path[-1] != ("r", ei):
-            path.append(parent[path[-1]])
-        # Arcs along the cycle alternate signs, entering arc positive.
+        a, b, sa, sb = n + ei, ej, -1, -1
         cycle = []
-        prev = ("r", ei)
-        sign = 1
-        arcs = [(entering, 1)]
-        for node in reversed(path[:-1]):
-            kind, k = node
-            arc = (prev[1], k) if prev[0] == "r" else (k, prev[1])
-            sign = -sign
-            arcs.append((arc, sign))
-            prev = node
-        theta = None
-        leave = None
-        for arc, s in arcs:
-            if s < 0:
-                q = flow[arc]
-                if theta is None or q < theta or (q == theta and arc < leave):
-                    theta = q
-                    leave = arc
-        if theta is None:
-            raise LPUnbounded("transportation cycle without a leaving arc")
-        for arc, s in arcs:
-            if arc in flow:
-                flow[arc] += s * theta
-            else:
-                flow[arc] = s * theta
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b, sa, sb = b, a, sb, sa
+            p = parent[a]
+            cycle.append(((a - n, p) if a >= n else (p - n, a), sa))
+            a, sa = p, -sa
+        theta, leave = min((flow[arc], arc) for arc, s in cycle if s < 0)
+        for arc, s in cycle:
+            flow[arc] += s * theta
+        flow[entering] = theta
         del flow[leave]
-        basis = [arc for arc in basis if arc != leave]
-        basis.append(entering)
         if theta <= tol:
             stall += 1
             if stall > m * n:

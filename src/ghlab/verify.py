@@ -42,6 +42,9 @@ from .tunnels import (
 )
 
 SUITES = ("fundamental", "composition", "inframetric")
+# far above every suite's default count (25-60); a larger count would run
+# for as long as it asks
+MAX_CASES = 10_000
 
 
 @dataclass(frozen=True)
@@ -310,9 +313,9 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> list:
     """Run one named suite, or all of them in canonical order."""
     if name != "all" and name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-    if cases is not None and cases < 1:
+    if cases is not None and not 1 <= cases <= MAX_CASES:
         # a theorem checked on no case has not been checked
-        raise MetricError(f"cases must be at least 1, got {cases}")
+        raise MetricError(f"cases must be from 1 to {MAX_CASES}, got {cases}")
     picked = SUITES if name == "all" else (name,)
     results = []
     for suite in picked:

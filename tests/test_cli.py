@@ -16,6 +16,7 @@ from ghlab.gluing import glued_from_json
 from ghlab.metric_core import MetricError, pointed, pointed_from_json, space_from_json
 from ghlab.numerics import SQRT2_OVER_4, format_scalar, json_number
 from ghlab.tunnels import extent, local_propinquity, passage_from_json
+from ghlab.verify import MAX_CASES
 
 LINE_SPACE = {
     "points": ["a", "b", "c"],
@@ -548,6 +549,16 @@ def test_a_verify_flag_gh_cannot_read_exits_4_with_one_report(capsys, backend, f
     rc, report, _ = run(capsys, ["verify", "--cases=1", flag, "--backend", backend])
     assert rc == EXIT_PARSE and report["error"]["kind"] == "ParseFailure"
     assert report["error"]["message"].startswith(f"gh verify: {message}")
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("cases", [MAX_CASES + 1, 10**20])
+def test_a_verify_case_count_above_the_cap_is_refused_at_once(capsys, backend, cases):
+    # refused before any case runs: a suite has no time budget of its own
+    argv = ["verify", "--suite", "fundamental", "--cases", str(cases), "--backend", backend]
+    rc, report, _ = run(capsys, argv)
+    assert rc == EXIT_VALIDATION and report["error"]["kind"] == "MetricError"
+    assert report["error"]["message"] == f"cases must be from 1 to {MAX_CASES}, got {cases}"
 
 
 def test_csv_pointed_spaces_with_base_flags(tmp_path, capsys):

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from ghlab import cli
 from ghlab.metric_core import min_plus_closure
+from ghlab.verify import MAX_CASES
 
 EXIT_CODES = {cli.EXIT_OK} | {code for _, code in cli._EXIT_CODES}
 
@@ -164,7 +165,7 @@ def test_every_command_answers_damaged_input_with_one_report_and_a_known_exit_co
 SUITES = ("fundamental", "composition", "inframetric", "all")
 DAMAGED_SUITES = ("", "bogus", "All", " all")
 CASES = ("1", "2")  # few, so that a run stays short
-DAMAGED_CASES = ("0", "-1", "x", "1.5", "", "1e3", "inf")
+DAMAGED_CASES = ("0", "-1", "x", "1.5", "", "1e3", "inf", str(MAX_CASES + 1))
 SEEDS = ("0", "7", "-1", str(10**30))
 DAMAGED_SEEDS = ("x", "1.5", "", "1e3", "0x10")
 

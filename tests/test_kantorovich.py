@@ -278,15 +278,75 @@ def test_transportation_simplex_switches_to_blands_rule_after_a_degenerate_stall
     supply, demand = [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 1, 0, 1]
     (value, flow, _, _), ran = _run_lines(transportation_simplex, cost, supply, demand)
     switch = _line_of(transportation_simplex, "bland = True")
-    bland_entry = _line_of(transportation_simplex, "cost[i][j] - u[i] - v[j] < -tol") + 1
+    # the entering loop stops at the first negative reduced cost only under
+    # Bland's rule
+    bland_entry = _line_of(transportation_simplex, "if bland:") + 1
     assert {switch, bland_entry} <= ran
     assert (value, flow) == (3, {(6, 2): 1, (6, 4): 1})
-    # the coupling LP on solve_lp: one column per cell, row and column sums
+    assert _coupling_lp(cost, supply, demand) == (value, flow)
+
+
+def _coupling_lp(cost, supply, demand):
+    """The coupling LP on solve_lp, one column per cell and one row per
+    supply and per demand: its value and the cells it ships on."""
     cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
     a_rows = [[int(c[0] == i) for c in cells] for i in range(len(supply))]
     a_rows += [[int(c[1] == j) for c in cells] for j in range(len(demand))]
-    lp_value, x, _ = solve_lp([cost[i][j] for i, j in cells], a_rows, supply + demand)
-    assert lp_value == value and {c: v for c, v in zip(cells, x) if v} == flow
+    value, x, _ = solve_lp([cost[i][j] for i, j in cells], a_rows, [*supply, *demand])
+    return value, {c: xc for c, xc in zip(cells, x) if xc}
+
+
+def _transport_instance(rng):
+    """Integer costs 0-3, so with ties, and supplies and demands 0-4 with
+    equal totals; one in four is 1 x n, one in four m x 1, and the rest
+    m x n, with m and n from 2 to 6."""
+    shape = rng.randrange(4)
+    m = 1 if shape == 0 else rng.randint(2, 6)
+    n = 1 if shape == 1 else rng.randint(2, 6)
+    cost = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
+    supply = [rng.randint(0, 4) for _ in range(m)]
+    demand = [rng.randint(0, 4) for _ in range(n)]
+    gap = sum(supply) - sum(demand)
+    (demand if gap > 0 else supply)[-1] += abs(gap)
+    return cost, supply, demand
+
+
+def _each(fn, cost, supply, demand):
+    return [[fn(c) for c in row] for row in cost], [fn(s) for s in supply], [fn(d) for d in demand]
+
+
+def _transport_twins(rng):
+    """One instance on ints, on Fractions (every entry over one denominator
+    of 2-9) and on those Fractions' floats, each as (cost, supply, demand)."""
+    ints = _transport_instance(rng)
+    k = rng.randint(2, 9)
+    fractions = _each(lambda x: F(x, k), *ints)
+    return ints, fractions, _each(float, *fractions)
+
+
+def test_transportation_simplex_meets_the_coupling_lp_off_the_w1_shapes():
+    # w1 passes only square metric costs with unit totals; these are
+    # rectangular with ties, zero supplies and demands, and single rows or
+    # columns.  The LP is exact, so a float twin reads its Fraction's value.
+    rng = random.Random(2801)
+    for _ in range(200):
+        ints, fractions, floats = _transport_twins(rng)
+        lp_ints, lp_fractions = (_coupling_lp(*twin)[0] for twin in (ints, fractions))
+        for (cost, supply, demand), lp_value, tol in (
+            (ints, lp_ints, 0),
+            (fractions, lp_fractions, 0),
+            (floats, lp_fractions, 1e-9),
+        ):
+            value, flow, u, v = transportation_simplex(cost, supply, demand, tol)
+            assert abs(value - lp_value) <= tol
+            assert all(q > tol for q in flow.values())
+            for i, s in enumerate(supply):
+                assert abs(sum(q for (a, _), q in flow.items() if a == i) - s) <= tol
+            for j, d in enumerate(demand):
+                assert abs(sum(q for (_, b), q in flow.items() if b == j) - d) <= tol
+            assert all(abs(u[i] + v[j] - cost[i][j]) <= tol for i, j in flow)
+            cells = [(i, j) for i in range(len(supply)) for j in range(len(demand))]
+            assert all(cost[i][j] - u[i] - v[j] >= -tol for i, j in cells)
 
 
 def test_solve_lp_switches_to_blands_rule_on_beales_cycling_example():

@@ -55,7 +55,12 @@ families are:
   document of the ``cli-float`` pools 0-7, read as ``gh w1`` reads it, on
   the rational backend at tol 0 and on the float backend at
   ``DEFAULT_FLOAT_TOL``; a document that float ingestion refuses is
-  recorded by the error's type name.
+  recorded by the error's type name;
+- ``transport``: every ``transportation_simplex`` return (value, flow and
+  potentials u, v), on the same ``w1`` documents as ``w1`` reads them and
+  on 2000 seeded rectangular instances (1 x n, m x 1 and m x n, with ties
+  and zero supplies and demands), each on ints and Fractions at tol 0 and
+  on floats at 1e-9.
 
 Standard library only; ``GHLAB_*`` variables are cleared so that they do not
 change a ``gh`` default.
@@ -83,7 +88,7 @@ for name in [k for k in os.environ if k.startswith("GHLAB_")]:
     del os.environ[name]
 
 import workloads  # noqa: E402
-from ghlab import cli, gluing, kantorovich, local_gh, metric_core, tunnels  # noqa: E402
+from ghlab import cli, gluing, kantorovich, local_gh, metric_core, simplex, tunnels  # noqa: E402
 from ghlab.numerics import DEFAULT_FLOAT_TOL, parse_scalar  # noqa: E402
 
 TUNNEL_SETS = range(8)
@@ -94,6 +99,8 @@ SEARCH_SETS = range(4)
 HEURISTIC_SETS = range(8)
 CLI_SETS = range(4)
 W1_SETS = range(8)
+TRANSPORT_SEED = 28
+TRANSPORT_CASES = 2000
 TOLS = (0, Fraction(1, 10))
 
 
@@ -240,7 +247,11 @@ def verify() -> list:
     return [_gh(["verify", "--suite", "all", "--backend", b]) for b in ("float", "rational")]
 
 
-def w1() -> list:
+def _w1_measures() -> list:
+    """(mu, nu, tol) of every ``w1`` document of the ``cli-float`` pools
+    W1_SETS, read as ``gh w1`` reads it on the rational backend at tol 0 and
+    on the float backend at DEFAULT_FLOAT_TOL, or the type name of the error
+    that refuses it."""
     out = []
     for s in W1_SETS:
         for query in workloads.pool("cli-float", s):
@@ -257,7 +268,54 @@ def w1() -> list:
                 except metric_core.MetricError as err:
                     out.append(type(err).__name__)
                     continue
-                out.append((kantorovich.w1(mu, nu, tol), kantorovich.w1_dual_potential(mu, nu, tol)[0]))
+                out.append((mu, nu, tol))
+    return out
+
+
+def w1() -> list:
+    out = []
+    for read in _w1_measures():
+        if isinstance(read, str):
+            out.append(read)
+        else:
+            out.append((kantorovich.w1(*read), kantorovich.w1_dual_potential(*read)[0]))
+    return out
+
+
+def _transport_twins(rng) -> tuple:
+    """One instance as (cost, supply, demand, tol) on ints and on Fractions at
+    tol 0, and on floats at 1e-9, built as ``tests/test_kantorovich.py``
+    builds its coupling-LP instances: integer costs 0-3, supplies and demands
+    0-4 of equal totals, 1 x n, m x 1 or m x n with m, n in 2-6, then every
+    entry over one denominator of 2-9."""
+    shape = rng.randrange(4)
+    m = 1 if shape == 0 else rng.randint(2, 6)
+    n = 1 if shape == 1 else rng.randint(2, 6)
+    cost = [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)]
+    supply = [rng.randint(0, 4) for _ in range(m)]
+    demand = [rng.randint(0, 4) for _ in range(n)]
+    gap = sum(supply) - sum(demand)
+    (demand if gap > 0 else supply)[-1] += abs(gap)
+    k = rng.randint(2, 9)
+
+    def each(fn, cost, *sides):
+        return [[fn(c) for c in row] for row in cost], *([fn(x) for x in side] for side in sides)
+
+    fractions = each(lambda x: Fraction(x, k), cost, supply, demand)
+    return (cost, supply, demand, 0), (*fractions, 0), (*each(float, *fractions), 1e-9)
+
+
+def transport() -> list:
+    out = []
+    for read in _w1_measures():
+        if isinstance(read, str):
+            out.append(read)
+        else:
+            mu, nu, tol = read
+            out.append(simplex.transportation_simplex(mu.host.dist, mu.weights, nu.weights, tol))
+    rng = random.Random(TRANSPORT_SEED)
+    for _ in range(TRANSPORT_CASES):
+        out.extend(simplex.transportation_simplex(*twin) for twin in _transport_twins(rng))
     return out
 
 
@@ -276,6 +334,7 @@ FAMILIES = {
     "cli": cli_outputs,
     "verify": verify,
     "w1": w1,
+    "transport": transport,
 }
 
 
