@@ -331,7 +331,11 @@ def _bump_family_feasible(p: Passage, complement: list, zero: set, tol: Scalar) 
 
     For edge-difference seminorms the carrier matrix is the induced metric,
     so feasibility is anchor compatibility; results cover the generating
-    bumps, not every local function (reported as mode "family").
+    bumps, not every local function (reported as mode "family").  The zero
+    region and the bumps' values never conflict: the caller has checked
+    clause 1, so each point of the r-ball lands in K, every bump is 0 off
+    the r-ball, and the passages built here (``compose``,
+    ``existence_tunnel``) keep the domain's and codomain's images disjoint.
     """
     carrier = p.carrier
     X = p.domain.space
@@ -345,19 +349,8 @@ def _bump_family_feasible(p: Passage, complement: list, zero: set, tol: Scalar) 
         return True, None
     for pidx in range(X.n):
         peak = dist_to_set(X, pidx, complement)
-        anchors: dict[int, Scalar] = {z: 0 for z in zero}
-        conflict = False
-        for i in range(X.n):
-            v = peak - X.d(pidx, i)
-            if v < 0:
-                v = 0
-            idx = p.embed_x[i]
-            if idx in anchors and anchors[idx] != v:
-                conflict = True
-                break
-            anchors[idx] = v
-        if conflict:
-            return False, X.points[pidx]
+        anchors: dict[int, Scalar] = dict.fromkeys(zero, 0)
+        anchors.update((p.embed_x[i], max(peak - X.d(pidx, i), 0)) for i in range(X.n))
         try:
             if _partial_lip(carrier, anchors, tol) > 1 + tol:
                 return False, X.points[pidx]
@@ -535,20 +528,23 @@ def _extent_scan(
     context: ScanContext | None = None,
 ) -> tuple:
     """(infimum of admissible tolerances below cutoff, an attained admissible
-    probe or None).  Scans candidates ascending with one interior probe per
-    gap; the infimum is the largest candidate at or below the first
-    admissible probe.
+    probe or None), by one ascending walk over the cells (lo, hi) between
+    consecutive candidates: the first admissible probe answers lo if it is a
+    cell's midpoint and itself if it is the candidate hi.
 
     Every probe lies below cutoff and must reach the basepoint gap, so a gap
-    beyond cutoff answers at once.  The probes ascend, and basepoint
-    proximity rejects every eps with not leq(gap, eps, tol), so the scan
-    starts at the first candidate that meets it, after the interior probe of
-    the gap below that candidate if that probe meets it.  At tol 0 with a
-    positive gap that candidate is the gap itself, a carrier distance, so it
-    is tried before the list is built.  Scans sharing ``context`` evaluate
-    the clauses once per eps and ball-membership signature of the probe,
-    which is exact since the clauses read the radius through those
-    memberships alone (the memo key of ``check_admissible``)."""
+    beyond cutoff answers at once.  Basepoint proximity rejects every eps
+    with not leq(gap, eps, tol), so the walk starts at the cell below the
+    first candidate that meets it.  It probes each cell at half(lo + min(hi,
+    cutoff)), if that lies above lo and meets the gap, then at hi, and stops
+    at the first candidate at or above cutoff; the first cell (0, c0) is
+    probed at half(c0), unclipped, if that lies below cutoff, and past the
+    last candidate hi is 2 lo + unit.  At tol 0 with a positive gap the
+    walk's first candidate is the gap itself, a carrier distance, tried
+    before the list is built.  Scans sharing ``context`` evaluate the clauses
+    once per eps and ball-membership signature of the probe, which is exact
+    since the clauses read the radius through those memberships alone (the
+    memo key of ``check_admissible``)."""
     ctx = context if context is not None else ScanContext(p, tol)
     gap = ctx.gap
 
@@ -567,34 +563,17 @@ def _extent_scan(
         if admissible(gap):
             return gap, gap
     cands = ctx.candidates(r)
-    if not cands:  # only when r <= 0
-        return INF, None
     start = bisect_left(cands, True, key=meets)
-    if start:
-        prev = cands[start - 1]
-        nxt = cands[start] if start < len(cands) else 2 * prev + ctx.unit
-        probe = _half(prev + min(nxt, cutoff))
-        if probe > prev and meets(probe) and admissible(probe):
-            return prev, probe
-    else:
-        probe = _half(cands[0])
-        if probe < cutoff and meets(probe) and admissible(probe):
-            return 0, probe
-    for i in range(start, len(cands)):
-        c = cands[i]
-        if c >= cutoff:
-            if i > start:
-                prev = cands[i - 1]
-                probe = _half(prev + cutoff)
-                if probe > prev and admissible(probe):
-                    return prev, probe
-            return INF, None
-        if (i > start or not tried) and admissible(c):
-            return c, c
-        nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c + ctx.unit
-        mid = _half(c + min(nxt, cutoff))
-        if mid > c and admissible(mid):
-            return c, mid
+    for k in range(start, len(cands) + 1):
+        lo = cands[k - 1] if k else 0
+        hi = cands[k] if k < len(cands) else 2 * lo + ctx.unit
+        mid = _half(lo + min(hi, cutoff)) if k else _half(hi)
+        if lo < mid and (k or mid < cutoff) and meets(mid) and admissible(mid):
+            return lo, mid
+        if k == len(cands) or hi >= cutoff:
+            break
+        if not (tried and k == start) and admissible(hi):
+            return hi, hi
     return INF, None
 
 
@@ -802,18 +781,19 @@ def compose(
     p2: Passage,
     alpha: Scalar,
     t: Scalar,
-    r: Scalar | None = None,
-    eps1: Scalar | None = None,
-    eps2: Scalar | None = None,
-    tol: Scalar = 0,
+    r: Scalar,
+    eps1: Scalar,
+    eps2: Scalar,
 ) -> Passage:
     """Bridge two passages through their shared middle space.
 
     The carrier is the disjoint union with bridge edges of length alpha
     between the two copies of the middle space; the seminorm is the max of
-    the component seminorms and the scaled cross differences.  The shifted
-    union compact family certifies eps1 + eps2 + alpha as t-admissible, so
-    extent(result, t) <= eps1 + eps2 + alpha.
+    the component seminorms and the scaled cross differences.  The caller
+    gives tolerances eps1 of p1 and eps2 of p2 admissible at radius r, with
+    t + 4 max(eps1, eps2) < r; the shifted union compact family then
+    certifies eps1 + eps2 + alpha as t-admissible, so extent(result, t) <=
+    eps1 + eps2 + alpha.
     """
     if alpha <= 0:
         raise PreconditionFailed("alpha", f"bridge width must be positive, got {alpha}")
@@ -821,14 +801,6 @@ def compose(
         raise NonPositiveRadius(f"target radius must be positive, got {t}")
     if p1.codomain != p2.domain:
         raise DomainMismatch("codomain of the first passage must equal domain of the second")
-    if r is None:
-        r = 2 * t
-    if eps1 is None:
-        eps1 = _checked_scan(p1, r, tol)[1]
-    if eps2 is None:
-        eps2 = _checked_scan(p2, r, tol)[1]
-    if eps1 is None or eps2 is None:
-        raise RadiusConditionViolated(f"no admissible tolerance at radius {r}")
     if not t + 4 * max(eps1, eps2) < r:
         raise RadiusConditionViolated(
             f"need t + 4*max(eps1, eps2) < r, got {t} + 4*{max(eps1, eps2)} vs {r}"
@@ -1104,7 +1076,10 @@ def propinquity_bracket(
     The infimum commutes with the passage search, so each passage gets its
     own monotone threshold bisection, pruned by the best upper end so far;
     hi is always certified by a concrete passage.  The first finite upper
-    end is ``_one``, so every bisection runs on the rows' scalar type.
+    end is ``_one``, so every bisection runs on the rows' scalar type,
+    doubled until the first passage beats it: at most 64 + b times, b the
+    bit length of the largest finite distance of a and b, after which the
+    bracket is (0, inf).
 
     Each passage's bisection halves from the running dyadic hi, so every
     passage that lowers hi can add up to ``iters`` bits to its denominator
@@ -1125,7 +1100,8 @@ def propinquity_bracket(
         if best is None:
             # the first passage sets the first finite upper end
             hi = one
-            for _ in range(64):
+            top = max(v for s in (A.space, B.space) for row in s.dist for v in row if not is_inf(v))
+            for _ in range(64 + int(top).bit_length()):
                 if pred(hi):
                     break
                 hi = 2 * hi
@@ -1141,17 +1117,14 @@ def propinquity_bracket(
         # radius 0 no existence passage is built either
         return zero, INF
 
-    ex_pred = _existence_pred(A, B, tol)
-    if ex_pred(hi):
-        lo_ex, hi = _tau_bisect(ex_pred, hi, iters)
-        lows.append(lo_ex)
-
+    preds = [_existence_pred(A, B, tol)]
     refined = refine_gluing_cross(best.glued, tol=tol)  # best is a gluing passage
     if refined.host != best.carrier:
-        pred_r = _passage_pred(passage_from_gluing(refined), tol)
-        if pred_r(hi):
-            lo_r, hi = _tau_bisect(pred_r, hi, iters)
-            lows.append(lo_r)
+        preds.append(_passage_pred(passage_from_gluing(refined), tol))
+    for pred in preds:
+        if pred(hi):
+            lo_p, hi = _tau_bisect(pred, hi, iters)
+            lows.append(lo_p)
     return min(min(lows), hi), hi
 
 

@@ -85,6 +85,27 @@ def test_rational_w1_on_zero_distance_pairs_answers_exactly(tmp_path, capsys):
         assert report["value"] == 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="a degenerate basic cell of the transport simplex computes 0 * inf, so the value "
+    "and the dual value are nan (FOUND in CHANGES.md)",
+)
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_w1_between_diracs_beside_a_point_at_infinite_distance(tmp_path, capsys, backend):
+    # b is at infinite distance from a and c, and d(a, c) = 1: W1(delta_a,
+    # delta_c) is 1, but `gh w1` exits 2 with "transport value nan disagrees
+    # with dual value nan"
+    doc = {
+        "space": {"points": ["a", "b", "c"], "dist": [[0, "inf", 1], ["inf", 0, "inf"], [1, "inf", 0]]},
+        "mu": [1, 0, 0],
+        "nu": [0, 0, 1],
+    }
+    path = write_json(tmp_path, "w1.json", doc)
+    rc, report, _ = run(capsys, ["w1", "--in", path, "--backend", backend])
+    assert rc == EXIT_OK
+    assert Fraction(str(report["value"])) == 1
+
+
 def test_w1_float_default_backend(tmp_path, capsys):
     path = write_json(tmp_path, "w1.json", W1_DOC)
     rc, report, _ = run(capsys, ["w1", "--in", path])
@@ -440,6 +461,31 @@ def test_propinquity_with_no_gluing_passage_answers_an_unbounded_bracket(tmp_pat
     assert rc == EXIT_OK
     assert report["bracket"] == [0, "inf"] and report["raw"] == "inf"
     assert report["certificate"] is None  # no passage certifies hi
+
+
+@pytest.mark.parametrize("scale", ["e19", "e30"])
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_propinquity_of_far_spaces_finds_a_finite_upper_end(tmp_path, capsys, backend, scale):
+    # the first upper end doubles from 1; at 64 doublings, about 1.8e19, it
+    # stopped short and answered (0, inf) with no certificate, though the
+    # inframetric of the e30 pair is 2e30
+    def scaled(points, rows, base):
+        dist = [[float(f"{v}{scale}") if v else 0 for v in row] for row in rows]
+        return {"points": points, "dist": dist, "basepoint": base}
+
+    docs = (
+        scaled(["a", "b"], [[0, 1], [1, 0]], "a"),
+        scaled(["p", "q", "s"], [[0, 3, 4], [3, 0, 5], [4, 5, 0]], "q"),
+    )
+    x, y = (write_json(tmp_path, f"{name}.json", doc) for name, doc in zip("xy", docs))
+    rc, report, _ = run(capsys, ["propinquity", "--x", x, "--y", y, "--backend", backend])
+    assert rc == EXIT_OK and report["certificate"] == "family-minimum"
+    lo, hi = (Fraction(str(v)) for v in report["bracket"])
+    unit = Fraction(f"1{scale}")
+    assert lo <= hi and unit < hi < 3 * unit
+    if backend == "rational":
+        a, b = (pointed_from_json(json.dumps(doc)) for doc in docs)
+        assert local_propinquity(a, b, 1 / hi)[0] < hi
 
 
 def test_propinquity_zeros_are_in_the_rows_scalar_type(tmp_path, capsys):

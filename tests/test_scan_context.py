@@ -15,6 +15,7 @@ the scan.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -784,3 +785,67 @@ def test_left_clauses_agree_with_their_transcription():
                         assert got == oracles.left_clauses_reference(q, r, eps, K, tol)
                         verdicts.add(got[1].get("clause"))
     assert verdicts == {None, 1, 2, 3}
+
+
+def _float_passage(p):
+    """A metric passage's float twin: all three spaces' rows as floats."""
+    rows = [[float(v) for v in row] for row in p.carrier.dist]
+    carrier = validate_metric(p.carrier.points, rows, tol=TOL)
+    return Passage(carrier, p.embed_x, p.embed_y, _float_copy(p.domain), _float_copy(p.codomain))
+
+
+def _edge_cutoffs(cands, backend):
+    """inf, 3/4 of the first candidate c0 (in (c0/2, c0], where the first
+    probe half(c0) lies below the cutoff unclipped), and every candidate,
+    just below it and just above it."""
+    if backend == "rational":
+        near = lambda c: (c - c / 1024, c + c / 1024)
+    else:
+        near = lambda c: (math.nextafter(c, 0), math.nextafter(c, INF))
+    return [INF, cands[0] * 3 / 4, *(v for c in cands for v in (c, *near(c)))]
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_the_walk_matches_the_reference_at_its_edges(backend):
+    # cutoffs at, just below and just above every candidate and inside the
+    # first cell; isometry passages answer at the first probe, and a
+    # one-point pair glued at width 3, scanned at radius 1 and a negative
+    # tol, has no candidate that meets its gap, so its walk runs past the
+    # last candidate c into (c, 2c + unit)
+    rng = random.Random(97)
+    x, y = (pointed(validate_metric((name,), [[0]]), 0) for name in "xy")
+    host = validate_metric(("x", "y"), [[0, 3], [3, 0]])
+    pair = passage_from_gluing(validate_gluing(host, x, (0,), y, (1,)))
+    passages = _isometry_passages(rng, 2) + [pair]
+    if backend == "rational":
+        tols = (0, F(1, 10), F(-1, 10))
+        passages += [p for p, _ in _metric_passages(rng, pairs=2, per_pair=1)]
+        passages += [p for p, _ in _subspace_passages(rng, 2)]
+    else:
+        tols = (0.0, TOL, -TOL)
+        passages = [_float_passage(p) for p in passages]
+        passages += [fp for _, fp in _metric_passages(rng, pairs=2, per_pair=1)]
+        passages += [fp for _, fp in _subspace_passages(rng, 2)]
+    edges = set()
+    for p in passages:
+        radii = [_as_backend(r, backend) for r, _ in _radii(rng)[:2]] + [_as_backend(F(1), backend)]
+        for tol in tols:
+            context = ScanContext(p, tol)
+            for r in radii:
+                cands = oracles.eps_candidates_reference(p, r)
+                cutoffs = _edge_cutoffs(cands, backend)
+                got = {}
+                for cutoff in cutoffs:
+                    want = oracles.extent_scan_reference(p, r, cutoff, tol)
+                    got[cutoff] = _extent_scan(p, r, cutoff, tol, context)
+                    assert got[cutoff] == want
+                probe = got[INF][1]
+                if probe is not None and probe > cands[-1]:
+                    edges.add("past the last candidate")
+                if got[cands[0] * 3 / 4] == (0, cands[0] / 2):
+                    edges.add("unclipped first probe")
+                # cutoffs[4::3] lie just above the candidates
+                above = cutoffs[4::3]
+                if any(got[c] == (INF, None) and got[a] == (c, c) for c, a in zip(cands, above)):
+                    edges.add("cutoff at an admissible candidate")
+    assert edges == {"past the last candidate", "unclipped first probe", "cutoff at an admissible candidate"}

@@ -37,6 +37,7 @@ from ghlab import tunnels
 from ghlab.local_gh import refine_gluing_cross
 from ghlab.numerics import INF, SQRT2_OVER_4, is_inf, truncate_floor
 from ghlab.tunnels import (
+    DomainMismatch,
     Infeasible,
     RadiusConditionViolated,
     RadiusGap,
@@ -203,18 +204,23 @@ def test_lift_bounds_match_the_vertex_oracle():
 
 
 def test_lift_bounds_infeasible_when_k_zeroes_an_anchor():
-    # X carries value 1 at its basepoint, but K excludes the whole carrier,
-    # so the zero region pins that same point to 0: an immediate conflict
-    p = one_point_pair(F(1, 8))
+    # X carries value 1 at its basepoint, but K leaves that point's image
+    # out, so the zero region pins it to 0: an immediate conflict, on a
+    # metric passage and on its composition with its inverse.  With K empty
+    # every other carrier point is pinned to 0 too; with K all but that
+    # image, no other point is pinned, so the conflict alone empties the set
     from ghlab import real_function
 
-    a = real_function(p.domain.space, [F(1)])
-    with pytest.raises(Infeasible):
-        lift_target_bounds(p, a, F(1), F(1), F(1, 8), frozenset())
-    tb = lift_target_bounds(p, a, F(1), F(1), F(1, 8), frozenset(), strict=False)
-    assert not tb.feasible
-    zero = set(_zero_set(p, F(1), F(1, 8), frozenset(), 0))
-    assert p.embed_x[0] in zero and a(0) != 0  # the conflict the oracle sees too
+    p = one_point_pair(F(1, 8))
+    composed = compose(p, inverse(p), F(1), F(25, 4), r=F(13), eps1=F(1, 8), eps2=F(1, 8))
+    for q in (p, composed):
+        a = real_function(q.domain.space, [F(1)])
+        for K in (frozenset(), frozenset(range(q.carrier.n)) - {q.x0_host}):
+            assert q.x0_host in _zero_set(q, F(1), F(1, 8), K, 0)
+            with pytest.raises(Infeasible):
+                lift_target_bounds(q, a, F(1), F(1), F(1, 8), K)
+            tb = lift_target_bounds(q, a, F(1), F(1), F(1, 8), K, strict=False)
+            assert not tb.feasible
 
 
 def _composed(rng, depth):
@@ -329,8 +335,8 @@ def test_composition_rejects_radius_gaps_and_mismatches():
         compose(p, inverse(p), F(1), F(10), r=F(11), eps1=F(3), eps2=F(3))
     z = pointed(line_space([F(0), F(1)]), 0)
     q = random_passage(random.Random(2), z, z)
-    with pytest.raises(MetricError):
-        compose(p, q, F(1), F(1))
+    with pytest.raises(DomainMismatch):
+        compose(p, q, F(1), F(1), r=F(3), eps1=F(1, 4), eps2=F(1, 4))
 
 
 def test_existence_tunnel_cases():

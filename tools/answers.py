@@ -35,6 +35,16 @@ families are:
 - ``brackets``, ``brackets-1/3`` and ``brackets--1/10``: their
   ``propinquity_bracket`` queries at tol 1/10, 1/3 and -1/10, a raised
   exception recorded by its type name;
+- ``composed``: each extent passage p of the ``tunnel`` pools of input
+  sets 0-1 composed with its inverse, ``compose(p, inverse(p), alpha, t,
+  r=R, eps1=e, eps2=e)`` with R = 12 max(1, 3 D) + 1 (D the largest carrier
+  distance), e = ``smallest_admissible(p, R)``, t = (R - 4e)/2 and alpha
+  1/8 and 1 in turn; then ``check_admissible`` of the composition at t and
+  b = 2e + alpha, and at eps = b/8, b/2 and b, on the composed K_t and two
+  seeded random carrier subsets, ``check_left_admissible`` of the
+  composition and of its inverse at t and the non-strict
+  ``lift_target_bounds`` at l = 1 of one seeded
+  ``verify.random_lip_function`` on the t-ball;
 - ``local-propinquity``: ``local_propinquity`` at r = 1/2 and 7/3, value
   and witness kind and carrier, on the pairs of the ``tunnel`` pools of
   input sets 0-1 (each bracket's pair and each extent passage's domain and
@@ -90,6 +100,7 @@ for name in [k for k in os.environ if k.startswith("GHLAB_")]:
 import workloads  # noqa: E402
 from ghlab import cli, gluing, kantorovich, local_gh, metric_core, simplex, tunnels  # noqa: E402
 from ghlab.numerics import DEFAULT_FLOAT_TOL, parse_scalar  # noqa: E402
+from ghlab.verify import random_lip_function  # noqa: E402
 
 TUNNEL_SETS = range(8)
 CLAUSE_SETS = range(4)
@@ -162,6 +173,29 @@ def brackets(tol) -> list:
                 out.append(tunnels.propinquity_bracket(*args, tol=tol))
             except Exception as err:
                 out.append(type(err).__name__)
+    return out
+
+
+def composed() -> list:
+    out = []
+    rng = random.Random(0)
+    extents = [args[0] for op, args in _prepared("tunnel", LOCAL_SETS) if op == "extent"]
+    for k, p in enumerate(extents):
+        R = 12 * max(1, 3 * max(max(row) for row in p.carrier.dist)) + 1
+        e = tunnels.smallest_admissible(p, R)
+        t, alpha = Fraction(R - 4 * e, 2), (Fraction(1, 8), 1)[k % 2]
+        c = tunnels.compose(p, tunnels.inverse(p), alpha, t, r=R, eps1=e, eps2=e)
+        b = 2 * e + alpha
+        out.append(tunnels.check_admissible(c, t, b))
+        n = c.carrier.n
+        subsets = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(2)]
+        a = random_lip_function(rng, c.domain.space, c.domain.base, t, 1)
+        K_t = tunnels.composed_k_family(c)(t)
+        for eps in (Fraction(b, 8), Fraction(b, 2), b):
+            for K in (K_t, *subsets):
+                for q in (c, tunnels.inverse(c)):
+                    out.append(tunnels.check_left_admissible(q, t, eps, K))
+                out.append(tunnels.lift_target_bounds(c, a, 1, t, eps, K, strict=False))
     return out
 
 
@@ -326,6 +360,7 @@ FAMILIES = {
     "brackets": functools.partial(brackets, Fraction(1, 10)),
     "brackets-1/3": functools.partial(brackets, Fraction(1, 3)),
     "brackets--1/10": functools.partial(brackets, Fraction(-1, 10)),
+    "composed": composed,
     "local-propinquity": local_propinquity,
     "search": search,
     "search-1/10": functools.partial(search_delta, (Fraction(1, 10),), False),
