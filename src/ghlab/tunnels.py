@@ -32,6 +32,9 @@ tol is not scale-free.  On the grid a bisection step's radius L/e is a
 ``Fraction``; at an int eps ``check_admissible`` probes it at its floor,
 which every clause reads alike since rows and tol are ints there, so the
 whole check runs on ints and a failure certificate's t may be that floor.
+Its answer is then a function of eps and that floor alone, so the scan
+context keeps one verdict per pair: a bracket's step radii L/e converge,
+their floors repeat, and most steps are answered without a walk.
 
 One fixed-radius scan copies each of the three spaces once
 (``metric_core.grid_copy``: its cached grid rows times L over their own
@@ -390,14 +393,17 @@ def _halves(values: Iterable) -> set:
 class ScanContext:
     """What the checks and scans of one passage at one ``tol`` share across
     radii: the inverse passage, basepoint gap and rows, radius-free tolerance
-    candidates, and per eps the probe cells, witness family and probe memo.
-    p's numbers are the caller's times ``unit`` (1 off the grid).  ``ints``:
-    p's witness family is the canonical one (``p.info`` is None, as for every
-    passage but a composition, the band existence passage included) and its
-    basepoint rows and tol are all ints, so ``check_admissible`` may probe an
-    int eps at integer radii.  The rows, the gap and the inverse are built
-    with the context, from p's own rows; the candidates, which only a scan
-    past its first probe needs, on first use."""
+    candidates, and per eps the probe cells, witness family, probe memo and
+    verdict dict.  p's numbers are the caller's times ``unit`` (1 off the
+    grid).  ``ints``: p's witness family is the canonical one (``p.info`` is
+    None, as for every passage but a composition, the band existence passage
+    included) and its basepoint rows and tol are all ints, so
+    ``check_admissible`` may probe an int eps at integer radii.  There its
+    whole answer depends on eps and the floored radius only, p and tol being
+    fixed with the context, so the verdict dict maps that radius to the
+    answer; it stays empty everywhere else.  The rows, the gap and the
+    inverse are built with the context, from p's own rows; the candidates,
+    which only a scan past its first probe needs, on first use."""
 
     def __init__(self, p: Passage, tol: Scalar = 0, unit: int = 1):
         self.p, self.tol, self.unit, self.base = p, tol, unit, _base_rows(p)
@@ -428,7 +434,8 @@ class ScanContext:
         return cands
 
     def at_eps(self, eps: Scalar) -> tuple:
-        """(sorted positive probe cells, witness family, its name, memo) at eps."""
+        """(sorted positive probe cells, witness family, its name, probe memo,
+        verdict dict) at eps."""
         got = self._per_eps.get(eps)
         if got is None:
             p, tol = self.p, self.tol
@@ -437,7 +444,7 @@ class ScanContext:
                 shifts |= _family_shifts(p, eps)
             cells = sorted({c for s in shifts for d in self.base if (c := d - s - tol) > 0})
             family = "canonical" if p.info is None else "composed-union"
-            got = self._per_eps[eps] = (cells, _witness_family(p, eps, tol), family, {})
+            got = self._per_eps[eps] = (cells, _witness_family(p, eps, tol), family, {}, {})
         return got
 
 
@@ -481,16 +488,32 @@ def check_admissible(
     sub-minimal probe keeps its memberships (floor(floor(r) / 2) = floor(r /
     2)), and the verdict is the same at every tol; a failure certificate's
     t may be floor(t), which fails the same way.
+
+    So there the probe list, and with it the whole answer, certificate
+    included, is a function of eps and floor(r) (of r itself below 1), the
+    memo above deciding nothing but how fast each probe is read.  The
+    context's verdict dict for eps (``ScanContext.at_eps``) keeps that
+    answer under the floored r: looked up before the probe list is built,
+    stored after the walk.  A float r is not kept, since 3.0 would share
+    the key of 3 but not its certificate's types.  Every call returns a
+    fresh certificate dict, so a caller that edits one changes no later
+    answer.
     """
     if r <= 0 or eps <= 0:
         return False, {"reason": "nonpositive radius or tolerance"}
     ctx = context if context is not None else ScanContext(p, tol)
     if not leq(ctx.gap, eps, tol):
         return False, {"reason": "basepoint", "gap": ctx.gap}
-    cells, kf, family, memo = ctx.at_eps(eps)
+    cells, kf, family, memo, verdicts = ctx.at_eps(eps)
     floor = ctx.ints and type(eps) is int
     if floor:
         r = _int_floor(r)
+    if not floor or type(r) is float:  # a float 3.0 would share the key of 3
+        verdicts = None
+    else:
+        seen = verdicts.get(r)
+        if seen is not None:
+            return seen[0], dict(seen[1])
     k = bisect_right(cells, r)
     low = _half(cells[0] if k else r)
     probes = [_int_floor(low) if floor else low, *cells[:k]]
@@ -516,8 +539,14 @@ def check_admissible(
                 side = "right"
             hit = memo[key] = (ok, side, cert)
         if not hit[0]:
-            return False, {"t": t, "side": hit[1], **hit[2]}
-    return True, {"probes": len(probes), "family": family}
+            ok, cert = False, {"t": t, "side": hit[1], **hit[2]}
+            break
+    else:
+        ok, cert = True, {"probes": len(probes), "family": family}
+    if verdicts is not None:
+        verdicts[r] = ok, cert
+        cert = dict(cert)
+    return ok, cert
 
 
 def _extent_scan(
@@ -536,15 +565,17 @@ def _extent_scan(
     beyond cutoff answers at once.  Basepoint proximity rejects every eps
     with not leq(gap, eps, tol), so the walk starts at the cell below the
     first candidate that meets it.  It probes each cell at half(lo + min(hi,
-    cutoff)), if that lies above lo and meets the gap, then at hi, and stops
-    at the first candidate at or above cutoff; the first cell (0, c0) is
-    probed at half(c0), unclipped, if that lies below cutoff, and past the
-    last candidate hi is 2 lo + unit.  At tol 0 with a positive gap the
-    walk's first candidate is the gap itself, a carrier distance, tried
-    before the list is built.  Scans sharing ``context`` evaluate the clauses
-    once per eps and ball-membership signature of the probe, which is exact
-    since the clauses read the radius through those memberships alone (the
-    memo key of ``check_admissible``)."""
+    cutoff)), the first cell (0, c0) at half(c0) unclipped, if that lies
+    strictly between lo and cutoff and meets the gap, then at hi, and stops
+    at the first candidate at or above cutoff; past the last candidate hi is
+    2 lo + unit.  Exact midpoints of a cell below cutoff lie below it, but a
+    float half(lo + cutoff) with lo one float below cutoff rounds onto it.
+    At tol 0 with a positive gap the walk's first candidate is the gap
+    itself, a carrier distance, tried before the list is built.  Scans
+    sharing ``context`` evaluate the clauses once per eps and
+    ball-membership signature of the probe, which is exact since the
+    clauses read the radius through those memberships alone (the memo key
+    of ``check_admissible``)."""
     ctx = context if context is not None else ScanContext(p, tol)
     gap = ctx.gap
 
@@ -568,7 +599,7 @@ def _extent_scan(
         lo = cands[k - 1] if k else 0
         hi = cands[k] if k < len(cands) else 2 * lo + ctx.unit
         mid = _half(lo + min(hi, cutoff)) if k else _half(hi)
-        if lo < mid and (k or mid < cutoff) and meets(mid) and admissible(mid):
+        if lo < mid < cutoff and meets(mid) and admissible(mid):
             return lo, mid
         if k == len(cands) or hi >= cutoff:
             break

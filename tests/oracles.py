@@ -568,14 +568,14 @@ def extent_scan_reference(p, r, cutoff=math.inf, tol=0, context=None) -> tuple:
             if i > start:
                 prev = cands[i - 1]
                 probe = _half(prev + cutoff)
-                if probe > prev and admissible(probe):
+                if prev < probe < cutoff and admissible(probe):
                     return prev, probe
             return math.inf, None
         if admissible(c):
             return c, c
         nxt = cands[i + 1] if i + 1 < len(cands) else 2 * c + 1
         mid = _half(c + min(nxt, cutoff))
-        if mid > c and admissible(mid):
+        if c < mid < cutoff and admissible(mid):
             return c, mid
     return math.inf, None
 

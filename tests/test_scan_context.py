@@ -16,6 +16,7 @@ the scan.
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -849,3 +850,131 @@ def test_the_walk_matches_the_reference_at_its_edges(backend):
                 if any(got[c] == (INF, None) and got[a] == (c, c) for c, a in zip(cands, above)):
                     edges.add("cutoff at an admissible candidate")
     assert edges == {"past the last candidate", "unclipped first probe", "cutoff at an admissible candidate"}
+
+
+def _grid_radii(rng, top):
+    """Radii for one grid passage: ints, ``Fraction``s >= 1 in pairs that
+    share a floor, and ``Fraction``s below 1, each asked twice, shuffled."""
+    out = []
+    for _ in range(4):
+        n = rng.randint(1, 2 * top)
+        out += [n, F(7 * n + rng.randint(1, 6), 7), F(11 * n + rng.randint(1, 10), 11)]
+        out.append(F(rng.randint(1, 6), 7))
+    out *= 2
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("tol", [0, F(1, 10), F(-1, 10)])
+def test_a_shared_context_answers_each_radius_as_a_fresh_context_does(tol):
+    # at an int eps on int rows the answer depends on eps and the floored
+    # radius only, so one context may keep it: asked at many radii, one
+    # shared context returns what a fresh context per call returns,
+    # certificates of failures included, and its verdict dict answers the
+    # radii whose floor it has seen
+    rng = random.Random(83)
+    passages = [p for p, _ in _metric_passages(rng, pairs=6, per_pair=3)]
+    passages += [p for p, _ in _subspace_passages(rng, 8)]
+    kept, failures = 0, set()
+    for p in passages:
+        q, q_tol, _ = _int_grid_passage(p, tol)
+        context = ScanContext(q, q_tol)
+        assert context.ints
+        top = max(max(row) for row in q.carrier.dist) + 1
+        epss = [max(1, context.gap + rng.randint(-top // 8, top // 4)) for _ in range(3)]
+        for r in _grid_radii(rng, top):
+            for eps in epss:
+                kept += tunnels._int_floor(r) in context.at_eps(eps)[4]
+                got = check_admissible(q, r, eps, tol=q_tol, context=context)
+                assert got == check_admissible(q, r, eps, tol=q_tol)
+                if "side" in got[1]:
+                    failures.add((got[1]["side"], got[1]["clause"]))
+                    assert {"t", "side", "clause", "witness"} <= set(got[1])
+    assert kept > 0
+    assert {("left", 2), ("left", 3)} <= failures
+
+
+def test_editing_a_returned_certificate_changes_no_later_answer():
+    # the verdict dict keeps each answer, but every call hands out its own
+    # certificate dict: a caller that edits one sees the same answer again
+    rng = random.Random(89)
+    passages = [p for p, _ in _metric_passages(rng, pairs=4, per_pair=2)]
+    passages += _composed_passages(rng, 1)
+    kinds = set()
+    for p in passages:
+        grid = [_int_grid_passage(p, 0)[:2]] if p.kind == "metric" else []
+        for q, q_tol in [(p, 0)] + grid:
+            context = ScanContext(q, q_tol)
+            top = int(max(max(row) for row in q.carrier.dist)) + 1
+            for _ in range(6):
+                eps = rng.randint(1, top)
+                r = F(rng.randrange(7, 14 * top), 7)
+                for radius in (r, r // 1) * 2:
+                    want = check_admissible(q, radius, eps, tol=q_tol)
+                    got = check_admissible(q, radius, eps, tol=q_tol, context=context)
+                    assert got == want
+                    got[1].clear()
+                    got[1]["t"] = "edited"
+                    kinds.add((context.ints, got[0]))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_most_grid_checks_inside_the_benchmark_brackets_come_from_the_verdict_dict(monkeypatch):
+    # the bisection steps of a bracket ask at radii L/e that converge, so
+    # their floors repeat: on the tunnel pool of input set 3, at least 80%
+    # of the grid checks inside brackets are answered from a verdict kept
+    # by the same context, and a context that keeps none answers the same
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import workloads
+
+    pairs = [
+        workloads.prepare_api(q)[1]
+        for q in workloads.pool("tunnel", 3)
+        if q["op"] == "propinquity_bracket"
+    ]
+    check = tunnels.check_admissible
+    counts = {"grid": 0, "kept": 0}
+
+    def counting(p, r, eps, tol=0, context=None):
+        if context.ints and type(eps) is int:
+            counts["grid"] += 1
+            counts["kept"] += tunnels._int_floor(r) in context.at_eps(eps)[4]
+        return check(p, r, eps, tol, context)
+
+    monkeypatch.setattr(tunnels, "check_admissible", counting)
+    got = [propinquity_bracket(x, y) for x, y in pairs]
+    assert counts["grid"] > 20 * len(pairs)
+    assert counts["kept"] >= 0.8 * counts["grid"]
+
+    at_eps = ScanContext.at_eps
+    monkeypatch.setattr(tunnels, "check_admissible", check)
+    monkeypatch.setattr(ScanContext, "at_eps", lambda self, eps: (*at_eps(self, eps)[:4], {}))
+    assert [propinquity_bracket(x, y) for x, y in pairs] == got
+
+
+def test_float_scans_never_probe_at_their_cutoff(monkeypatch):
+    # a float midpoint half(lo + cutoff) with lo one float below the cutoff
+    # rounds onto the cutoff; no cell of the walk may probe there, so scans
+    # whose cutoff lies one float above a candidate probe below it only
+    rng = random.Random(101)
+    twins = _metric_passages(rng, pairs=6, per_pair=3) + _subspace_passages(rng, 10)
+    probed = []
+    check = tunnels.check_admissible
+
+    def recording(p, r, eps, tol=0, context=None):
+        probed.append(eps)
+        return check(p, r, eps, tol, context)
+
+    monkeypatch.setattr(tunnels, "check_admissible", recording)
+    scans = 0
+    for _, fp in twins:
+        for tol in (0.0, TOL, -TOL):
+            context = ScanContext(fp, tol)
+            for r in (float(r) for r, _ in _radii(rng)[:3]):
+                for c in context.candidates(r):
+                    cutoff = math.nextafter(c, INF)
+                    probed.clear()
+                    _extent_scan(fp, r, cutoff, tol, context)
+                    assert all(e < cutoff for e in probed)
+                    scans += 1
+    assert scans > 5000

@@ -35,6 +35,11 @@ families are:
 - ``brackets``, ``brackets-1/3`` and ``brackets--1/10``: their
   ``propinquity_bracket`` queries at tol 1/10, 1/3 and -1/10, a raised
   exception recorded by its type name;
+- ``steps``: every (eps, radius, ok, certificate) that the bisection
+  steps of the ``propinquity_bracket`` queries of the ``tunnel`` pools of
+  input sets 0-1 ask of ``check_admissible``, in order, each through its
+  bracket's own scan context (on these rational pairs the grid's ints,
+  where a repeated floored radius may be answered without a walk);
 - ``composed``: each extent passage p of the ``tunnel`` pools of input
   sets 0-1 composed with its inverse, ``compose(p, inverse(p), alpha, t,
   r=R, eps1=e, eps2=e)`` with R = 12 max(1, 3 D) + 1 (D the largest carrier
@@ -173,6 +178,25 @@ def brackets(tol) -> list:
                 out.append(tunnels.propinquity_bracket(*args, tol=tol))
             except Exception as err:
                 out.append(type(err).__name__)
+    return out
+
+
+def steps() -> list:
+    out = []
+    check = tunnels.check_admissible
+
+    def recording(p, r, eps, tol=0, context=None):
+        ok, cert = check(p, r, eps, tol, context)
+        out.append((eps, r, ok, cert))
+        return ok, cert
+
+    tunnels.check_admissible = recording
+    try:
+        for op, args in _prepared("tunnel", LOCAL_SETS):
+            if op == "propinquity_bracket":
+                tunnels.propinquity_bracket(*args)
+    finally:
+        tunnels.check_admissible = check
     return out
 
 
@@ -360,6 +384,7 @@ FAMILIES = {
     "brackets": functools.partial(brackets, Fraction(1, 10)),
     "brackets-1/3": functools.partial(brackets, Fraction(1, 3)),
     "brackets--1/10": functools.partial(brackets, Fraction(-1, 10)),
+    "steps": steps,
     "composed": composed,
     "local-propinquity": local_propinquity,
     "search": search,

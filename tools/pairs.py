@@ -14,8 +14,19 @@ and ``result``.  An existing ``--out`` file is extended, so several
 workloads can share one file.  At the end the script prints, for each
 metric of this call's runs, each side's median and quartiles, and how many
 pairs the change won, by the direction ``BENCHMARK.json`` gives the metric,
-and then each side's least-squares line of ``peak_rss_mib`` on the
-attempted query count.
+with two verdicts:
+
+- ``claim holds`` or ``claim fails``: the change wins at least 9 of every
+  10 pairs and its median beats the parent's by more than the parent's
+  interquartile range, the rule a claimed gain must meet;
+- for an end-to-end metric, ``within bound`` or ``past bound``: whether the
+  change's median is worse than the parent's by more than the metric's
+  relative bound in ``BENCHMARK.json``.
+
+Then it prints each side's least-squares line of ``peak_rss_mib`` on the
+attempted query count and, from the parent's line at its median attempted
+count, the goodput gain at which ``peak_rss_mib`` would reach its bound,
+taking attempted queries to grow with goodput.
 
 Standard library only.
 """
@@ -53,14 +64,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int
     return json.loads(lines[-1])
 
 
-def directions(checkout: str) -> dict:
-    """{metric name: 'higher' or 'lower'} from the checkout's BENCHMARK.json."""
+def metric_specs(checkout: str) -> dict:
+    """{metric name: its entry} from the checkout's BENCHMARK.json: ``better``
+    ('higher' or 'lower') for every metric, ``bound`` for an end-to-end one."""
     try:
         with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
             spec = json.load(fh)
     except OSError:
         return {}
-    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+    return {m["name"]: m for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
 
 def quartiles(values: list) -> tuple:
@@ -71,8 +83,23 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def summary(runs: list, better: dict) -> list:
-    """One line per metric: each side's quartiles and the change's pair wins."""
+def verdicts(pairs: list, better: str, bound: float | None) -> list:
+    """The claim rule's verdict on (parent, change) pairs of one metric, and
+    the bound's when the metric has one."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    (q1, parent, q3), (_, change, _) = (quartiles([p[k] for p in pairs]) for k in (0, 1))
+    claim = 10 * wins >= 9 * len(pairs) and sign * (change - parent) > q3 - q1
+    out = [f"change wins {wins}/{len(pairs)}", "claim holds" if claim else "claim fails"]
+    if bound is not None:
+        past = sign * (change - parent) < -bound * abs(parent)
+        out.append(f"{'past' if past else 'within'} bound {bound:g}")
+    return out
+
+
+def summary(runs: list, specs: dict) -> list:
+    """One line per metric: each side's quartiles, the change's pair wins and
+    the verdicts."""
     by_side = {side: {r["seed"]: r["result"]["metrics"] for r in runs if r["side"] == side} for side in SIDES}
     seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
     names = list(by_side["parent"][seeds[0]]) if seeds else []
@@ -83,19 +110,21 @@ def summary(runs: list, better: dict) -> list:
         for k, side in enumerate(SIDES):
             q1, median, q3 = quartiles([p[k] for p in pairs])
             cells.append(f"{side} {median:.6g} [{q1:.6g}, {q3:.6g}]")
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
-            wins = sum(sign * (c - p) > 0 for p, c in pairs)
-            cells.append(f"change wins {wins}/{len(pairs)}")
+        if name in specs:
+            cells += verdicts(pairs, specs[name]["better"], specs[name].get("bound"))
         lines.append(f"{name}: " + "; ".join(cells))
     return lines
 
 
-def rss_fits(runs: list) -> list:
-    """One line per side: the least-squares line of peak_rss_mib on attempted.
+def rss_fits(runs: list, bound: float | None) -> list:
+    """One line per side: the least-squares line of peak_rss_mib on attempted,
+    and for the parent the goodput gain at which that line reaches ``bound``.
 
     A slope that matches on both sides says an RSS difference only follows
-    the attempted query count, not a change in per-query memory.  A traced
+    the attempted query count, not a change in per-query memory.  On the
+    parent's line, RSS at its median attempted count A is R = intercept +
+    slope * A, and a goodput gain g, taken to scale A by 1 + g, adds slope *
+    A * g; that reaches bound * R at g = bound * R / (slope * A).  A traced
     run (``--trace 1``) reports no peak_rss_mib and is left out."""
     lines = []
     for side in SIDES:
@@ -105,8 +134,14 @@ def rss_fits(runs: list) -> list:
             lines.append(f"{side} peak_rss_mib ~ attempted: no fit over {len(points)} runs")
             continue
         slope, intercept = statistics.linear_regression(*zip(*points))
-        lines.append(f"{side} peak_rss_mib ~ attempted: {intercept:.4g} MiB + "
-                     f"{slope * 2**20:.4g} B per attempted query ({len(points)} runs)")
+        line = (f"{side} peak_rss_mib ~ attempted: {intercept:.4g} MiB + "
+                f"{slope * 2**20:.4g} B per attempted query ({len(points)} runs)")
+        if side == "parent" and bound is not None and slope > 0:
+            attempted = statistics.median(a for a, _ in points)
+            rss = intercept + slope * attempted
+            gain = bound * rss / (slope * attempted)
+            line += f"; reaches its bound {bound:g} at goodput {gain:+.1%} (from {attempted:g} attempted)"
+        lines.append(line)
     return lines
 
 
@@ -148,7 +183,9 @@ def main(argv=None) -> None:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")
             print(f"{args.workload} seed {seed} {side}: attempted {result['attempted']}", file=sys.stderr)
-    for line in summary(mine, directions(args.change)) + rss_fits(mine):
+    specs = metric_specs(args.change)
+    rss_bound = specs.get("peak_rss_mib", {}).get("bound")
+    for line in summary(mine, specs) + rss_fits(mine, rss_bound):
         print(line)
 
 
